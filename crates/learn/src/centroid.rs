@@ -2,36 +2,53 @@
 //! Cheap, robust, and a natural third member of the paper's ensemble.
 
 use crate::classifier::{Classifier, Prediction, TrainingSet};
+use crate::table::{class_index, slot, top_k, with_scratch, zeroed, TermRows};
 use rulekit_data::TypeId;
-use rulekit_text::{SparseVector, TfIdf};
-use std::collections::HashMap;
-use std::sync::Arc;
+use rulekit_text::{FrozenTfIdf, WeightedQuery};
 
 /// A trained nearest-centroid model.
 pub struct Centroid {
-    tfidf: Arc<TfIdf>,
-    /// Normalized per-class centroid vectors.
-    centroids: Vec<(TypeId, SparseVector)>,
+    tfidf: FrozenTfIdf,
+    /// Classes seen in training, ascending; `centroids` indexes them by
+    /// position.
+    classes: Vec<TypeId>,
+    /// The unit-length class centroids stored by term: term →
+    /// `(class, weight)`.
+    centroids: TermRows,
     top_k: usize,
 }
 
 impl Centroid {
     /// Trains centroids from `data`.
     pub fn train(data: &TrainingSet) -> Centroid {
-        let tfidf = TfIdf::fit(data.docs.iter().map(|(f, _)| f.iter().map(String::as_str)));
-        let mut sums: HashMap<TypeId, (SparseVector, usize)> = HashMap::new();
+        let tfidf = data.fit_tfidf();
+        let classes = data.labels();
+        let mut class_docs = vec![0usize; classes.len()];
+        // Per (term, class), the sum of the unit-length document vectors.
+        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); tfidf.vocab_len()];
+        let mut v = WeightedQuery::default();
         for (feats, label) in &data.docs {
-            let v = tfidf.weigh(feats.iter().map(String::as_str)).normalized();
-            let entry = sums.entry(*label).or_insert_with(|| (SparseVector::new(), 0));
-            entry.0.add_scaled(&v, 1.0);
-            entry.1 += 1;
+            let class = class_index(&classes, *label);
+            class_docs[class as usize] += 1;
+            tfidf.weigh_into(feats, &mut v);
+            let unit = 1.0 / v.norm();
+            for &(term, w) in v.entries() {
+                *slot(&mut rows[term as usize], class) += w * unit;
+            }
         }
-        let mut centroids: Vec<(TypeId, SparseVector)> = sums
-            .into_iter()
-            .map(|(ty, (sum, n))| (ty, sum.scaled(1.0 / n as f64).normalized()))
-            .collect();
-        centroids.sort_by_key(|&(ty, _)| ty);
-        Centroid { tfidf, centroids, top_k: 3 }
+        // Sum → mean → unit length, the norm summed over ascending terms.
+        let mut square_sums = vec![0.0; classes.len()];
+        for (class, w) in rows.iter_mut().flatten() {
+            *w *= 1.0 / class_docs[*class as usize] as f64;
+            square_sums[*class as usize] += *w * *w;
+        }
+        for (class, w) in rows.iter_mut().flatten() {
+            let norm = square_sums[*class as usize].sqrt();
+            if norm != 0.0 {
+                *w *= 1.0 / norm;
+            }
+        }
+        Centroid { tfidf, classes, centroids: TermRows::from_rows(rows), top_k: 3 }
     }
 
     /// Sets how many classes the prediction reports (default 3).
@@ -42,7 +59,12 @@ impl Centroid {
 
     /// Number of classes with centroids.
     pub fn class_count(&self) -> usize {
-        self.centroids.len()
+        self.classes.len()
+    }
+
+    /// Number of terms in the vocabulary, fixed at training time.
+    pub fn vocab_len(&self) -> usize {
+        self.tfidf.vocab_len()
     }
 }
 
@@ -52,22 +74,28 @@ impl Classifier for Centroid {
     }
 
     fn predict(&self, features: &[String]) -> Prediction {
-        if self.centroids.is_empty() {
+        if self.classes.is_empty() {
             return Prediction::empty();
         }
-        let q = self.tfidf.weigh(features.iter().map(String::as_str)).normalized();
-        if q.is_zero() {
-            return Prediction::empty();
-        }
-        let mut scored: Vec<(TypeId, f64)> = self
-            .centroids
-            .iter()
-            .map(|(ty, c)| (*ty, q.dot(c)))
-            .filter(|&(_, s)| s > 0.0)
-            .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite cosines").then(a.0.cmp(&b.0)));
-        scored.truncate(self.top_k);
-        Prediction::from_scores(scored)
+        with_scratch(|s| {
+            self.tfidf.weigh_into(features, &mut s.query);
+            if s.query.norm() == 0.0 {
+                return Prediction::empty();
+            }
+            // One pass over the query's terms, ascending, accumulates every
+            // class's cosine in the order a merge-join per class would.
+            let unit = 1.0 / s.query.norm();
+            let cosines = zeroed(&mut s.classes, self.classes.len());
+            for &(term, qw) in s.query.entries() {
+                let qw = qw * unit;
+                for &(class, cw) in self.centroids.row(term) {
+                    cosines[class as usize] += qw * cw;
+                }
+            }
+            let scored = self.classes.iter().copied().zip(cosines.iter().copied());
+            let best = top_k(scored.filter(|&(_, cos)| cos > 0.0), self.top_k);
+            Prediction::from_scores(best)
+        })
     }
 }
 

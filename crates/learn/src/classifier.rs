@@ -4,6 +4,7 @@
 //! together with weights", §3.3).
 
 use rulekit_data::{LabeledCorpus, TypeId};
+use rulekit_text::{FrozenTfIdf, TfIdf};
 
 use crate::features::Featurizer;
 
@@ -64,6 +65,16 @@ impl Prediction {
     }
 }
 
+/// Adds `weight` to the vote for `ty`. Votes span a handful of types, so a
+/// scan of the list replaces a map; per-type sums keep the order votes
+/// arrive in.
+pub(crate) fn add_vote(votes: &mut Vec<(TypeId, f64)>, ty: TypeId, weight: f64) {
+    match votes.iter_mut().find(|(t, _)| *t == ty) {
+        Some((_, sum)) => *sum += weight,
+        None => votes.push((ty, weight)),
+    }
+}
+
 /// A trained classifier.
 pub trait Classifier: Send + Sync {
     /// Short human-readable name ("naive-bayes", "knn", …).
@@ -104,6 +115,11 @@ impl TrainingSet {
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
         self.docs.is_empty()
+    }
+
+    /// TF/IDF fitted over the documents, frozen for read-only weighting.
+    pub(crate) fn fit_tfidf(&self) -> FrozenTfIdf {
+        TfIdf::fit(self.docs.iter().map(|(f, _)| f.iter().map(String::as_str))).freeze()
     }
 
     /// Distinct labels present, sorted.

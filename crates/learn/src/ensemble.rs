@@ -3,9 +3,8 @@
 //! Master (§3.3; the full Voting Master, which also merges rule-based
 //! classifiers, lives in `rulekit-chimera`).
 
-use crate::classifier::{Classifier, Prediction};
+use crate::classifier::{add_vote, Classifier, Prediction};
 use rulekit_data::TypeId;
-use std::collections::HashMap;
 
 /// A weighted-voting ensemble of classifiers.
 pub struct Ensemble {
@@ -57,7 +56,7 @@ impl Classifier for Ensemble {
     }
 
     fn predict(&self, features: &[String]) -> Prediction {
-        let mut votes: HashMap<TypeId, f64> = HashMap::new();
+        let mut votes: Vec<(TypeId, f64)> = Vec::new();
         let mut voting_weight = 0.0;
         for (member, weight) in &self.members {
             let p = member.predict(features);
@@ -66,13 +65,13 @@ impl Classifier for Ensemble {
             }
             voting_weight += weight;
             for (ty, w) in p.scores {
-                *votes.entry(ty).or_insert(0.0) += weight * w;
+                add_vote(&mut votes, ty, weight * w);
             }
         }
         if voting_weight == 0.0 {
             return Prediction::empty();
         }
-        let combined = Prediction::from_scores(votes.into_iter().collect());
+        let combined = Prediction::from_scores(votes);
         match combined.top() {
             Some((_, w)) if w >= self.confidence_threshold => combined,
             _ => Prediction::empty(),

@@ -1,44 +1,47 @@
 //! k-nearest-neighbour classifier over TF/IDF vectors (§3.1's "k-NN").
 //!
-//! Scoring uses an inverted index over training vectors, so prediction cost
-//! is proportional to the postings of the query's terms rather than the
-//! training-set size — the same trick the paper's rule executor uses for
-//! rules (§4).
+//! Scoring walks an inverted index over the training vectors, so a
+//! prediction costs the postings of the query's terms plus one pass over the
+//! documents they touch — not a scan of every training vector. On product
+//! feeds that is still about three postings per training document, because
+//! attribute-presence terms such as `attr::brand_name` sit in nearly every
+//! document with a tiny but non-zero IDF: the cost grows with the training
+//! set, only with a small constant (see DESIGN.md, "Learn stage").
 
-use crate::classifier::{Classifier, Prediction, TrainingSet};
+use crate::classifier::{add_vote, Classifier, Prediction, TrainingSet};
+use crate::table::{with_scratch, TermRows, TopK};
 use rulekit_data::TypeId;
-use rulekit_text::{SparseVector, TfIdf};
-use std::collections::HashMap;
-use std::sync::Arc;
+use rulekit_text::{FrozenTfIdf, WeightedQuery};
 
 /// A trained k-NN model.
 pub struct Knn {
     k: usize,
-    tfidf: Arc<TfIdf>,
+    tfidf: FrozenTfIdf,
     labels: Vec<TypeId>,
     /// Norms of training vectors (vectors themselves live in the postings).
     norms: Vec<f64>,
-    /// term id → `(doc index, weight)` postings.
-    postings: HashMap<u32, Vec<(u32, f64)>>,
+    /// term id → `(doc index, weight)` postings, ascending by doc.
+    postings: TermRows,
 }
 
 impl Knn {
     /// Trains a model with neighbourhood size `k`.
     pub fn train(data: &TrainingSet, k: usize) -> Knn {
         assert!(k >= 1, "k must be at least 1");
-        let tfidf = TfIdf::fit(data.docs.iter().map(|(f, _)| f.iter().map(String::as_str)));
+        let tfidf = data.fit_tfidf();
         let mut labels = Vec::with_capacity(data.len());
         let mut norms = Vec::with_capacity(data.len());
-        let mut postings: HashMap<u32, Vec<(u32, f64)>> = HashMap::new();
+        let mut postings: Vec<Vec<(u32, f64)>> = vec![Vec::new(); tfidf.vocab_len()];
+        let mut v = WeightedQuery::default();
         for (i, (feats, label)) in data.docs.iter().enumerate() {
-            let v = tfidf.weigh(feats.iter().map(String::as_str));
+            tfidf.weigh_into(feats, &mut v);
             labels.push(*label);
             norms.push(v.norm());
             for &(term, w) in v.entries() {
-                postings.entry(term).or_default().push((i as u32, w));
+                postings[term as usize].push((i as u32, w));
             }
         }
-        Knn { k, tfidf, labels, norms, postings }
+        Knn { k, tfidf, labels, norms, postings: TermRows::from_rows(postings) }
     }
 
     /// Number of training documents.
@@ -51,8 +54,9 @@ impl Knn {
         self.labels.is_empty()
     }
 
-    fn query_vector(&self, features: &[String]) -> SparseVector {
-        self.tfidf.weigh(features.iter().map(String::as_str))
+    /// Number of terms in the vocabulary, fixed at training time.
+    pub fn vocab_len(&self) -> usize {
+        self.tfidf.vocab_len()
     }
 }
 
@@ -65,39 +69,40 @@ impl Classifier for Knn {
         if self.is_empty() {
             return Prediction::empty();
         }
-        let q = self.query_vector(features);
-        let qnorm = q.norm();
-        if qnorm == 0.0 {
-            return Prediction::empty();
-        }
-        // Accumulate dot products via postings.
-        let mut dots: HashMap<u32, f64> = HashMap::new();
-        for &(term, qw) in q.entries() {
-            if let Some(list) = self.postings.get(&term) {
-                for &(doc, dw) in list {
-                    *dots.entry(doc).or_insert(0.0) += qw * dw;
-                }
+        with_scratch(|s| {
+            self.tfidf.weigh_into(features, &mut s.query);
+            let qnorm = s.query.norm();
+            if qnorm == 0.0 {
+                return Prediction::empty();
             }
-        }
-        if dots.is_empty() {
-            return Prediction::empty();
-        }
-        let mut scored: Vec<(u32, f64)> = dots
-            .into_iter()
-            .map(|(doc, dot)| {
+            // Dot products via postings. Terms ascend, so each document's
+            // sum adds its terms in the order a merge-join would.
+            s.dots.begin(self.len());
+            for &(term, qw) in s.query.entries() {
+                s.dots.add_row(self.postings.row(term), qw);
+            }
+            // A division costs more than the rest of this pass, so skip it
+            // where the cosine is below the k-th best by more than the
+            // rounding of the operations involved (a few parts in 1e16)
+            // could hide.
+            let mut nearest = TopK::new(self.k.min(self.len()));
+            let mut cutoff = f64::NEG_INFINITY;
+            for (doc, dot) in s.dots.touched() {
                 let denom = qnorm * self.norms[doc as usize];
-                (doc, if denom > 0.0 { dot / denom } else { 0.0 })
-            })
-            .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite cosines").then(a.0.cmp(&b.0)));
-        scored.truncate(self.k);
+                if dot < cutoff * denom {
+                    continue;
+                }
+                nearest.offer(doc, dot / denom);
+                cutoff = nearest.floor() * (1.0 - 1e-12);
+            }
 
-        // Similarity-weighted vote among the k nearest.
-        let mut votes: HashMap<TypeId, f64> = HashMap::new();
-        for (doc, sim) in scored {
-            *votes.entry(self.labels[doc as usize]).or_insert(0.0) += sim;
-        }
-        Prediction::from_scores(votes.into_iter().collect())
+            // Similarity-weighted vote among the k nearest.
+            let mut votes: Vec<(TypeId, f64)> = Vec::with_capacity(self.k.min(self.len()));
+            for (doc, sim) in nearest.into_vec() {
+                add_vote(&mut votes, self.labels[doc as usize], sim);
+            }
+            Prediction::from_scores(votes)
+        })
     }
 }
 

@@ -18,6 +18,7 @@ pub mod features;
 pub mod knn;
 pub mod linear;
 pub mod naive_bayes;
+mod table;
 
 pub use centroid::Centroid;
 pub use classifier::{accuracy, Classifier, Prediction, TrainingSet};

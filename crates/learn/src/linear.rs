@@ -3,16 +3,22 @@
 //! variant (Freund & Schapire) is far more stable than the vanilla update.
 
 use crate::classifier::{Classifier, Prediction, TrainingSet};
+use crate::table::{class_index, slot, top_k, with_scratch, zeroed, TermRows};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rulekit_data::TypeId;
-use std::collections::HashMap;
+use rulekit_text::Vocabulary;
 
 /// A trained averaged perceptron.
 pub struct Perceptron {
-    /// Per-class averaged weights over feature tokens.
-    weights: HashMap<TypeId, HashMap<String, f64>>,
+    /// Classes seen in training, ascending; `weights` indexes them by
+    /// position.
+    classes: Vec<TypeId>,
+    /// Tokens seen in training.
+    vocab: Vocabulary,
+    /// term → `(class, averaged weight)` for every pair an update touched.
+    weights: TermRows,
     top_k: usize,
 }
 
@@ -31,6 +37,14 @@ impl Default for PerceptronConfig {
     }
 }
 
+/// One `(term, class)` weight during training.
+#[derive(Default)]
+struct Cell {
+    current: f64,
+    /// Σ `update step × delta`, for the average.
+    accumulated: f64,
+}
+
 impl Perceptron {
     /// Trains with default options.
     pub fn train(data: &TrainingSet) -> Perceptron {
@@ -39,36 +53,46 @@ impl Perceptron {
 
     /// Trains with explicit options.
     pub fn train_with(data: &TrainingSet, cfg: PerceptronConfig) -> Perceptron {
-        let labels = data.labels();
-        let mut current: HashMap<TypeId, HashMap<String, f64>> =
-            labels.iter().map(|&l| (l, HashMap::new())).collect();
-        let mut averaged: HashMap<TypeId, HashMap<String, f64>> =
-            labels.iter().map(|&l| (l, HashMap::new())).collect();
+        let classes = data.labels();
+        let mut vocab = Vocabulary::new();
+        let docs: Vec<(Vec<u32>, u32)> = data
+            .docs
+            .iter()
+            .map(|(feats, label)| {
+                (feats.iter().map(|tok| vocab.intern(tok)).collect(), class_index(&classes, *label))
+            })
+            .collect();
+        let mut rows: Vec<Vec<(u32, Cell)>> = Vec::new();
+        rows.resize_with(vocab.len(), Vec::new);
+        let mut scores = vec![0.0; classes.len()];
 
-        let mut order: Vec<usize> = (0..data.len()).collect();
+        let mut order: Vec<usize> = (0..docs.len()).collect();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut updates = 0u64;
 
         for _ in 0..cfg.epochs.max(1) {
             order.shuffle(&mut rng);
             for &i in &order {
-                let (feats, truth) = &data.docs[i];
-                let predicted = argmax(&current, feats);
-                if predicted != Some(*truth) {
+                let (terms, truth) = &docs[i];
+                scores.fill(0.0);
+                for &term in terms {
+                    for (class, cell) in &rows[term as usize] {
+                        scores[*class as usize] += cell.current;
+                    }
+                }
+                // Highest score; the lowest type id among equals.
+                let predicted =
+                    (1..scores.len())
+                        .fold(0, |best, c| if scores[c] > scores[best] { c } else { best })
+                        as u32;
+                if predicted != *truth {
                     // Promote truth, demote the (wrong) prediction.
-                    bump(current.get_mut(truth).expect("label present"), feats, 1.0);
-                    bump_avg(
-                        averaged.get_mut(truth).expect("label present"),
-                        feats,
-                        updates as f64,
-                    );
-                    if let Some(wrong) = predicted {
-                        bump(current.get_mut(&wrong).expect("label present"), feats, -1.0);
-                        bump_avg(
-                            averaged.get_mut(&wrong).expect("label present"),
-                            feats,
-                            -(updates as f64),
-                        );
+                    for (class, delta) in [(*truth, 1.0), (predicted, -1.0)] {
+                        for &term in terms {
+                            let cell = slot(&mut rows[term as usize], class);
+                            cell.current += delta;
+                            cell.accumulated += delta * updates as f64;
+                        }
                     }
                 }
                 updates += 1;
@@ -77,14 +101,15 @@ impl Perceptron {
 
         // Final averaged weights: w_avg = w_current − accumulated/updates.
         let total = updates.max(1) as f64;
-        let mut weights = current;
-        for (label, acc) in averaged {
-            let w = weights.get_mut(&label).expect("label present");
-            for (tok, a) in acc {
-                *w.entry(tok).or_insert(0.0) -= a / total;
-            }
-        }
-        Perceptron { weights, top_k: 3 }
+        let weights = rows
+            .into_iter()
+            .map(|row| {
+                row.into_iter()
+                    .map(|(c, cell)| (c, cell.current - cell.accumulated / total))
+                    .collect()
+            })
+            .collect();
+        Perceptron { classes, vocab, weights: TermRows::from_rows(weights), top_k: 3 }
     }
 
     /// Sets how many classes the prediction reports (default 3).
@@ -92,29 +117,13 @@ impl Perceptron {
         self.top_k = k.max(1);
         self
     }
-}
 
-fn score(weights: &HashMap<String, f64>, feats: &[String]) -> f64 {
-    feats.iter().map(|t| weights.get(t).copied().unwrap_or(0.0)).sum()
-}
-
-fn argmax(weights: &HashMap<TypeId, HashMap<String, f64>>, feats: &[String]) -> Option<TypeId> {
-    weights
-        .iter()
-        .map(|(&ty, w)| (ty, score(w, feats)))
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite scores").then(b.0.cmp(&a.0)))
-        .map(|(ty, _)| ty)
-}
-
-fn bump(weights: &mut HashMap<String, f64>, feats: &[String], delta: f64) {
-    for tok in feats {
-        *weights.entry(tok.clone()).or_insert(0.0) += delta;
-    }
-}
-
-fn bump_avg(acc: &mut HashMap<String, f64>, feats: &[String], scaled: f64) {
-    for tok in feats {
-        *acc.entry(tok.clone()).or_insert(0.0) += scaled;
+    /// Every stored `(class, token, averaged weight)`.
+    pub fn weights(&self) -> impl Iterator<Item = (TypeId, &str, f64)> + '_ {
+        (0..self.weights.len() as u32).flat_map(move |term| {
+            let token = self.vocab.term(term).expect("one row per interned token");
+            self.weights.row(term).iter().map(move |&(c, w)| (self.classes[c as usize], token, w))
+        })
     }
 }
 
@@ -124,18 +133,26 @@ impl Classifier for Perceptron {
     }
 
     fn predict(&self, features: &[String]) -> Prediction {
-        if self.weights.is_empty() {
+        if self.classes.is_empty() {
             return Prediction::empty();
         }
-        let mut scored: Vec<(TypeId, f64)> =
-            self.weights.iter().map(|(&ty, w)| (ty, score(w, features))).collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite scores").then(a.0.cmp(&b.0)));
-        scored.truncate(self.top_k);
-        // Shift so the weakest retained score maps to a small positive weight.
-        let min = scored.last().map_or(0.0, |&(_, s)| s);
-        let shifted: Vec<(TypeId, f64)> =
-            scored.into_iter().map(|(ty, s)| (ty, s - min + 1e-6)).collect();
-        Prediction::from_scores(shifted)
+        with_scratch(|s| {
+            // A class without a weight for a token adds 0.0, i.e. nothing.
+            let scores = zeroed(&mut s.classes, self.classes.len());
+            for term in features.iter().filter_map(|tok| self.vocab.get(tok)) {
+                for &(class, w) in self.weights.row(term) {
+                    scores[class as usize] += w;
+                }
+            }
+            let scored = self.classes.iter().copied().zip(scores.iter().copied());
+            let mut best = top_k(scored, self.top_k);
+            // Shift so the weakest retained score maps to a small positive weight.
+            let min = best.last().map_or(0.0, |&(_, s)| s);
+            for (_, s) in &mut best {
+                *s = *s - min + 1e-6;
+            }
+            Prediction::from_scores(best)
+        })
     }
 }
 

@@ -2,22 +2,25 @@
 //! paper's ensemble (§3.1).
 
 use crate::classifier::{Classifier, Prediction, TrainingSet};
+use crate::table::{class_index, slot, top_k, with_scratch, TermRows};
 use rulekit_data::TypeId;
-use std::collections::HashMap;
+use rulekit_text::Vocabulary;
 
 /// A trained multinomial Naive Bayes model.
 #[derive(Debug)]
 pub struct NaiveBayes {
-    /// Laplace smoothing constant.
-    alpha: f64,
+    /// Classes seen in training, ascending; tables index them by position.
+    classes: Vec<TypeId>,
     /// log prior per class.
-    log_prior: HashMap<TypeId, f64>,
-    /// Per-class token counts.
-    token_counts: HashMap<TypeId, HashMap<String, u32>>,
-    /// Per-class total token count.
-    class_totals: HashMap<TypeId, u64>,
-    /// Vocabulary size (distinct tokens across all classes).
-    vocab_size: usize,
+    log_prior: Vec<f64>,
+    /// Tokens seen in training.
+    vocab: Vocabulary,
+    /// term → `(class, ln((count + α) / denom))` for every class that saw
+    /// the term.
+    seen: TermRows,
+    /// Per class `ln(α / denom)`: the smoothed likelihood of a token the
+    /// class never saw.
+    unseen: Vec<f64>,
     /// How many top classes to report.
     top_k: usize,
 }
@@ -31,51 +34,44 @@ impl NaiveBayes {
     /// Trains with an explicit smoothing constant.
     pub fn train_with_alpha(data: &TrainingSet, alpha: f64) -> NaiveBayes {
         assert!(alpha > 0.0, "alpha must be positive");
-        let mut class_docs: HashMap<TypeId, u64> = HashMap::new();
-        let mut token_counts: HashMap<TypeId, HashMap<String, u32>> = HashMap::new();
-        let mut class_totals: HashMap<TypeId, u64> = HashMap::new();
-        let mut vocab: HashMap<&str, ()> = HashMap::new();
+        let classes = data.labels();
+        let mut class_docs = vec![0u64; classes.len()];
+        let mut class_totals = vec![0u64; classes.len()];
+        let mut vocab = Vocabulary::new();
+        let mut counts: Vec<Vec<(u32, u32)>> = Vec::new();
 
         for (feats, label) in &data.docs {
-            *class_docs.entry(*label).or_insert(0) += 1;
-            let counts = token_counts.entry(*label).or_default();
-            let total = class_totals.entry(*label).or_insert(0);
+            let class = class_index(&classes, *label);
+            class_docs[class as usize] += 1;
+            class_totals[class as usize] += feats.len() as u64;
             for tok in feats {
-                *counts.entry(tok.clone()).or_insert(0) += 1;
-                *total += 1;
-                vocab.entry(tok.as_str()).or_insert(());
+                let term = vocab.intern(tok) as usize;
+                if term == counts.len() {
+                    counts.push(Vec::new());
+                }
+                *slot(&mut counts[term], class) += 1;
             }
         }
 
         let n_docs = data.docs.len().max(1) as f64;
-        let log_prior = class_docs.iter().map(|(&ty, &n)| (ty, (n as f64 / n_docs).ln())).collect();
+        let log_prior = class_docs.iter().map(|&n| (n as f64 / n_docs).ln()).collect();
+        let vocab_size = vocab.len().max(1);
+        let denom: Vec<f64> =
+            class_totals.iter().map(|&total| total as f64 + alpha * vocab_size as f64).collect();
+        let likelihood = |count: u32, class: usize| ((count as f64 + alpha) / denom[class]).ln();
+        let seen = counts
+            .into_iter()
+            .map(|row| row.into_iter().map(|(c, n)| (c, likelihood(n, c as usize))).collect())
+            .collect();
+        let unseen = (0..classes.len()).map(|class| likelihood(0, class)).collect();
 
-        NaiveBayes {
-            alpha,
-            log_prior,
-            token_counts,
-            class_totals,
-            vocab_size: vocab.len().max(1),
-            top_k: 3,
-        }
+        NaiveBayes { classes, log_prior, vocab, seen: TermRows::from_rows(seen), unseen, top_k: 3 }
     }
 
     /// Sets how many classes the prediction reports (default 3).
     pub fn with_top_k(mut self, k: usize) -> Self {
         self.top_k = k.max(1);
         self
-    }
-
-    fn log_likelihood(&self, ty: TypeId, features: &[String]) -> f64 {
-        let counts = self.token_counts.get(&ty);
-        let total = self.class_totals.get(&ty).copied().unwrap_or(0) as f64;
-        let denom = total + self.alpha * self.vocab_size as f64;
-        let mut ll = *self.log_prior.get(&ty).unwrap_or(&f64::NEG_INFINITY);
-        for tok in features {
-            let c = counts.and_then(|m| m.get(tok)).copied().unwrap_or(0) as f64;
-            ll += ((c + self.alpha) / denom).ln();
-        }
-        ll
     }
 }
 
@@ -85,20 +81,38 @@ impl Classifier for NaiveBayes {
     }
 
     fn predict(&self, features: &[String]) -> Prediction {
-        if self.log_prior.is_empty() {
+        if self.classes.is_empty() {
             return Prediction::empty();
         }
-        let mut scored: Vec<(TypeId, f64)> =
-            self.log_prior.keys().map(|&ty| (ty, self.log_likelihood(ty, features))).collect();
-        scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).expect("finite log-likelihoods").then(a.0.cmp(&b.0))
-        });
-        scored.truncate(self.top_k);
-        // Convert log scores to relative weights via softmax over the top-k.
-        let max = scored[0].1;
-        let weights: Vec<(TypeId, f64)> =
-            scored.into_iter().map(|(ty, ll)| (ty, (ll - max).exp())).collect();
-        Prediction::from_scores(weights)
+        with_scratch(|s| {
+            // Every class takes exactly one term per token, in token order.
+            s.classes.clear();
+            s.classes.extend_from_slice(&self.log_prior);
+            for tok in features {
+                let term_row = match self.vocab.get(tok) {
+                    Some(term) => {
+                        s.term_row.clear();
+                        s.term_row.extend_from_slice(&self.unseen);
+                        for &(class, ll) in self.seen.row(term) {
+                            s.term_row[class as usize] = ll;
+                        }
+                        &s.term_row
+                    }
+                    None => &self.unseen,
+                };
+                for (sum, ll) in s.classes.iter_mut().zip(term_row) {
+                    *sum += ll;
+                }
+            }
+            let scored = self.classes.iter().copied().zip(s.classes.iter().copied());
+            let mut best = top_k(scored, self.top_k);
+            // Convert log scores to relative weights via softmax over the top-k.
+            let max = best[0].1;
+            for (_, ll) in &mut best {
+                *ll = (*ll - max).exp();
+            }
+            Prediction::from_scores(best)
+        })
     }
 }
 

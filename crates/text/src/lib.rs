@@ -19,6 +19,6 @@ pub use rocchio::{rocchio_update, RocchioWeights};
 pub use similarity::{
     dice, jaccard, levenshtein, levenshtein_similarity, overlap_coefficient, token_jaccard,
 };
-pub use tfidf::TfIdf;
+pub use tfidf::{FrozenTfIdf, TfIdf, WeightedQuery};
 pub use tokenize::{normalize_title, Token, Tokenizer, DEFAULT_STOPWORDS};
 pub use vector::{SparseVector, Vocabulary};

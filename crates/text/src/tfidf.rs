@@ -121,6 +121,105 @@ impl TfIdf {
     pub fn term_id(&self, term: &str) -> Option<u32> {
         self.vocab.read().get(term)
     }
+
+    /// Snapshots the model for read-only weighting: the vocabulary as it is
+    /// now and one precomputed IDF per term.
+    pub fn freeze(&self) -> FrozenTfIdf {
+        let n = (*self.docs.read()).max(1) as f64;
+        let vocab = self.vocab.read().clone();
+        let df = self.doc_freq.read();
+        let unseen_idf = (n + 1.0).ln();
+        let idf = (0..vocab.len())
+            .map(|id| match df.get(id).copied().unwrap_or(0) {
+                0 => unseen_idf,
+                d => (n / d as f64).ln(),
+            })
+            .collect();
+        FrozenTfIdf { vocab, idf, unseen_idf }
+    }
+}
+
+/// A fitted model that can only be read: weighting takes no lock and interns
+/// nothing, so serving traffic cannot grow or reorder the vocabulary.
+#[derive(Debug)]
+pub struct FrozenTfIdf {
+    vocab: Vocabulary,
+    idf: Vec<f64>,
+    unseen_idf: f64,
+}
+
+impl FrozenTfIdf {
+    /// Number of terms in the frozen vocabulary.
+    pub fn vocab_len(&self) -> usize {
+        self.vocab.len()
+    }
+
+    /// TF/IDF-weights `tokens` into `out`, reusing its buffers. Known terms
+    /// get the weights [`TfIdf::weigh`] gives them, in ascending id order
+    /// with zero weights dropped. Terms outside the vocabulary have no id;
+    /// they add `tf · ln(N + 1)` each to the norm, after the known terms, in
+    /// order of first occurrence.
+    pub fn weigh_into<S: AsRef<str>>(&self, tokens: &[S], out: &mut WeightedQuery) {
+        let WeightedQuery { entries, norm, ids, unseen } = out;
+        entries.clear();
+        ids.clear();
+        unseen.clear();
+        for (i, tok) in tokens.iter().enumerate() {
+            match self.vocab.get(tok.as_ref()) {
+                Some(id) => ids.push(id),
+                None => match unseen
+                    .iter_mut()
+                    .find(|(first, _)| tokens[*first].as_ref() == tok.as_ref())
+                {
+                    Some((_, count)) => *count += 1.0,
+                    None => unseen.push((i, 1.0)),
+                },
+            }
+        }
+        ids.sort_unstable();
+        for &id in ids.iter() {
+            match entries.last_mut() {
+                Some((last, count)) if *last == id => *count += 1.0,
+                _ => entries.push((id, 1.0)),
+            }
+        }
+        for (id, w) in entries.iter_mut() {
+            *w *= self.idf[*id as usize];
+        }
+        entries.retain(|&(_, w)| w != 0.0);
+        let unseen_weights = unseen.iter().map(|&(_, count)| count * self.unseen_idf);
+        *norm = entries
+            .iter()
+            .map(|&(_, w)| w)
+            .chain(unseen_weights)
+            .map(|w| w * w)
+            .sum::<f64>()
+            .sqrt();
+    }
+}
+
+/// Output buffer of [`FrozenTfIdf::weigh_into`]; reusing one across calls
+/// keeps weighting allocation-free.
+#[derive(Debug, Default)]
+pub struct WeightedQuery {
+    entries: Vec<(u32, f64)>,
+    norm: f64,
+    ids: Vec<u32>,
+    /// `(index of first occurrence in the token list, count)` per distinct
+    /// out-of-vocabulary term.
+    unseen: Vec<(usize, f64)>,
+}
+
+impl WeightedQuery {
+    /// `(term id, weight)` of the known terms, ascending by id.
+    pub fn entries(&self) -> &[(u32, f64)] {
+        &self.entries
+    }
+
+    /// Euclidean norm over known and out-of-vocabulary terms.
+    pub fn norm(&self) -> f64 {
+        self.norm
+    }
 }
 
 #[cfg(test)]
@@ -189,6 +288,28 @@ mod tests {
         assert!(m.idf("x").abs() < 1e-12);
         let v = m.weigh(["x"]);
         assert!(v.is_zero()); // zero weights are pruned
+    }
+
+    #[test]
+    fn frozen_weights_equal_weigh_and_intern_nothing() {
+        let frozen = model().freeze();
+        let mut q = WeightedQuery::default();
+        for tokens in [
+            vec!["denim", "denim", "jeans"],
+            vec!["rug", "novel", "blue", "novel", "other"],
+            vec!["novel"],
+            vec![],
+        ] {
+            frozen.weigh_into(&tokens, &mut q);
+            // A fresh model interns unseen terms in first-occurrence order,
+            // which is the order the frozen path specifies.
+            let reference = model().weigh(tokens.iter().copied());
+            let known: Vec<(u32, f64)> =
+                reference.entries().iter().copied().filter(|&(id, _)| id < 7).collect();
+            assert_eq!(q.entries(), known.as_slice());
+            assert_eq!(q.norm().to_bits(), reference.norm().to_bits());
+        }
+        assert_eq!(frozen.vocab_len(), 7);
     }
 
     #[test]
