@@ -83,7 +83,12 @@ impl BrandDictionary {
     fn context_ok(&self, title: &str, span: (usize, usize)) -> bool {
         self.contexts.iter().any(|c| match c {
             ContextPattern::TitleStart => title[..span.0].trim().is_empty(),
-            ContextPattern::AfterBy => title[..span.0].to_lowercase().trim_end().ends_with("by"),
+            // "by" as a whole word: "baby Vizio" is not "by Vizio".
+            ContextPattern::AfterBy => title[..span.0]
+                .to_lowercase()
+                .trim_end()
+                .strip_suffix("by")
+                .is_some_and(|before| !before.ends_with(char::is_alphanumeric)),
             ContextPattern::Anywhere => true,
         })
     }
@@ -155,6 +160,15 @@ mod tests {
     fn after_by_context() {
         let e = dict().extract("cable knit pullover by NorthPeak").unwrap();
         assert_eq!(e.value, "NorthPeak");
+    }
+
+    #[test]
+    fn after_by_needs_by_as_a_whole_word() {
+        let dict = BrandDictionary::new(["Vizio"], 0.85, vec![ContextPattern::AfterBy]);
+        assert!(dict.extract("baby Vizio tv").is_none());
+        assert!(dict.extract("standby Vizio tv").is_none());
+        assert_eq!(dict.extract("soft blanket by  Vizio").unwrap().value, "Vizio");
+        assert_eq!(dict.extract("By Vizio").unwrap().value, "Vizio");
     }
 
     #[test]

@@ -42,7 +42,10 @@ impl ExtractionRule {
                 value: m.as_str().to_string(),
                 span: (m.start(), m.end()),
             });
-            start = if whole.end() > whole.start() { whole.end() } else { whole.end() + 1 };
+            // Resume at the end of the value, not of the whole match: a
+            // delimiter the pattern consumed after this value is the one the
+            // next value needs before it ("black white", "black/white").
+            start = if m.end() > start { m.end() } else { start + 1 };
             if start >= text.len() {
                 break;
             }
@@ -108,6 +111,21 @@ mod tests {
         let found = rule.extract("black and white checkered blanket");
         let values: Vec<&str> = found.iter().map(|e| e.value.as_str()).collect();
         assert_eq!(values, vec!["black", "white"]);
+    }
+
+    #[test]
+    fn adjacent_values_share_one_delimiter() {
+        let color = &standard_rules()[2];
+        let values = |text: &str| -> Vec<String> {
+            color.extract(text).into_iter().map(|e| e.value).collect()
+        };
+        assert_eq!(values("black white checkered blanket"), ["black", "white"]);
+        assert_eq!(values("navy blue dress"), ["navy", "blue"]);
+        assert_eq!(values("black/white rug"), ["black", "white"]);
+        // The weight pattern never needed a leading delimiter.
+        let weights: Vec<String> =
+            standard_rules()[0].extract("3 lbs 4 oz").into_iter().map(|e| e.value).collect();
+        assert_eq!(weights, ["3 lbs", "4 oz"]);
     }
 
     #[test]

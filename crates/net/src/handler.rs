@@ -8,9 +8,9 @@ use crate::router::{route, Route};
 use crate::server::ServerState;
 use crate::wire::{error_json, outcome_to_json, product_from_json, rule_to_json};
 use rulekit_core::{RuleId, RuleMeta};
-use rulekit_serve::{Admission, ResponseHandle, ServeError};
+use rulekit_serve::{Admission, ServeError};
 use rulekit_store::StoreError;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The canned answer while the server drains.
 pub(crate) fn draining_response() -> Response {
@@ -64,29 +64,20 @@ fn classify(state: &ServerState, req: &Request) -> Response {
     }
 }
 
-fn submit(state: &ServerState, product: rulekit_data::Product) -> Admission {
-    match state.cfg.classify_deadline {
-        Some(d) => state.app.service.submit_with_deadline(product, Some(d)),
-        None => state.app.service.submit(product),
-    }
+/// The deadline a classify request carries: the front-end's, else the
+/// service's default.
+fn classify_deadline(state: &ServerState) -> Option<Duration> {
+    state.cfg.classify_deadline.or(state.app.service.default_deadline())
 }
 
+/// One product: this thread classifies it on an idle shard, or queues it and
+/// waits when every shard is busy — the service decides.
 fn classify_one(state: &ServerState, doc: &Json) -> Response {
     let product = match product_from_json(doc) {
         Ok(p) => p,
         Err(e) => return Response::json(422, error_json(&e)),
     };
-    match submit(state, product) {
-        Admission::Overloaded => {
-            state.metrics.overload_shed.inc();
-            Response::json(503, error_json("overloaded"))
-        }
-        Admission::Enqueued(handle) => wait_response(state, handle),
-    }
-}
-
-fn wait_response(state: &ServerState, handle: ResponseHandle) -> Response {
-    match handle.wait() {
+    match state.app.service.classify(product, classify_deadline(state)) {
         Ok(outcome) => Response::json(200, outcome_to_json(&outcome, &state.app.taxonomy).render()),
         Err(e) => serve_error_response(state, &e),
     }
@@ -94,6 +85,10 @@ fn wait_response(state: &ServerState, handle: ResponseHandle) -> Response {
 
 fn serve_error_response(state: &ServerState, e: &ServeError) -> Response {
     match e {
+        ServeError::Overloaded => {
+            state.metrics.overload_shed.inc();
+            Response::json(503, error_json("overloaded"))
+        }
         ServeError::DeadlineExceeded => Response::json(504, error_json("deadline exceeded")),
         ServeError::ShuttingDown => {
             state.metrics.overload_shed.inc();
@@ -121,7 +116,9 @@ fn classify_batch(state: &ServerState, items: &[Json]) -> Response {
     }
     // Admit everything first (the pipelined half of "single + pipelined
     // batch"), then wait in order.
-    let admissions: Vec<Admission> = products.into_iter().map(|p| submit(state, p)).collect();
+    let deadline = classify_deadline(state);
+    let admissions: Vec<Admission> =
+        products.into_iter().map(|p| state.app.service.submit_with_deadline(p, deadline)).collect();
     let mut results = Vec::with_capacity(admissions.len());
     for admission in admissions {
         results.push(match admission {

@@ -4,11 +4,14 @@
 //! explicit 503s, drains gracefully, and exposes per-route histograms on
 //! `/metrics`.
 
-use rulekit_chimera::{Chimera, ChimeraConfig, Decision, SnapshotDecision};
+use rulekit_chimera::{Chimera, ChimeraConfig, Decision, PipelineSnapshot, SnapshotDecision};
 use rulekit_data::{Product, Taxonomy, TypeId, VendorId};
-use rulekit_net::{HttpClient, Method, NetConfig, NetServer, RuleApp};
+use rulekit_net::wire::decision_to_json;
+use rulekit_net::{HttpClient, Json, Method, NetConfig, NetServer, RuleApp};
 use rulekit_obs::Registry;
-use rulekit_serve::{RequestClassifier, RuleService, ServeConfig, StaticProvider};
+use rulekit_serve::{
+    ChimeraProvider, RequestClassifier, RuleService, ServeConfig, SnapshotProvider, StaticProvider,
+};
 use rulekit_store::{DurableConfig, MemStorage, Storage};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -331,6 +334,117 @@ fn overload_surfaces_as_503_and_increments_shed_counter() {
     let mut c = client(&server);
     let metrics = c.get("/metrics").unwrap();
     assert!(metrics.text().contains("rulekit_net_overload_shed_total"), "{}", metrics.text());
+}
+
+/// The real pipeline, held inside `classify` a little longer so that eight
+/// connections do collide on two shards.
+struct Lingering(PipelineSnapshot);
+
+impl RequestClassifier for Lingering {
+    fn version(&self) -> u64 {
+        self.0.version()
+    }
+
+    fn classify(&self, product: &Product) -> SnapshotDecision {
+        std::thread::sleep(Duration::from_micros(300));
+        self.0.classify(product)
+    }
+}
+
+struct LingeringProvider(ChimeraProvider);
+
+impl SnapshotProvider for LingeringProvider {
+    fn build(&self) -> Arc<dyn RequestClassifier> {
+        Arc::new(Lingering(self.0.chimera().snapshot()))
+    }
+
+    fn revision(&self) -> u64 {
+        self.0.revision()
+    }
+
+    fn wait_for_change(&self, last_seen: u64, timeout: Duration) -> u64 {
+        self.0.wait_for_change(last_seen, timeout)
+    }
+}
+
+/// More connections than shards: a handler thread classifies on a shard it
+/// finds idle and queues for the shard's worker otherwise. Either way the
+/// reply is a 200 carrying the pipeline's own decision, and nothing is shed
+/// while the queues have room.
+#[test]
+fn eight_connections_on_two_shards_use_both_paths() {
+    let chimera = ruled_chimera();
+    chimera.add_rules("sofas? -> sofas\n(area|oriental|braided) rugs? -> area rugs\n").unwrap();
+    let registry = Arc::new(Registry::new());
+    let service = RuleService::start_with_registry(
+        Arc::new(LingeringProvider(ChimeraProvider::new(chimera.clone()))),
+        serve_cfg(),
+        registry.clone(),
+    );
+    let app = RuleApp {
+        service,
+        store: None,
+        rules: chimera.rules.clone(),
+        parser: chimera.parser().clone(),
+        taxonomy: chimera.taxonomy().clone(),
+        registry,
+        replication: None,
+    };
+    let server = NetServer::start(app, NetConfig { handler_threads: 8, ..Default::default() })
+        .expect("bind");
+    let addr = server.local_addr();
+
+    // What the pipeline itself says about each title, as the wire renders it.
+    let oracle = chimera.snapshot();
+    let cases: Vec<(&str, Json)> =
+        ["diamond wedding ring", "leather sofa", "braided area rug", "garden hose"]
+            .into_iter()
+            .map(|title| {
+                let product = Product {
+                    id: 0,
+                    title: title.into(),
+                    description: String::new(),
+                    attributes: vec![],
+                    vendor: VendorId(0),
+                };
+                let decision = oracle.classify(&product).decision;
+                (title, decision_to_json(&decision, chimera.taxonomy()))
+            })
+            .collect();
+
+    let per_conn = 60;
+    std::thread::scope(|s| {
+        for conn in 0..8 {
+            let cases = &cases;
+            s.spawn(move || {
+                let mut c = HttpClient::connect(addr, Duration::from_secs(5)).unwrap();
+                for i in 0..per_conn {
+                    let (title, expected) = &cases[(conn + i) % cases.len()];
+                    let r = c.post_json("/classify", &classify_body(title)).unwrap();
+                    assert_eq!(r.status, 200, "{}", r.text());
+                    let reply = Json::parse(&r.body).expect("json reply");
+                    assert_eq!(reply.get("decision"), Some(expected), "{title}");
+                    assert_eq!(reply.get("degraded"), Some(&Json::Bool(false)));
+                }
+            });
+        }
+    });
+
+    let counters = server.registry().snapshot();
+    let counter = |name: &str| counters.counter(name).unwrap_or_else(|| panic!("{name} missing"));
+    let on_caller = counter("rulekit_serve_ran_on_caller_total");
+    let on_worker = counter("rulekit_serve_ran_on_worker_total");
+    assert!(on_caller > 0 && on_worker > 0, "caller {on_caller}, worker {on_worker}");
+    assert_eq!(on_caller + on_worker, 8 * per_conn as u64);
+    assert_eq!(counter("rulekit_serve_completed_total"), 8 * per_conn as u64);
+    assert_eq!(counter("rulekit_serve_overloaded_total"), 0);
+    assert_eq!(counter("rulekit_net_overload_shed_total"), 0);
+
+    // Both counters are on the scrape.
+    let text = client(&server).get("/metrics").unwrap().text();
+    for name in ["rulekit_serve_ran_on_caller_total", "rulekit_serve_ran_on_worker_total"] {
+        assert!(text.contains(name), "{name} missing from /metrics:\n{text}");
+    }
 }
 
 /// `/metrics` over the socket exposes per-route latency histograms and

@@ -7,13 +7,16 @@
 //!
 //! Architecture:
 //!
-//! - **Sharded worker pool** ([`RuleService`]): N workers, each with a
-//!   bounded queue and its own `Arc` handle to the current compiled
-//!   snapshot. The classification hot path takes no locks.
+//! - **Shards** ([`RuleService`]): N shards, each a bounded queue, a worker
+//!   and its own `Arc` handle to the current compiled snapshot, executing
+//!   one request at a time. [`RuleService::submit`] queues for the worker
+//!   and never blocks; [`RuleService::classify`] blocks, and runs the
+//!   request on the caller's own thread when a shard is idle — no thread
+//!   hand-off — queueing only when none is.
 //! - **Lock-free hot swap**: a background refresher blocks on the rule
 //!   repository's change signal, recompiles a [`PipelineSnapshot`] when
-//!   analysts edit rules, and publishes it. Workers adopt it between
-//!   micro-batches; in-flight requests finish on the old snapshot, so rule
+//!   analysts edit rules, and publishes it. Whoever next takes a shard
+//!   adopts it; in-flight requests finish on the old snapshot, so rule
 //!   edits reach traffic within one rebuild interval with zero pauses —
 //!   the §2.2 "fix the system *while* it continues serving" requirement.
 //! - **Backpressure**: admission is [`Admission::Enqueued`] or

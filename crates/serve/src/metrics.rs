@@ -16,10 +16,16 @@ use std::time::Duration;
 /// lives in the registry, so one text exposition covers the whole tier.
 pub struct ServiceMetrics {
     registry: Arc<Registry>,
-    /// Requests admitted into a shard queue.
+    /// Requests admitted: queued for a shard worker, or started on the
+    /// caller's thread by the blocking `classify`.
     pub submitted: Counter,
     /// Requests classified and answered.
     pub completed: Counter,
+    /// Of `completed`: requests the blocking `classify` ran on its caller's
+    /// thread, on a shard it found idle.
+    pub ran_on_caller: Counter,
+    /// Of `completed`: requests a shard worker ran from its queue.
+    pub ran_on_worker: Counter,
     /// Requests rejected at admission (backpressure).
     pub overloaded: Counter,
     /// Admitted requests shed because their deadline passed while queued.
@@ -61,6 +67,8 @@ impl ServiceMetrics {
         ServiceMetrics {
             submitted: registry.counter("rulekit_serve_submitted_total"),
             completed: registry.counter("rulekit_serve_completed_total"),
+            ran_on_caller: registry.counter("rulekit_serve_ran_on_caller_total"),
+            ran_on_worker: registry.counter("rulekit_serve_ran_on_worker_total"),
             overloaded: registry.counter("rulekit_serve_overloaded_total"),
             deadline_shed: registry.counter("rulekit_serve_deadline_shed_total"),
             shutdown_shed: registry.counter("rulekit_serve_shutdown_shed_total"),
@@ -122,6 +130,8 @@ impl ServiceMetrics {
         MetricsReport {
             submitted: self.submitted.value(),
             completed,
+            ran_on_caller: self.ran_on_caller.value(),
+            ran_on_worker: self.ran_on_worker.value(),
             overloaded: self.overloaded.value(),
             deadline_shed: self.deadline_shed.value(),
             shutdown_shed: self.shutdown_shed.value(),
@@ -147,6 +157,8 @@ impl ServiceMetrics {
 pub struct MetricsReport {
     pub submitted: u64,
     pub completed: u64,
+    pub ran_on_caller: u64,
+    pub ran_on_worker: u64,
     pub overloaded: u64,
     pub deadline_shed: u64,
     pub shutdown_shed: u64,

@@ -5,7 +5,7 @@
 //! instead of blocking the producer.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 struct State<T> {
@@ -48,16 +48,30 @@ impl<T> BoundedQueue<T> {
     /// items. An empty result means the wait timed out (or the queue is
     /// closed and drained — check [`BoundedQueue::is_closed`]).
     pub fn pop_batch(&self, max: usize, timeout: Duration) -> Vec<T> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if st.items.is_empty() && !st.closed {
-            let (guard, _) = self
-                .nonempty
-                .wait_timeout_while(st, timeout, |s| s.items.is_empty() && !s.closed)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-        }
+        let mut st = self.wait(timeout);
         let take = st.items.len().min(max.max(1));
         st.items.drain(..take).collect()
+    }
+
+    /// Waits up to `timeout` for the queue to hold an item, without taking
+    /// it. `false` means the wait timed out (or the queue is closed and
+    /// drained).
+    pub fn wait_nonempty(&self, timeout: Duration) -> bool {
+        !self.wait(timeout).items.is_empty()
+    }
+
+    /// Blocks until there is an item, the queue is closed, or `timeout`
+    /// passes; returns the locked state.
+    fn wait(&self, timeout: Duration) -> MutexGuard<'_, State<T>> {
+        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        if !st.items.is_empty() || st.closed {
+            return st;
+        }
+        let (st, _) = self
+            .nonempty
+            .wait_timeout_while(st, timeout, |s| s.items.is_empty() && !s.closed)
+            .unwrap_or_else(|e| e.into_inner());
+        st
     }
 
     /// Current depth (racy by nature; used for watermarks and metrics).
@@ -100,6 +114,19 @@ mod tests {
     fn pop_batch_times_out_empty() {
         let q: BoundedQueue<u32> = BoundedQueue::new(4);
         assert!(q.pop_batch(8, Duration::from_millis(5)).is_empty());
+    }
+
+    #[test]
+    fn wait_nonempty_leaves_the_item() {
+        let q: BoundedQueue<u32> = BoundedQueue::new(4);
+        assert!(!q.wait_nonempty(Duration::from_millis(5)), "empty queue times out");
+        q.try_push(7).unwrap();
+        assert!(q.wait_nonempty(Duration::from_secs(1)));
+        assert_eq!(q.len(), 1);
+        q.close();
+        assert!(q.wait_nonempty(Duration::from_secs(1)), "closed but not drained");
+        assert_eq!(q.pop_batch(8, Duration::ZERO), vec![7]);
+        assert!(!q.wait_nonempty(Duration::from_secs(1)), "closed and drained returns at once");
     }
 
     #[test]

@@ -18,13 +18,22 @@ pub struct ClassifyOutcome {
     pub degraded: bool,
     /// Version of the snapshot that served the request.
     pub snapshot_version: u64,
-    /// Queue wait + classification time.
+    /// Admission to outcome: queue wait + classification time. The queue
+    /// wait is zero when [`RuleService::classify`] ran the request on the
+    /// caller's thread.
+    ///
+    /// [`RuleService::classify`]: crate::service::RuleService::classify
     pub latency: Duration,
 }
 
-/// Why a request that was admitted did not produce a classification.
+/// Why a request did not produce a classification.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
+    /// Refused at admission — [`Admission::Overloaded`] as the blocking
+    /// [`RuleService::classify`] reports it. Nothing ran, nothing is queued.
+    ///
+    /// [`RuleService::classify`]: crate::service::RuleService::classify
+    Overloaded,
     /// The request's deadline passed before a worker got to it; it was shed
     /// from the queue without being classified.
     DeadlineExceeded,
@@ -38,6 +47,7 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            ServeError::Overloaded => write!(f, "overloaded"),
             ServeError::DeadlineExceeded => write!(f, "deadline exceeded while queued"),
             ServeError::ShuttingDown => write!(f, "service shutting down"),
             ServeError::ClassifierPanicked(msg) => write!(f, "classifier panicked: {msg}"),

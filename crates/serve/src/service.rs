@@ -1,9 +1,18 @@
-//! The worker-pool service: N shard workers, each holding its own `Arc` to
-//! the current compiled snapshot (zero locks on the classification hot
-//! path), a background refresher that republishes snapshots when the rule
-//! state changes, bounded per-shard queues with `Enqueued`/`Overloaded`
-//! admission, per-request deadlines, and rules-only degradation above the
-//! overload high-water mark.
+//! The sharded service: N shards, each with a bounded queue, a worker and
+//! its own `Arc` to the current compiled snapshot, a background refresher
+//! that republishes snapshots when the rule state changes,
+//! `Enqueued`/`Overloaded` admission, per-request deadlines, and rules-only
+//! degradation above the overload high-water mark.
+//!
+//! Two ways in, one execution rule. [`RuleService::submit`] queues the
+//! request for a shard's worker and never blocks; [`RuleService::classify`]
+//! blocks, and runs the request on the calling thread when it finds an idle
+//! shard (falling back to the queue when it does not). Either way a shard
+//! executes one request at a time: whoever runs one holds the shard's
+//! [`Shard::exec`] lock — the worker from popping a batch to its last
+//! answer, a caller for its one request — so at most `shards`
+//! classifications are in flight, and a caller only gets a shard whose queue
+//! is empty, so it never overtakes an admitted request.
 
 use crate::classifier::RequestClassifier;
 use crate::metrics::{MetricsReport, ServiceMetrics};
@@ -11,10 +20,10 @@ use crate::provider::SnapshotProvider;
 use crate::queue::BoundedQueue;
 use crate::response::{response_channel, Admission, ClassifyOutcome, ResponseSlot, ServeError};
 use rulekit_data::Product;
-use rulekit_obs::SpanTimer;
+use rulekit_obs::{Counter, SpanTimer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -66,15 +75,57 @@ struct QueuedRequest {
     slot: ResponseSlot,
 }
 
+/// What a thread needs to execute on a shard: the shard's snapshot handle.
+/// Only the holder of [`Shard::exec`] touches it, so steady-state
+/// classification shares nothing but the snapshot itself.
+struct Executor {
+    snapshot: Arc<dyn RequestClassifier>,
+    /// `Inner::swap_count` when `snapshot` was read.
+    seen_swap: u64,
+}
+
+impl Executor {
+    /// Hot swap: adopt a newly published snapshot before the next request;
+    /// requests already being classified finish on the old one.
+    fn adopt_latest(&mut self, inner: &Inner) {
+        let swap = inner.swap_count.load(Ordering::Acquire);
+        if swap != self.seen_swap {
+            self.snapshot = inner.current();
+            self.seen_swap = swap;
+        }
+    }
+}
+
+struct Shard {
+    queue: BoundedQueue<QueuedRequest>,
+    /// Held by whoever is executing on this shard.
+    exec: Mutex<Executor>,
+}
+
+impl Shard {
+    /// Claims the shard for a blocking caller if nobody is executing on it
+    /// and nothing is queued for it. Emptiness is checked under the lock:
+    /// the worker pops only while holding it, so an admitted request is
+    /// either still in the queue (no claim) or already answered.
+    fn try_claim(&self) -> Option<MutexGuard<'_, Executor>> {
+        let exec = match self.exec.try_lock() {
+            Ok(exec) => exec,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
+        self.queue.is_empty().then_some(exec)
+    }
+}
+
 struct Inner {
     cfg: ServeConfig,
-    queues: Vec<BoundedQueue<QueuedRequest>>,
+    shards: Vec<Shard>,
     /// Total requests sitting in queues (watermark bookkeeping). Signed:
     /// submit-side increments and worker-side decrements race benignly, so
     /// the value can dip below zero for an instant.
     queued: AtomicI64,
-    /// The published snapshot; workers re-read it only when `swap_count`
-    /// moves, so steady-state classification touches no lock.
+    /// The published snapshot; shards re-read it only when `swap_count`
+    /// moves.
     latest: RwLock<Arc<dyn RequestClassifier>>,
     swap_count: AtomicU64,
     degraded: AtomicBool,
@@ -141,6 +192,9 @@ impl RuleService {
     ) -> RuleService {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert!(cfg.low_water < cfg.high_water, "hysteresis requires low_water < high_water");
+        // Read before the build: an edit landing any time after this line
+        // moves the revision past what the refresher has seen.
+        let initial_revision = provider.revision();
         let initial = {
             let span = SpanTimer::start(&metrics.snapshot_build_nanos);
             let snapshot = provider.build();
@@ -148,7 +202,12 @@ impl RuleService {
             snapshot
         };
         let inner = Arc::new(Inner {
-            queues: (0..cfg.shards).map(|_| BoundedQueue::new(cfg.queue_capacity)).collect(),
+            shards: (0..cfg.shards)
+                .map(|_| Shard {
+                    queue: BoundedQueue::new(cfg.queue_capacity),
+                    exec: Mutex::new(Executor { snapshot: initial.clone(), seen_swap: 0 }),
+                })
+                .collect(),
             queued: AtomicI64::new(0),
             latest: RwLock::new(initial),
             swap_count: AtomicU64::new(0),
@@ -174,7 +233,7 @@ impl RuleService {
             let provider = provider.clone();
             std::thread::Builder::new()
                 .name("rulekit-serve-refresh".into())
-                .spawn(move || refresher_loop(&inner, provider.as_ref()))
+                .spawn(move || refresher_loop(&inner, provider.as_ref(), initial_revision))
                 .expect("spawn refresher")
         };
 
@@ -203,7 +262,7 @@ impl RuleService {
         let start = inner.round_robin.fetch_add(1, Ordering::Relaxed);
         for k in 0..shards {
             let shard = (start + k) % shards;
-            match inner.queues[shard].try_push(request) {
+            match inner.shards[shard].queue.try_push(request) {
                 Ok(()) => {
                     inner.metrics.submitted.inc();
                     inner.metrics.shard_depth(shard).inc();
@@ -219,6 +278,52 @@ impl RuleService {
         }
         inner.metrics.overloaded.inc();
         Admission::Overloaded
+    }
+
+    /// Classifies `product` and blocks for the outcome. When a shard is idle
+    /// (nothing queued, nobody executing) the request runs to completion on
+    /// the calling thread, on that shard's snapshot, with no hand-off;
+    /// otherwise it is queued exactly as [`submit_with_deadline`] would and
+    /// the caller waits for the worker. `Err(ServeError::Overloaded)` is
+    /// `submit`'s `Admission::Overloaded`: nothing ran, nothing is queued.
+    ///
+    /// [`submit_with_deadline`]: RuleService::submit_with_deadline
+    pub fn classify(
+        &self,
+        product: Product,
+        deadline: Option<Duration>,
+    ) -> Result<ClassifyOutcome, ServeError> {
+        let inner = &self.inner;
+        if inner.shutdown.load(Ordering::Acquire) {
+            inner.metrics.overloaded.inc();
+            return Err(ServeError::Overloaded);
+        }
+        let now = Instant::now();
+        let shards = inner.cfg.shards;
+        let start = inner.round_robin.fetch_add(1, Ordering::Relaxed);
+        for k in 0..shards {
+            if let Some(mut exec) = inner.shards[(start + k) % shards].try_claim() {
+                inner.metrics.submitted.inc();
+                exec.adopt_latest(inner);
+                return serve_one(
+                    inner,
+                    exec.snapshot.as_ref(),
+                    &product,
+                    now,
+                    deadline.map(|d| now + d),
+                    &inner.metrics.ran_on_caller,
+                );
+            }
+        }
+        match self.submit_with_deadline(product, deadline) {
+            Admission::Enqueued(handle) => handle.wait(),
+            Admission::Overloaded => Err(ServeError::Overloaded),
+        }
+    }
+
+    /// The deadline [`RuleService::submit`] applies.
+    pub fn default_deadline(&self) -> Option<Duration> {
+        self.inner.cfg.default_deadline
     }
 
     /// Rebuilds and publishes a snapshot right now, bypassing the
@@ -275,8 +380,8 @@ impl RuleService {
     /// an unexpected path. Idempotent; also invoked by `Drop`.
     pub fn shutdown(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        for q in &self.inner.queues {
-            q.close();
+        for shard in &self.inner.shards {
+            shard.queue.close();
         }
         for h in self.workers.drain(..) {
             let _ = h.join();
@@ -293,8 +398,7 @@ impl Drop for RuleService {
     }
 }
 
-fn refresher_loop(inner: &Inner, provider: &dyn SnapshotProvider) {
-    let mut last_seen = provider.revision();
+fn refresher_loop(inner: &Inner, provider: &dyn SnapshotProvider, mut last_seen: u64) {
     while !inner.shutdown.load(Ordering::Acquire) {
         let now = provider.wait_for_change(last_seen, inner.cfg.refresh_interval);
         if inner.shutdown.load(Ordering::Acquire) {
@@ -309,18 +413,19 @@ fn refresher_loop(inner: &Inner, provider: &dyn SnapshotProvider) {
 }
 
 fn worker_loop(inner: &Inner, shard: usize) {
-    let queue = &inner.queues[shard];
-    let mut snapshot = inner.current();
-    let mut seen_swap = inner.swap_count.load(Ordering::Acquire);
+    let Shard { queue, exec: shard_exec } = &inner.shards[shard];
 
     loop {
-        let batch = queue.pop_batch(inner.cfg.batch_size, inner.cfg.worker_poll);
-        if batch.is_empty() {
+        if !queue.wait_nonempty(inner.cfg.worker_poll) {
             if queue.is_closed() {
                 break;
             }
             continue;
         }
+        // Take the shard before the batch: waits out a caller that claimed
+        // it, and keeps callers off it until the batch's last answer.
+        let mut exec = shard_exec.lock().unwrap_or_else(|e| e.into_inner());
+        let batch = queue.pop_batch(inner.cfg.batch_size, Duration::ZERO);
         let n = batch.len() as i64;
         inner.metrics.shard_depth(shard).add(-n);
         let depth = (inner.queued.fetch_sub(n, Ordering::Relaxed) - n).max(0) as usize;
@@ -339,58 +444,66 @@ fn worker_loop(inner: &Inner, shard: usize) {
             continue;
         }
 
-        // Hot swap: adopt a newly published snapshot between micro-batches;
-        // requests already being classified finish on the old one.
-        let swap = inner.swap_count.load(Ordering::Acquire);
-        if swap != seen_swap {
-            snapshot = inner.current();
-            seen_swap = swap;
-        }
-
+        exec.adopt_latest(inner);
         for request in batch {
-            serve_one(inner, snapshot.as_ref(), request);
+            let QueuedRequest { product, enqueued_at, deadline, slot } = request;
+            slot.fulfill(serve_one(
+                inner,
+                exec.snapshot.as_ref(),
+                &product,
+                enqueued_at,
+                deadline,
+                &inner.metrics.ran_on_worker,
+            ));
         }
     }
 }
 
-fn serve_one(inner: &Inner, snapshot: &dyn RequestClassifier, request: QueuedRequest) {
+/// One admitted request, on whichever thread holds the shard: deadline
+/// check, full or degraded classification with panics contained, outcome
+/// metrics. `ran` is the path's completion counter.
+fn serve_one(
+    inner: &Inner,
+    snapshot: &dyn RequestClassifier,
+    product: &Product,
+    admitted_at: Instant,
+    deadline: Option<Instant>,
+    ran: &Counter,
+) -> Result<ClassifyOutcome, ServeError> {
     let metrics = &inner.metrics;
-    if let Some(deadline) = request.deadline {
-        if Instant::now() > deadline {
-            metrics.deadline_shed.inc();
-            request.slot.fulfill(Err(ServeError::DeadlineExceeded));
-            return;
-        }
+    if deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+        metrics.deadline_shed.inc();
+        return Err(ServeError::DeadlineExceeded);
     }
     let degrade = inner.degraded.load(Ordering::Relaxed);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         if degrade {
-            snapshot.classify_degraded(&request.product)
+            snapshot.classify_degraded(product)
         } else {
-            snapshot.classify(&request.product)
+            snapshot.classify(product)
         }
     }));
     match outcome {
         Ok(decided) => {
             metrics.completed.inc();
+            ran.inc();
             metrics.candidates_total.add(decided.candidates as u64);
             if decided.degraded {
                 metrics.degraded_served.inc();
             }
-            let latency = request.enqueued_at.elapsed();
+            let latency = admitted_at.elapsed();
             metrics.latency.record_duration(latency);
-            request.slot.fulfill(Ok(ClassifyOutcome {
+            Ok(ClassifyOutcome {
                 decision: decided.decision,
                 candidates: decided.candidates,
                 degraded: decided.degraded,
                 snapshot_version: snapshot.version(),
                 latency,
-            }));
+            })
         }
         Err(payload) => {
             metrics.classifier_panics.inc();
-            let message = panic_text(payload.as_ref());
-            request.slot.fulfill(Err(ServeError::ClassifierPanicked(message)));
+            Err(ServeError::ClassifierPanicked(panic_text(payload.as_ref())))
         }
     }
 }

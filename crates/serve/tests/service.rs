@@ -388,6 +388,41 @@ fn refresh_now_publishes_synchronously() {
     assert!(service.swap_count() >= 1);
 }
 
+/// An edit that lands while the initial snapshot is being built (or before
+/// the refresher thread first runs) must still be picked up: the refresher
+/// starts from the revision read *before* that build.
+#[test]
+fn edit_during_initial_build_is_not_lost() {
+    /// Snapshots carry the revision they were built at; the first build is
+    /// overtaken by an edit before it returns.
+    struct EditedWhileBuilding(AtomicU64);
+    impl SnapshotProvider for EditedWhileBuilding {
+        fn build(&self) -> Arc<dyn RequestClassifier> {
+            let version = self.0.load(Ordering::SeqCst);
+            if version == 0 {
+                self.0.store(1, Ordering::SeqCst);
+            }
+            Arc::new(SlowClassifier { version, delay: Duration::ZERO, ty: TypeId(7) })
+        }
+        fn revision(&self) -> u64 {
+            self.0.load(Ordering::SeqCst)
+        }
+        fn wait_for_change(&self, _last_seen: u64, _timeout: Duration) -> u64 {
+            std::thread::sleep(Duration::from_millis(1));
+            self.revision()
+        }
+    }
+    let service = RuleService::start(
+        Arc::new(EditedWhileBuilding(AtomicU64::new(0))),
+        ServeConfig { shards: 1, ..Default::default() },
+    );
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.snapshot_version() != 1 {
+        assert!(Instant::now() < deadline, "the edit was never rebuilt into a snapshot");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 #[test]
 fn metrics_track_load_shape() {
     struct CountingProvider {
