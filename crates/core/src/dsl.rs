@@ -29,7 +29,8 @@
 //! `rule:` switches to the expression language (`<expr> => <action>`); the
 //! expression is compiled through the parser's shared [`ExprCache`], so the
 //! same rule text re-parsed on WAL replay or checkpoint rebuild reuses the
-//! compiled bytecode.
+//! compiled bytecode. Title patterns go through the same memo: rules that
+//! repeat a pattern under different guards or targets share one regex.
 
 use crate::expr::ExprCache;
 use crate::rule::{CompareOp, Condition, Dictionary, InferFact, RuleAction};
@@ -72,9 +73,10 @@ impl std::error::Error for ParseError {}
 pub struct RuleParser {
     taxonomy: Arc<Taxonomy>,
     dictionaries: HashMap<String, Arc<Dictionary>>,
-    /// Shared source → bytecode memo for expression rules. Cloning the
-    /// parser (the durable store and the serving tier each hold one) shares
-    /// this cache, so one process compiles each distinct expression once.
+    /// Shared source → compiled memo for expression rules and title
+    /// patterns. Cloning the parser (the durable store and the serving tier
+    /// each hold one) shares this cache, so one process compiles each
+    /// distinct expression and each distinct pattern once.
     expr_cache: ExprCache,
 }
 
@@ -168,8 +170,7 @@ impl RuleParser {
 
     fn parse_atom(&self, atom: &str) -> Result<Condition, ParseError> {
         if let Some(inner) = call_body(atom, "title") {
-            let re = compile_pattern(inner)?;
-            return Ok(Condition::TitleMatches(re));
+            return Ok(Condition::TitleMatches(self.compile_pattern(inner)?));
         }
         if let Some(inner) = call_body(atom, "attr") {
             if inner.is_empty() {
@@ -203,8 +204,15 @@ impl RuleParser {
             return Ok(cond);
         }
         // Bare pattern sugar: `rings? -> rings` ≡ `title(rings?) -> rings`.
-        let re = compile_pattern(atom)?;
-        Ok(Condition::TitleMatches(re))
+        Ok(Condition::TitleMatches(self.compile_pattern(atom)?))
+    }
+
+    /// [`compile_pattern`] through the shared memo: every rule of this
+    /// parser family with the same pattern text holds the same regex.
+    fn compile_pattern(&self, pattern: &str) -> Result<Regex, ParseError> {
+        self.expr_cache
+            .pattern(&normalize_pattern_whitespace(pattern))
+            .map_err(|e| bad_pattern(pattern, &e))
     }
 
     /// `price < 100`, `num(Weight) >= 5`, `num(Pages) == 300` …
@@ -266,8 +274,12 @@ impl RuleParser {
 /// Compiles a pattern, tolerating the paper's cosmetic whitespace around `|`
 /// and inside groups: `(motor | engine) oils?` ≡ `(motor|engine) oils?`.
 pub fn compile_pattern(pattern: &str) -> Result<Regex, ParseError> {
-    let cleaned = normalize_pattern_whitespace(pattern);
-    Regex::case_insensitive(&cleaned).map_err(|e| err(&format!("bad pattern {pattern:?}: {e}")))
+    Regex::case_insensitive(&normalize_pattern_whitespace(pattern))
+        .map_err(|e| bad_pattern(pattern, &e))
+}
+
+fn bad_pattern(pattern: &str, e: &rulekit_regex::Error) -> ParseError {
+    err(&format!("bad pattern {pattern:?}: {e}"))
 }
 
 fn normalize_pattern_whitespace(pattern: &str) -> String {
@@ -551,6 +563,36 @@ mod tests {
         let clone = p.clone();
         clone.parse_rule(line).unwrap();
         assert_eq!(clone.expr_cache().stats().hits, 2);
+    }
+
+    #[test]
+    fn rules_with_the_same_pattern_share_one_dfa() {
+        let p = parser();
+        let regex_of = |spec: &RuleSpec| spec.condition.title_regex().expect("title rule").clone();
+        let plain = regex_of(&p.parse_rule("denim.*jeans? -> jeans").unwrap());
+        // Different guard, different target, cosmetic whitespace: same regex.
+        let guarded =
+            regex_of(&p.parse_rule("title(denim.*jeans?) and price < 40 -> NOT shorts").unwrap());
+        assert!(plain.shares_dfa_with(&guarded));
+        assert!(plain.shares_dfa_with(&regex_of(
+            &p.parse_rule("title( denim.*jeans? ) and price < 9 -> jeans").unwrap()
+        )));
+        assert!(!plain.shares_dfa_with(&regex_of(&p.parse_rule("jeans? -> jeans").unwrap())));
+
+        // Across a parser clone (the store and the serving tier hold one).
+        let from_clone = regex_of(&p.clone().parse_rule("denim.*jeans? -> jeans").unwrap());
+        assert!(plain.shares_dfa_with(&from_clone));
+
+        // Across a snapshot rebuild: rules cloned out of the repository, and
+        // the same source parsed again afterwards, are still that regex.
+        let repo = crate::RuleRepository::new();
+        let specs = p.parse_rules("denim.*jeans? -> jeans\ndenim.*jeans? and price < 5 -> jeans");
+        repo.add_all(specs.unwrap(), &crate::RuleMeta::default());
+        for rule in repo.enabled_snapshot().iter().chain(&repo.enabled_snapshot()) {
+            assert!(plain.shares_dfa_with(rule.condition.title_regex().unwrap()));
+        }
+        // A standalone compile stays standalone.
+        assert!(!plain.shares_dfa_with(&compile_pattern("denim.*jeans?").unwrap()));
     }
 
     #[test]

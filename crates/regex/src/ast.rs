@@ -218,7 +218,10 @@ impl Ast {
         match parts.len() {
             0 => Ast::Empty,
             1 => parts.pop().expect("len checked"),
-            _ => Ast::Concat(parts),
+            _ => {
+                parts.shrink_to_fit();
+                Ast::Concat(parts)
+            }
         }
     }
 
@@ -227,7 +230,10 @@ impl Ast {
         match arms.len() {
             0 => Ast::Empty,
             1 => arms.pop().expect("len checked"),
-            _ => Ast::Alternate(arms),
+            _ => {
+                arms.shrink_to_fit();
+                Ast::Alternate(arms)
+            }
         }
     }
 

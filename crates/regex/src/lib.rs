@@ -10,6 +10,9 @@
 //! worst-case linear in `text × program` — a hard requirement when a
 //! production system executes tens of thousands of analyst-written rules on
 //! every incoming item (SIGMOD'15 §4, "Rule Execution and Optimization").
+//! The boolean query rule execution asks, [`Regex::is_match`], runs on a
+//! [lazy DFA](crate::dfa) in front of the Pike VM; it is built by a regex's
+//! first search and sized so that a server can hold one per rule pattern.
 //!
 //! Beyond matching, the crate provides the two analyses the rule-management
 //! layers need:
@@ -54,7 +57,7 @@ pub use literals::{best_disjunction, best_indexable_disjunction, literal_cnf, Di
 
 use nfa::{CompileOptions, Program};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Errors produced while building a [`Regex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,10 +102,13 @@ pub struct Regex {
     pattern: Arc<str>,
     ast: Arc<Ast>,
     program: Arc<Program>,
-    /// Lazy DFA for the boolean confirmation path; `None` when the program
-    /// is too large or its alphabet too fragmented (see [`dfa`]). Shared by
-    /// clones so the memoized state cache warms once per pattern.
-    dfa: Option<Arc<dfa::LazyDfa>>,
+    /// Lazy DFA for the boolean confirmation path, built by the first
+    /// [`Regex::is_match`]: a regex that is parsed but never searched (a
+    /// replica's rule, a disabled rule, a store being replayed) holds only
+    /// this empty cell. `None` inside when the program is too large or its
+    /// alphabet too fragmented (see [`dfa`]). Shared by clones so the
+    /// memoized state cache warms once per pattern.
+    dfa: Arc<OnceLock<Option<Box<dfa::LazyDfa>>>>,
     options: Options,
 }
 
@@ -123,9 +129,17 @@ impl Regex {
         let ast = parser::parse(pattern)?;
         let program =
             nfa::compile(&ast, CompileOptions { case_insensitive: options.case_insensitive })?;
-        let program = Arc::new(program);
-        let dfa = dfa::LazyDfa::new(program.clone()).map(Arc::new);
-        Ok(Regex { pattern: Arc::from(pattern), ast: Arc::new(ast), program, dfa, options })
+        Ok(Regex {
+            pattern: Arc::from(pattern),
+            ast: Arc::new(ast),
+            program: Arc::new(program),
+            dfa: Arc::default(),
+            options,
+        })
+    }
+
+    fn dfa(&self) -> Option<&dfa::LazyDfa> {
+        self.dfa.get_or_init(|| dfa::LazyDfa::new(self.program.clone()).map(Box::new)).as_deref()
     }
 
     /// The source pattern.
@@ -150,15 +164,14 @@ impl Regex {
 
     /// Whether the pattern matches anywhere in `text`.
     ///
-    /// Runs on the lazy DFA (memoized subset construction, allocation-free
-    /// once warm) and falls back to the Pike VM when the DFA is unavailable
-    /// or its bounded state cache thrashes. Capture extraction
-    /// ([`Regex::find`], [`Regex::captures`]) always uses the Pike VM.
+    /// Runs on the lazy DFA (built on the first call; memoized subset
+    /// construction, allocation-free once warm) and falls back to the Pike
+    /// VM when the DFA is unavailable or its bounded state cache thrashes.
+    /// Capture extraction ([`Regex::find`], [`Regex::captures`]) always uses
+    /// the Pike VM.
     pub fn is_match(&self, text: &str) -> bool {
-        if let Some(dfa) = &self.dfa {
-            if let Some(verdict) = dfa.is_match(text) {
-                return verdict;
-            }
+        if let Some(verdict) = self.try_match_dfa(text) {
+            return verdict;
         }
         pikevm::exec(&self.program, text, 0, true).is_some()
     }
@@ -168,7 +181,21 @@ impl Regex {
     /// differential test suites; production code wants [`Regex::is_match`].
     #[doc(hidden)]
     pub fn try_match_dfa(&self, text: &str) -> Option<bool> {
-        self.dfa.as_ref()?.is_match(text)
+        self.dfa()?.is_match(text)
+    }
+
+    /// Whether `other` is a clone of this regex (or this one of it): the two
+    /// share one DFA and one warm state cache. Probe for the memo tests.
+    #[doc(hidden)]
+    pub fn shares_dfa_with(&self, other: &Regex) -> bool {
+        Arc::ptr_eq(&self.dfa, &other.dfa)
+    }
+
+    /// Whether no clone of this regex is alive — a compile memo holding the
+    /// only handle may forget it.
+    #[doc(hidden)]
+    pub fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.dfa) == 1
     }
 
     /// Leftmost-first match, if any.

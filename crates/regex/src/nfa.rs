@@ -60,6 +60,8 @@ pub fn compile(ast: &Ast, opts: CompileOptions) -> Result<Program, Error> {
     c.push(Inst::Save(1))?;
     c.push(Inst::Match)?;
     let anchored_start = starts_anchored(ast);
+    // A rule set keeps one program per pattern: no doubling slack.
+    c.insts.shrink_to_fit();
     Ok(Program { insts: c.insts, slots: 2 * (captures as usize + 1), captures, anchored_start })
 }
 
