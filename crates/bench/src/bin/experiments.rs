@@ -4,15 +4,31 @@
 //! experiments [EXPERIMENT…] [--scale FACTOR] [--seed SEED]
 //!
 //! EXPERIMENT: all | table1 | e2 | e3 | e4 | e5 | e6 | e7 | e8 | e9 | e10 |
-//!             e11 | e12 | e13 | e14 | e15 | e16 | e17 | serve | netload |
-//!             recovery | repl
+//!             e11 | e12 | e13 | e14 | e15 | e16 | e17
 //! --scale     multiplies corpus sizes (default 1.0; the default corpus is
 //!             ~20k training items, a ~1/40 scale model of the paper's 885K)
 //! --seed      master RNG seed (default 1)
 //! ```
+//!
+//! Serving, network, recovery and replication performance is measured by
+//! `benchmark/` (see its README), not here.
 
 use rulekit_bench::exp;
 use rulekit_bench::Scale;
+
+const EXPERIMENTS: &[&str] = &[
+    "all", "table1", "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
+    "e13", "e14", "e15", "e16", "e17",
+];
+
+/// Perf experiments `benchmark/` replaced, with the rows that measure the
+/// same layers there.
+const RETIRED: &[(&str, &str)] = &[
+    ("serve", "workload serve-overload"),
+    ("netload", "workloads http-learn, http-rules and http-edits"),
+    ("recovery", "the store.* per-layer metrics"),
+    ("repl", "the repl.* per-layer metrics"),
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,6 +57,18 @@ fn main() {
             other => selected.push(other.to_lowercase()),
         }
         i += 1;
+    }
+    for id in &selected {
+        if let Some((_, rows)) = RETIRED.iter().find(|(name, _)| name == id) {
+            eprintln!(
+                "experiment {id:?} is retired: benchmark/ measures it ({rows}); \
+                 see benchmark/README.md"
+            );
+            std::process::exit(2);
+        }
+        if !EXPERIMENTS.contains(&id.as_str()) {
+            usage(&format!("unknown experiment {id:?}"));
+        }
     }
     let scale = scale.scaled(factor);
     if selected.is_empty() {
@@ -116,18 +144,6 @@ fn main() {
     if want("e17") {
         exp::infer::e17(scale);
     }
-    if want("serve") {
-        exp::serving::serve(scale);
-    }
-    if want("netload") {
-        exp::netload::netload(scale);
-    }
-    if want("recovery") {
-        exp::recovery::recovery(scale);
-    }
-    if want("repl") {
-        exp::replication::replication(scale);
-    }
 }
 
 fn usage(err: &str) -> ! {
@@ -136,8 +152,8 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: experiments [EXPERIMENT…] [--scale FACTOR] [--seed SEED]\n\
-         experiments: all table1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 e14 e15 e16 e17 serve \
-         netload recovery repl"
+         experiments: {}",
+        EXPERIMENTS.join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

@@ -3,7 +3,7 @@
 
 use crate::setup::{analyst_rules, world, Scale};
 use crate::table::{f3, Table};
-use rulekit_core::IndexedExecutor;
+use rulekit_core::LiteralScanExecutor;
 use rulekit_crowd::{CrowdConfig, CrowdSim};
 use rulekit_eval::{
     compute_coverages, head_tail_split, module_eval, per_rule_eval, validation_set_eval,
@@ -19,7 +19,7 @@ pub fn e8(scale: Scale) {
     let (taxonomy, mut generator) = world(scale);
     let rules = analyst_rules(&taxonomy);
     let items = generator.generate(scale.eval_items.min(8_000));
-    let executor = IndexedExecutor::new(rules.clone());
+    let executor = LiteralScanExecutor::new(rules.clone());
     let coverages = compute_coverages(&rules, &executor, &items);
 
     let (head, tail) = head_tail_split(&coverages, 20);

@@ -1,13 +1,13 @@
-//! E7 (rule-execution scaling: naive vs trigram-indexed vs Aho-Corasick
-//! literal-scan, plus parallel batches), E16 (expression-language rules vs
+//! E7 (rule-execution scaling: naive vs the Aho-Corasick literal-scan
+//! engine, plus parallel batches), E16 (expression-language rules vs
 //! equivalent legacy conditions on one executor), and E10 (rule-system
 //! order-independence audits).
 
 use crate::setup::{analyst_rules, world, Scale};
 use crate::table::{f3, Table};
 use rulekit_core::{
-    audit_order_independence, execute_batch_parallel, execution_stats, IndexedExecutor,
-    LiteralScanExecutor, NaiveExecutor, Rule, RuleExecutor, RuleMeta, RuleParser, RuleRepository,
+    audit_order_independence, execute_batch_parallel, execution_stats, LiteralScanExecutor,
+    NaiveExecutor, Rule, RuleClassifier, RuleExecutor, RuleMeta, RuleParser, RuleRepository,
 };
 use rulekit_data::Taxonomy;
 use rulekit_em::{order_sensitivity, synthesize_duplicates, BlockingKey, RuleMatcher, Semantics};
@@ -94,19 +94,16 @@ pub fn synthetic_rules(taxonomy: &Arc<Taxonomy>, n: usize) -> Vec<Rule> {
     repo.enabled_snapshot()
 }
 
-/// One E7 measurement row: the three executors compared at one rule count,
-/// plus the literal scan over the optimizer-compacted rule set.
+/// One E7 measurement row: the engine against the naive baseline at one
+/// rule count, plus the engine over the optimizer-compacted rule set.
 pub struct E7Row {
     pub rules: usize,
-    pub trigram_build_ms: f64,
     pub literal_build_ms: f64,
     pub automaton_states: usize,
     pub naive_items_s: f64,
-    pub trigram_items_s: f64,
     pub literal_items_s: f64,
     pub literal_par_items_s: f64,
     pub cand_naive: f64,
-    pub cand_trigram: f64,
     pub cand_literal: f64,
     /// `maint::optimize` + executor rebuild time over the optimized set.
     pub opt_build_ms: f64,
@@ -133,7 +130,7 @@ fn items_per_sec(products: &[rulekit_data::Product], f: impl Fn(&rulekit_data::P
     best
 }
 
-/// E7 — three-way execution scaling (naive / trigram / literal-scan).
+/// E7 — execution scaling (naive vs literal-scan).
 /// Returns the measured rows so the caller can persist `BENCH_engine.json`.
 pub fn e7(scale: Scale) -> Vec<E7Row> {
     println!("\n=== E7: executing tens of thousands of rules (§4) ===");
@@ -162,16 +159,13 @@ pub fn e7(scale: Scale) -> Vec<E7Row> {
 
     let mut table = Table::new(&[
         "rules",
-        "build trigram ms",
         "build literal ms",
         "naive items/s",
-        "trigram items/s",
         "literal items/s",
         "literal ∥4 items/s",
         "opt rules",
         "opt items/s",
         "cand naive",
-        "cand trigram",
         "cand literal",
         "lit/naive speedup",
     ]);
@@ -188,33 +182,21 @@ pub fn e7(scale: Scale) -> Vec<E7Row> {
 
         let naive = NaiveExecutor::new(rules.clone());
         let t = Instant::now();
-        let trigram = IndexedExecutor::new(rules.clone());
-        let trigram_build_ms = t.elapsed().as_secs_f64() * 1000.0;
-        let t = Instant::now();
         let literal = LiteralScanExecutor::new(rules.clone());
         let literal_build_ms = t.elapsed().as_secs_f64() * 1000.0;
 
-        // Correctness gates before any timing is trusted: literal-scan must
-        // agree with naive, and its candidate sets must never exceed the
-        // trigram index's. The gate sample shrinks with the rule count —
+        // Correctness gate before any timing is trusted: literal-scan must
+        // agree with naive. The gate sample shrinks with the rule count —
         // naive runs every regex per product, so a fixed 200-product gate
         // would dwarf the measurements at 100k rules.
         let check_len = (2_000_000 / n.max(1)).clamp(20, 200).min(products.len());
         let check = &products[..check_len];
         for p in check {
             let mut a = naive.matching_rules(p);
-            let mut b = trigram.matching_rules(p);
-            let mut c = literal.matching_rules(p);
+            let mut b = literal.matching_rules(p);
             a.sort_unstable();
             b.sort_unstable();
-            c.sort_unstable();
-            assert_eq!(a, b, "trigram disagrees with naive on {:?}", p.title);
-            assert_eq!(a, c, "literal-scan disagrees with naive on {:?}", p.title);
-            assert!(
-                literal.candidates_considered(p) <= trigram.candidates_considered(p),
-                "literal-scan considered more than trigram on {:?}",
-                p.title
-            );
+            assert_eq!(a, b, "literal-scan disagrees with naive on {:?}", p.title);
         }
 
         // Offline optimizer: compact the set (guarded by a corpus sample),
@@ -230,13 +212,14 @@ pub fn e7(scale: Scale) -> Vec<E7Row> {
         let literal_opt = LiteralScanExecutor::new(opt_rules.clone());
         let opt_build_ms = t.elapsed().as_secs_f64() * 1000.0;
         {
-            use rulekit_core::{ExecutorKind, RuleClassifier};
-            let base_cls =
-                RuleClassifier::new(ExecutorKind::LiteralScan.build(rules.clone()), rules.clone());
-            let opt_cls = RuleClassifier::new(
-                ExecutorKind::LiteralScan.build(opt_rules.clone()),
-                opt_rules.clone(),
-            );
+            let classifier = |rules: &[Rule]| {
+                RuleClassifier::new(
+                    Arc::new(LiteralScanExecutor::new(rules.to_vec())),
+                    rules.to_vec(),
+                )
+            };
+            let base_cls = classifier(&rules);
+            let opt_cls = classifier(&opt_rules);
             let decision = |v: rulekit_core::RuleVerdict| {
                 let cands: Vec<_> = v.final_candidates().into_iter().map(|(ty, _)| ty).collect();
                 let mut forb = v.forbidden.clone();
@@ -258,9 +241,6 @@ pub fn e7(scale: Scale) -> Vec<E7Row> {
         let naive_len = (600_000 / n.max(1)).clamp(20, 300).min(products.len());
         let naive_items_s = items_per_sec(&products[..naive_len], |p| {
             naive.matching_rules(p);
-        });
-        let trigram_items_s = items_per_sec(&products, |p| {
-            trigram.matching_rules(p);
         });
         let mut literal_items_s = items_per_sec(&products, |p| {
             literal.matching_rules(p);
@@ -293,35 +273,28 @@ pub fn e7(scale: Scale) -> Vec<E7Row> {
 
         let sample = &products[..products.len().min(200)];
         let sn = execution_stats(&naive, sample);
-        let st = execution_stats(&trigram, sample);
         let sl = execution_stats(&literal, sample);
 
         table.row(vec![
             n.to_string(),
-            f3(trigram_build_ms),
             f3(literal_build_ms),
             format!("{naive_items_s:.0}"),
-            format!("{trigram_items_s:.0}"),
             format!("{literal_items_s:.0}"),
             format!("{literal_par_items_s:.0}"),
             opt_report.rules_after.to_string(),
             format!("{literal_opt_items_s:.0}"),
             f3(sn.avg_considered),
-            f3(st.avg_considered),
             f3(sl.avg_considered),
             format!("{:.1}x", literal_items_s / naive_items_s.max(1e-9)),
         ]);
         rows.push(E7Row {
             rules: n,
-            trigram_build_ms,
             literal_build_ms,
             automaton_states: literal.automaton_states(),
             naive_items_s,
-            trigram_items_s,
             literal_items_s,
             literal_par_items_s,
             cand_naive: sn.avg_considered,
-            cand_trigram: st.avg_considered,
             cand_literal: sl.avg_considered,
             opt_build_ms,
             rules_after_opt: opt_report.rules_after,
@@ -329,8 +302,7 @@ pub fn e7(scale: Scale) -> Vec<E7Row> {
         });
     }
     table.print();
-    println!("(both indexes should keep per-item cost near-flat as the rule count grows;");
-    println!(" the literal scan should also tighten candidate sets vs the trigram index,");
+    println!("(the index should keep per-item cost near-flat as the rule count grows,");
     println!(" and the optimizer row should match decisions bit-for-bit on fewer rules)");
     rows
 }
@@ -496,26 +468,22 @@ pub fn engine_json(e7_rows: &[E7Row], e16_rows: &[E16Row]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"e7-rule-execution\",\n  \"unit\": \"items_per_sec\",\n  \"rows\": [\n");
     for (i, r) in e7_rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"rules\": {}, \"naive_items_s\": {:.1}, \"trigram_items_s\": {:.1}, \
+            "    {{\"rules\": {}, \"naive_items_s\": {:.1}, \
              \"literal_items_s\": {:.1}, \"literal_par4_items_s\": {:.1}, \
              \"literal_opt_items_s\": {:.1}, \"rules_after_opt\": {}, \
-             \"opt_build_ms\": {:.3}, \
-             \"trigram_build_ms\": {:.3}, \"literal_build_ms\": {:.3}, \
-             \"automaton_states\": {}, \"cand_naive\": {:.3}, \"cand_trigram\": {:.3}, \
+             \"opt_build_ms\": {:.3}, \"literal_build_ms\": {:.3}, \
+             \"automaton_states\": {}, \"cand_naive\": {:.3}, \
              \"cand_literal\": {:.3}}}{}\n",
             r.rules,
             r.naive_items_s,
-            r.trigram_items_s,
             r.literal_items_s,
             r.literal_par_items_s,
             r.literal_opt_items_s,
             r.rules_after_opt,
             r.opt_build_ms,
-            r.trigram_build_ms,
             r.literal_build_ms,
             r.automaton_states,
             r.cand_naive,
-            r.cand_trigram,
             r.cand_literal,
             if i + 1 == e7_rows.len() { "" } else { "," },
         ));

@@ -3,7 +3,7 @@
 
 use crate::setup::{world, Scale};
 use crate::table::Table;
-use rulekit_core::{IndexedExecutor, RuleMeta, RuleParser, RuleRepository, TitleIndex};
+use rulekit_core::{LiteralScanExecutor, RuleMeta, RuleParser, RuleRepository, TitleIndex};
 use rulekit_crowd::{CrowdConfig, CrowdSim};
 use rulekit_eval::{compute_coverages, per_rule_eval};
 use rulekit_maint::{
@@ -67,7 +67,7 @@ pub fn e9(scale: Scale) {
     ov_table.print();
 
     // Imprecise rules via per-rule crowd evaluation + quarantine.
-    let executor = IndexedExecutor::new(rules.clone());
+    let executor = LiteralScanExecutor::new(rules.clone());
     let coverages = compute_coverages(&rules, &executor, &items);
     let mut crowd = CrowdSim::new(CrowdConfig { seed: scale.seed, ..Default::default() });
     let report = per_rule_eval(&coverages, &items, 30, true, &mut crowd, scale.seed);

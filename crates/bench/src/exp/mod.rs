@@ -7,9 +7,5 @@ pub mod evaluation;
 pub mod execution;
 pub mod infer;
 pub mod maintenance;
-pub mod netload;
-pub mod recovery;
-pub mod replication;
 pub mod rulegen;
-pub mod serving;
 pub mod synonym;

@@ -4,7 +4,7 @@
 use crate::setup::{world, Scale};
 use crate::table::{f3, pct, Table};
 use rulekit_chimera::{Chimera, ChimeraConfig, OracleMetrics};
-use rulekit_core::{IndexedExecutor, Provenance, RuleMeta, RuleRepository};
+use rulekit_core::{LiteralScanExecutor, Provenance, RuleMeta, RuleRepository};
 use rulekit_crowd::{CrowdConfig, CrowdSim};
 use rulekit_data::{LabeledCorpus, TypeId};
 use rulekit_eval::compute_coverages;
@@ -76,7 +76,7 @@ pub fn e3(scale: Scale) {
             repo.add(r.to_spec(&taxonomy), meta);
         }
         let rules = repo.enabled_snapshot();
-        let executor = IndexedExecutor::new(rules.clone());
+        let executor = LiteralScanExecutor::new(rules.clone());
         let coverages = compute_coverages(&rules, &executor, eval.items());
         let (est, _) =
             rulekit_eval::module_eval(&coverages, eval.items(), 400, &mut crowd, scale.seed);

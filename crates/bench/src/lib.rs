@@ -1,8 +1,8 @@
 //! # rulekit-bench
 //!
 //! The experiment harness: regenerates every table, figure and empirical
-//! claim in the paper (see DESIGN.md §3 for the index), plus Criterion
-//! microbenchmarks for the performance-sensitive substrates.
+//! claim in the paper (see DESIGN.md §3 for the index). Serving-stack
+//! performance is measured by `benchmark/`, not here.
 //!
 //! Run everything with:
 //!

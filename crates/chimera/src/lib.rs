@@ -11,6 +11,7 @@ pub mod metrics;
 pub mod obs;
 pub mod pipeline;
 pub mod snapshot;
+mod stages;
 pub mod voting;
 
 pub use analysis::{AnalysisOutcome, SimulatedAnalysis};

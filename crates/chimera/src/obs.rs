@@ -5,7 +5,7 @@
 //! continuously and intervene when it drifts" (§3.3); the drift monitor
 //! covers the *quality* half, and this module covers the *mechanics* half —
 //! where classification time goes (gate keeper, rule execution, learning,
-//! voting, analysis) and how many candidates each executor kind surfaces.
+//! voting, analysis) and how many candidates the engine surfaces.
 //! Every instrument is wait-free on the hot path; a pipeline that nobody
 //! snapshots pays a few atomic adds per product.
 
@@ -38,16 +38,15 @@ pub struct PipelineMetrics {
     pub gate_shortcircuits: Counter,
     /// Batches processed by the QA loop.
     pub batches: Counter,
-    /// Candidate accounting for the configured execution engine (shared by
-    /// the gate and main-store classifiers, labelled by executor kind).
+    /// Candidate accounting for the execution engine (shared by the gate
+    /// and main-store classifiers).
     pub exec: Arc<ExecMetrics>,
     /// Snapshot-optimizer outcomes (rules merged/dropped/reordered and the
     /// post-optimization rule count), populated when
     /// `ChimeraConfig::optimize_rules` is on.
     pub opt: OptimizeMetrics,
     /// Fact-inference tier accounting (`rulekit_infer_*`), populated when
-    /// the tier is enabled and infer rules exist. `Arc` so serving
-    /// snapshots can carry a handle past the pipeline's lifetime.
+    /// the tier is enabled and infer rules exist.
     pub infer: Arc<InferMetrics>,
 }
 
@@ -89,9 +88,8 @@ impl InferMetrics {
 }
 
 impl PipelineMetrics {
-    /// Registers the pipeline metric family in `registry`, with executor
-    /// metrics labelled for `kind`.
-    pub fn register(registry: Arc<Registry>, kind: ExecutorKind) -> Arc<PipelineMetrics> {
+    /// Registers the pipeline metric family in `registry`.
+    pub fn register(registry: Arc<Registry>) -> Arc<PipelineMetrics> {
         let stage =
             |s: &str| registry.histogram(&format!("rulekit_chimera_stage_nanos{{stage=\"{s}\"}}"));
         Arc::new(PipelineMetrics {
@@ -104,7 +102,7 @@ impl PipelineMetrics {
             declined: registry.counter("rulekit_chimera_declined_total"),
             gate_shortcircuits: registry.counter("rulekit_chimera_gate_shortcircuits_total"),
             batches: registry.counter("rulekit_chimera_batches_total"),
-            exec: ExecMetrics::register(&registry, kind),
+            exec: ExecMetrics::register(&registry, ExecutorKind::LiteralScan),
             opt: OptimizeMetrics::register(&registry),
             infer: InferMetrics::register(&registry),
             registry,

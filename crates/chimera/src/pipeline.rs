@@ -6,19 +6,20 @@
 use crate::analysis::SimulatedAnalysis;
 use crate::metrics::OracleMetrics;
 use crate::obs::PipelineMetrics;
-use crate::voting::{vote, Decision, VotingConfig};
+use crate::stages::{CompiledRules, Stages};
+use crate::voting::{Decision, VotingConfig};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rulekit_core::{
-    AggregateStore, ExecutorKind, InferenceEngine, ParseError, PreparedProduct, RuleAction,
+    AggregateStore, InferenceEngine, LiteralScanExecutor, ParseError, Rule, RuleAction,
     RuleClassifier, RuleId, RuleMeta, RuleParser, RuleRepository, WorkerPool,
 };
 use rulekit_crowd::{CrowdSim, PrecisionEstimate};
 use rulekit_data::{Batch, GeneratedItem, Product, Taxonomy, TypeId};
 use rulekit_ie::IePipeline;
-use rulekit_learn::{default_ensemble, Classifier, Ensemble, Featurizer, TrainingSet};
+use rulekit_learn::{default_ensemble, Ensemble, Featurizer, TrainingSet};
 use rulekit_maint::DriftMonitor;
 use rulekit_obs::{MetricsSnapshot, Registry, SpanTimer};
 use std::collections::HashSet;
@@ -47,10 +48,6 @@ pub struct ChimeraConfig {
     pub analysis_enabled: bool,
     /// Worker threads for batch classification.
     pub threads: usize,
-    /// Which rule-execution engine to compile rule snapshots into (gate and
-    /// main store alike). Flows into every [`RuleClassifier`] this pipeline
-    /// builds, and from there into serving snapshots.
-    pub executor: ExecutorKind,
     /// Run the offline rule-set optimizer ([`rulekit_maint::optimize`])
     /// over each main-store snapshot before compiling it: duplicates merge,
     /// formally-subsumed blacklist rules drop, dictionary blacklists union,
@@ -90,7 +87,6 @@ impl Default for ChimeraConfig {
             auto_scale_down: false,
             analysis_enabled: true,
             threads: 4,
-            executor: ExecutorKind::default(),
             optimize_rules: false,
             infer_enabled: true,
             seed: 0,
@@ -120,16 +116,6 @@ pub struct BatchReport {
     pub alarms: Vec<TypeId>,
 }
 
-struct ClassifierCache {
-    gate_rev: u64,
-    rule_rev: u64,
-    gate: Arc<RuleClassifier>,
-    rules: Arc<RuleClassifier>,
-    /// Forward-chaining engine over the `infer:` rules of both stores
-    /// (possibly empty — then inference is skipped entirely).
-    infer: Arc<InferenceEngine>,
-}
-
 /// The Chimera pipeline.
 pub struct Chimera {
     taxonomy: Arc<Taxonomy>,
@@ -145,7 +131,7 @@ pub struct Chimera {
     suppressed: HashSet<TypeId>,
     monitor: DriftMonitor,
     analysis: SimulatedAnalysis,
-    cache: Mutex<Option<ClassifierCache>>,
+    cache: Mutex<Option<CompiledRules>>,
     obs: Arc<PipelineMetrics>,
     /// Streaming aggregates fed by the QA loop (vendor mismatch rate,
     /// decline rate) and readable from `agg("...")` expressions.
@@ -175,7 +161,7 @@ impl Chimera {
         let rng = StdRng::seed_from_u64(cfg.seed);
         let monitor =
             DriftMonitor::new(cfg.monitor_window, cfg.monitor_min_samples, cfg.precision_threshold);
-        let obs = PipelineMetrics::register(registry, cfg.executor);
+        let obs = PipelineMetrics::register(registry);
         Chimera {
             parser: RuleParser::new(taxonomy.clone()),
             analysis: SimulatedAnalysis::new(taxonomy.clone()),
@@ -205,14 +191,14 @@ impl Chimera {
     }
 
     /// The pipeline's metric handles (stage latencies, decision counters,
-    /// per-executor candidate accounting).
+    /// the engine's candidate accounting).
     pub fn metrics(&self) -> &Arc<PipelineMetrics> {
         &self.obs
     }
 
     /// A point-in-time snapshot of every metric the pipeline's registry
     /// holds — per-stage latency histograms, decision/declined counters,
-    /// and the configured executor's candidate/automaton-hit counts.
+    /// and the engine's candidate/automaton-hit counts.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         self.obs.snapshot()
     }
@@ -300,30 +286,34 @@ impl Chimera {
         self.rules.enable_type(ty)
     }
 
-    fn classifiers(&self) -> (Arc<RuleClassifier>, Arc<RuleClassifier>, Arc<InferenceEngine>) {
+    /// Compiles `rules` into the engine, recording into the pipeline's
+    /// executor metrics.
+    fn compile(&self, rules: Vec<Rule>) -> Arc<RuleClassifier> {
+        let engine =
+            LiteralScanExecutor::new(rules.clone()).with_metrics(Some(self.obs.exec.clone()));
+        Arc::new(RuleClassifier::new(Arc::new(engine), rules))
+    }
+
+    /// The rule side compiled at the repositories' current revisions,
+    /// rebuilt only when either revision moved.
+    fn compiled(&self) -> CompiledRules {
         let gate_rev = self.gate_rules.revision();
         let rule_rev = self.rules.revision();
         let mut cache = self.cache.lock();
         if let Some(c) = cache.as_ref() {
             if c.gate_rev == gate_rev && c.rule_rev == rule_rev {
-                return (c.gate.clone(), c.rules.clone(), c.infer.clone());
+                return c.clone();
             }
         }
         // `infer:` rules are evaluated by the forward-chaining tier, never
         // by the classification phases: partition them out of both
         // snapshots before optimizing/compiling.
-        let is_infer = |r: &rulekit_core::Rule| matches!(r.action, RuleAction::Infer(_));
-        let mut infer_rules: Vec<rulekit_core::Rule> = Vec::new();
-        let mut gate_snapshot = self.gate_rules.enabled_snapshot();
-        infer_rules.extend(gate_snapshot.iter().filter(|r| is_infer(r)).cloned());
-        gate_snapshot.retain(|r| !is_infer(r));
-        let gate = Arc::new(RuleClassifier::new(
-            self.cfg.executor.build_with(gate_snapshot.clone(), Some(self.obs.exec.clone())),
-            gate_snapshot,
-        ));
-        let mut rule_snapshot = self.rules.enabled_snapshot();
-        infer_rules.extend(rule_snapshot.iter().filter(|r| is_infer(r)).cloned());
-        rule_snapshot.retain(|r| !is_infer(r));
+        let is_infer = |r: &Rule| matches!(r.action, RuleAction::Infer(_));
+        let (mut infer_rules, gate_snapshot): (Vec<Rule>, Vec<Rule>) =
+            self.gate_rules.enabled_snapshot().into_iter().partition(is_infer);
+        let (main_infer, mut rule_snapshot): (Vec<Rule>, Vec<Rule>) =
+            self.rules.enabled_snapshot().into_iter().partition(is_infer);
+        infer_rules.extend(main_infer);
         let infer = Arc::new(InferenceEngine::from_rules(&infer_rules));
         if self.cfg.optimize_rules {
             // Only the decision-exact passes run (no guard corpus here), so
@@ -337,159 +327,78 @@ impl Chimera {
             self.obs.opt.record(&report);
             rule_snapshot = optimized;
         }
-        let rules = Arc::new(RuleClassifier::new(
-            self.cfg.executor.build_with(rule_snapshot.clone(), Some(self.obs.exec.clone())),
-            rule_snapshot,
-        ));
-        *cache = Some(ClassifierCache {
+        let infer_active = self.cfg.infer_enabled && !infer.is_empty();
+        let compiled = CompiledRules {
             gate_rev,
             rule_rev,
-            gate: gate.clone(),
-            rules: rules.clone(),
-            infer: infer.clone(),
-        });
-        (gate, rules, infer)
+            gate: self.compile(gate_snapshot),
+            rules: self.compile(rule_snapshot),
+            infer,
+            ie: infer_active.then(|| self.ie_pipeline()),
+        };
+        *cache = Some(compiled.clone());
+        compiled
     }
 
-    /// The lazily-built `ie` extraction pipeline (shared with snapshots).
+    /// The lazily-built `ie` extraction pipeline (kept across rule
+    /// revisions).
     fn ie_pipeline(&self) -> Arc<IePipeline> {
         let mut slot = self.ie.lock();
         slot.get_or_insert_with(|| Arc::new(IePipeline::standard(&self.taxonomy))).clone()
     }
 
-    /// Working-memory seeds from the `ie` extractors: each extraction
-    /// becomes an `ie_<field>` fact (first extraction per field wins).
-    pub(crate) fn ie_seeds(ie: &IePipeline, product: &Product) -> Vec<(String, String)> {
-        ie.extract(&product.title)
-            .into_iter()
-            .map(|ex| (format!("ie_{}", ex.field), ex.value))
-            .collect()
+    /// The live pipeline's stages, borrowed for classification.
+    fn stages<'a>(&'a self, compiled: &'a CompiledRules) -> Stages<'a> {
+        Stages {
+            compiled,
+            aggregates: self.cfg.infer_enabled.then_some(&self.aggregates),
+            ensemble: self.ensemble.as_deref(),
+            featurizer: &self.featurizer,
+            suppressed: &self.suppressed,
+            voting: self.cfg.voting,
+            obs: &self.obs,
+        }
     }
 
     /// Captures an immutable, `Send + Sync` snapshot of the current
     /// classification state (compiled gate + rule classifiers, ensemble,
-    /// suppression set, voting config) for lock-free serving. See
-    /// [`crate::snapshot::PipelineSnapshot`].
+    /// suppression set, voting config, metric handles) for lock-free
+    /// serving. See [`crate::snapshot::PipelineSnapshot`].
     pub fn snapshot(&self) -> crate::snapshot::PipelineSnapshot {
-        let gate_rev = self.gate_rules.revision();
-        let rule_rev = self.rules.revision();
-        let (gate, rules, infer) = self.classifiers();
-        let infer_active = self.cfg.infer_enabled && !infer.is_empty();
-        let ie = infer_active.then(|| self.ie_pipeline());
-        let aggregates = self.cfg.infer_enabled.then(|| self.aggregates.clone());
-        crate::snapshot::PipelineSnapshot::new(
-            gate,
-            rules,
-            infer,
-            ie,
-            aggregates,
-            Some(self.obs.infer.clone()),
-            self.ensemble.clone(),
-            self.featurizer.clone(),
-            self.suppressed.clone(),
-            self.cfg.voting,
-            gate_rev,
-            rule_rev,
-        )
+        crate::snapshot::PipelineSnapshot {
+            compiled: self.compiled(),
+            aggregates: self.cfg.infer_enabled.then(|| self.aggregates.clone()),
+            ensemble: self.ensemble.clone(),
+            featurizer: self.featurizer.clone(),
+            suppressed: Arc::new(self.suppressed.clone()),
+            voting: self.cfg.voting,
+            obs: self.obs.clone(),
+        }
     }
 
     /// Classifies one product (Figure 2 left-to-right).
     pub fn classify(&self, product: &Product) -> Decision {
-        let (gate, rules, infer) = self.classifiers();
-        self.classify_with(product, &gate, &rules, &infer)
-    }
-
-    fn classify_with(
-        &self,
-        product: &Product,
-        gate: &RuleClassifier,
-        rules: &RuleClassifier,
-        infer: &InferenceEngine,
-    ) -> Decision {
-        // Fact-inference tier: chain to fixpoint, then classify the
-        // augmented product. With the tier off (or no infer rules) the
-        // original product flows through untouched.
-        let infer_active = self.cfg.infer_enabled && !infer.is_empty();
-        let aggregates = self.cfg.infer_enabled.then(|| self.aggregates.clone());
-        let augmented;
-        let product = if infer_active {
-            let span = SpanTimer::start(&self.obs.infer.nanos);
-            let ie = self.ie_pipeline();
-            let seeds = Self::ie_seeds(&ie, product);
-            let outcome = infer.infer(product, &seeds, aggregates.clone());
-            span.finish();
-            self.obs.infer.record(&outcome);
-            match outcome.augmented(product) {
-                Some(p) => {
-                    augmented = p;
-                    &augmented
-                }
-                None => product,
-            }
-        } else {
-            product
-        };
-        // Prepare once; the gate and the main rule layer share the view
-        // (and any attached aggregate store).
-        let prepared = PreparedProduct::with_aggregates(product, aggregates);
-
-        // Gate Keeper: an unambiguous gate hit classifies immediately.
-        let span = SpanTimer::start(&self.obs.stage_gate);
-        let gate_verdict = gate.classify_prepared(&prepared);
-        span.finish();
-        let finals = gate_verdict.final_candidates();
-        if finals.len() == 1 && !self.suppressed.contains(&finals[0].0) {
-            self.obs.gate_shortcircuits.inc();
-            self.obs.decisions.inc();
-            return Decision::Classified {
-                ty: finals[0].0,
-                confidence: 1.0,
-                explanation: vec!["gate keeper short-circuit".to_string()],
-            };
-        }
-
-        // Rule-based + attribute/value classifiers.
-        let span = SpanTimer::start(&self.obs.stage_rules);
-        let verdict = rules.classify_prepared(&prepared);
-        span.finish();
-        // Learning ensemble.
-        let span = SpanTimer::start(&self.obs.stage_learn);
-        let learned = match &self.ensemble {
-            Some(e) => e.predict(&self.featurizer.features(product)),
-            None => rulekit_learn::Prediction::empty(),
-        };
-        span.finish();
-        let span = SpanTimer::start(&self.obs.stage_vote);
-        let decision = vote(&verdict, &learned, &self.suppressed, self.cfg.voting);
-        span.finish();
-        self.obs.decisions.inc();
-        if decision.is_declined() {
-            self.obs.declined.inc();
-        }
-        decision
+        self.stages(&self.compiled()).classify(product).0
     }
 
     /// Classifies a slice of products on `cfg.threads` chunks of the
     /// persistent process-wide worker pool (no thread spawn per batch).
     pub fn classify_batch(&self, products: &[Product]) -> Vec<Decision> {
-        let (gate, rules, infer) = self.classifiers();
+        let compiled = self.compiled();
+        let stages = self.stages(&compiled);
+        let classify_all =
+            |slice: &[Product]| slice.iter().map(|p| stages.classify(p).0).collect::<Vec<_>>();
         let threads = self.cfg.threads.max(1);
         if products.len() < 64 || threads == 1 {
-            return products.iter().map(|p| self.classify_with(p, &gate, &rules, &infer)).collect();
+            return classify_all(products);
         }
         let chunk = products.len().div_ceil(threads);
         let slots: Vec<parking_lot::Mutex<Option<Vec<Decision>>>> =
             products.chunks(chunk).map(|_| parking_lot::Mutex::new(None)).collect();
         WorkerPool::global().scope(|scope| {
             for (slice, slot) in products.chunks(chunk).zip(&slots) {
-                let gate = &gate;
-                let rules = &rules;
-                let infer = &infer;
-                scope.spawn(move || {
-                    let decisions: Vec<Decision> =
-                        slice.iter().map(|p| self.classify_with(p, gate, rules, infer)).collect();
-                    *slot.lock() = Some(decisions);
-                });
+                let classify_all = &classify_all;
+                scope.spawn(move || *slot.lock() = Some(classify_all(slice)));
             }
         });
         slots
@@ -679,30 +588,6 @@ mod tests {
         assert_eq!(chimera.suppressed_types(), vec![rings]);
         chimera.restore(rings);
         assert_eq!(chimera.classify(&item.product).type_id(), Some(rings));
-    }
-
-    #[test]
-    fn decisions_agree_across_executor_kinds() {
-        // The executor is a performance knob, never a semantics knob: every
-        // engine must produce identical decisions end to end.
-        let tax = Taxonomy::builtin();
-        let mut g = CatalogGenerator::with_seed(tax.clone(), 58);
-        let corpus = LabeledCorpus::generate(&mut g, 1500);
-        let products: Vec<Product> = g.generate(150).into_iter().map(|i| i.product).collect();
-        let mut all: Vec<Vec<Decision>> = Vec::new();
-        for executor in [ExecutorKind::Naive, ExecutorKind::Trigram, ExecutorKind::LiteralScan] {
-            let mut chimera = Chimera::new(
-                tax.clone(),
-                ChimeraConfig { threads: 2, executor, ..Default::default() },
-            );
-            chimera.train(corpus.items());
-            chimera
-                .add_rules("rings? -> rings\nattr(ISBN) -> books\nlaptop (bag|case|sleeve)s? -> NOT laptop computers\n")
-                .unwrap();
-            all.push(chimera.classify_batch(&products));
-        }
-        assert_eq!(all[0], all[1], "naive vs trigram");
-        assert_eq!(all[0], all[2], "naive vs literal-scan");
     }
 
     #[test]

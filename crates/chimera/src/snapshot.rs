@@ -4,13 +4,12 @@
 //! snapshot never blocks on repository locks, never observes later edits,
 //! and can be swapped wholesale when a newer revision is published.
 
-use crate::obs::InferMetrics;
-use crate::voting::{vote, Decision, VotingConfig};
-use rulekit_core::{AggregateStore, InferenceEngine, PreparedProduct, RuleClassifier};
+use crate::obs::PipelineMetrics;
+use crate::stages::{CompiledRules, Stages};
+use crate::voting::{Decision, VotingConfig};
+use rulekit_core::AggregateStore;
 use rulekit_data::{Product, TypeId};
-use rulekit_ie::IePipeline;
-use rulekit_learn::{Classifier, Ensemble, Featurizer, Prediction};
-use rulekit_obs::SpanTimer;
+use rulekit_learn::{Ensemble, Featurizer};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -38,74 +37,36 @@ pub struct SnapshotDecision {
 /// hot-swap by replacing the `Arc<PipelineSnapshot>` it reads.
 #[derive(Clone)]
 pub struct PipelineSnapshot {
-    gate: Arc<RuleClassifier>,
-    rules: Arc<RuleClassifier>,
-    /// Forward-chaining fact rules captured at snapshot time. Empty (or with
-    /// `ie: None`) the inference stage is skipped entirely.
-    infer: Arc<InferenceEngine>,
-    /// Extraction pipeline seeding the working memory. `None` when the
-    /// inference tier is disabled or no infer rules exist.
-    ie: Option<Arc<IePipeline>>,
+    pub(crate) compiled: CompiledRules,
     /// Live handle to the pipeline's streaming aggregates — snapshots see
     /// rates/quantiles as they move, matching the live pipeline. `None`
     /// when the tier is disabled (then `agg(...)` evaluates to Missing).
-    aggregates: Option<Arc<AggregateStore>>,
-    infer_metrics: Option<Arc<InferMetrics>>,
-    ensemble: Option<Arc<Ensemble>>,
-    featurizer: Featurizer,
-    suppressed: Arc<HashSet<TypeId>>,
-    voting: VotingConfig,
-    gate_revision: u64,
-    rule_revision: u64,
+    pub(crate) aggregates: Option<Arc<AggregateStore>>,
+    pub(crate) ensemble: Option<Arc<Ensemble>>,
+    pub(crate) featurizer: Featurizer,
+    pub(crate) suppressed: Arc<HashSet<TypeId>>,
+    pub(crate) voting: VotingConfig,
+    /// The pipeline's metric handles: served traffic records into the same
+    /// stage histograms and decision counters as the live pipeline.
+    pub(crate) obs: Arc<PipelineMetrics>,
 }
 
 impl PipelineSnapshot {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        gate: Arc<RuleClassifier>,
-        rules: Arc<RuleClassifier>,
-        infer: Arc<InferenceEngine>,
-        ie: Option<Arc<IePipeline>>,
-        aggregates: Option<Arc<AggregateStore>>,
-        infer_metrics: Option<Arc<InferMetrics>>,
-        ensemble: Option<Arc<Ensemble>>,
-        featurizer: Featurizer,
-        suppressed: HashSet<TypeId>,
-        voting: VotingConfig,
-        gate_revision: u64,
-        rule_revision: u64,
-    ) -> Self {
-        PipelineSnapshot {
-            gate,
-            rules,
-            infer,
-            ie,
-            aggregates,
-            infer_metrics,
-            ensemble,
-            featurizer,
-            suppressed: Arc::new(suppressed),
-            voting,
-            gate_revision,
-            rule_revision,
-        }
-    }
-
     /// Repository revisions this snapshot was compiled from: `(gate, main)`.
     pub fn revisions(&self) -> (u64, u64) {
-        (self.gate_revision, self.rule_revision)
+        (self.compiled.gate_rev, self.compiled.rule_rev)
     }
 
     /// A single monotone version combining both repositories, usable as a
     /// staleness check (a snapshot built from later revisions compares
     /// greater as long as each repository's revision is monotone).
     pub fn version(&self) -> u64 {
-        self.gate_revision + self.rule_revision
+        self.compiled.gate_rev + self.compiled.rule_rev
     }
 
     /// Number of enabled rules compiled in (main store).
     pub fn rule_count(&self) -> usize {
-        self.rules.rule_count()
+        self.compiled.rules.rule_count()
     }
 
     /// Whether the learning ensemble is present (false → `classify` and
@@ -119,66 +80,26 @@ impl PipelineSnapshot {
         self.run(product, false)
     }
 
-    /// Degraded path for overload shedding: identical gate + rule phases but
-    /// the learning ensemble is skipped, so the Voting Master sees rules
-    /// only. Cheaper and lock-free; precision characteristics follow the
-    /// rule store alone.
+    /// Degraded path for overload shedding: identical inference, gate and
+    /// rule phases but the learning ensemble is skipped, so the Voting
+    /// Master sees rules only. Cheaper; precision characteristics follow
+    /// the rule store alone.
     pub fn classify_rules_only(&self, product: &Product) -> SnapshotDecision {
         self.run(product, true)
     }
 
     fn run(&self, product: &Product, rules_only: bool) -> SnapshotDecision {
-        // Fact-inference tier (mirrors `Chimera::classify_with`): chain to
-        // fixpoint and classify the augmented product. Both the degraded and
-        // full paths run inference — derived facts are part of the rule
-        // layer's input, not of the ensemble.
-        let augmented;
-        let product = if let (Some(ie), false) = (&self.ie, self.infer.is_empty()) {
-            let span = self.infer_metrics.as_ref().map(|m| SpanTimer::start(&m.nanos));
-            let seeds = crate::pipeline::Chimera::ie_seeds(ie, product);
-            let outcome = self.infer.infer(product, &seeds, self.aggregates.clone());
-            drop(span);
-            if let Some(m) = &self.infer_metrics {
-                m.record(&outcome);
-            }
-            match outcome.augmented(product) {
-                Some(p) => {
-                    augmented = p;
-                    &augmented
-                }
-                None => product,
-            }
-        } else {
-            product
+        let stages = Stages {
+            compiled: &self.compiled,
+            aggregates: self.aggregates.as_ref(),
+            ensemble: if rules_only { None } else { self.ensemble.as_deref() },
+            featurizer: &self.featurizer,
+            suppressed: &self.suppressed,
+            voting: self.voting,
+            obs: &self.obs,
         };
-        let prepared = PreparedProduct::with_aggregates(product, self.aggregates.clone());
-
-        // Gate Keeper: an unambiguous gate hit classifies immediately.
-        let gate_verdict = self.gate.classify_prepared(&prepared);
-        let finals = gate_verdict.final_candidates();
-        if finals.len() == 1 && !self.suppressed.contains(&finals[0].0) {
-            return SnapshotDecision {
-                decision: Decision::Classified {
-                    ty: finals[0].0,
-                    confidence: 1.0,
-                    explanation: vec!["gate keeper short-circuit".to_string()],
-                },
-                candidates: finals.len(),
-                degraded: rules_only,
-            };
-        }
-
-        let verdict = self.rules.classify_prepared(&prepared);
-        let learned = match (&self.ensemble, rules_only) {
-            (Some(e), false) => e.predict(&self.featurizer.features(product)),
-            _ => Prediction::empty(),
-        };
-        let candidates = finals.len() + verdict.assigned.len();
-        SnapshotDecision {
-            decision: vote(&verdict, &learned, &self.suppressed, self.voting),
-            candidates,
-            degraded: rules_only,
-        }
+        let (decision, candidates) = stages.classify(product);
+        SnapshotDecision { decision, candidates, degraded: rules_only }
     }
 }
 
@@ -200,13 +121,54 @@ mod tests {
 
     #[test]
     fn snapshot_matches_live_pipeline() {
+        let (mut chimera, mut g) = trained();
+        let books = chimera.taxonomy().id_of("books").unwrap();
+        let mut products: Vec<Product> = g.generate(100).into_iter().map(|i| i.product).collect();
+        products.extend((0..5).map(|_| g.generate_for_type(books).product));
+        let book = products.last().unwrap().clone();
+        let agree = |chimera: &Chimera| {
+            let snap = chimera.snapshot();
+            for p in &products {
+                assert_eq!(chimera.classify(p), snap.classify(p).decision, "on {:?}", p.title);
+            }
+            snap.classify(&book).decision
+        };
+        assert_eq!(agree(&chimera).type_id(), Some(books));
+
+        // Inference-augmented: a gate rule whose only trigger is a derived
+        // fact short-circuits on both paths.
+        chimera.add_rules("infer: has(isbn) => fact media = book\n").unwrap();
+        chimera.add_gate_rules("attr(media) -> books").unwrap();
+        let Decision::Classified { explanation, .. } = agree(&chimera) else {
+            panic!("book classified through the gate")
+        };
+        assert!(explanation[0].contains("gate keeper"), "{explanation:?}");
+
+        // A suppressed type: neither the gate nor the vote may return it.
+        chimera.scale_down(books, "test");
+        assert!(agree(&chimera).is_declined());
+    }
+
+    #[test]
+    fn served_classifies_feed_the_pipeline_metrics() {
         let (chimera, mut g) = trained();
         let snap = chimera.snapshot();
-        for item in g.generate(100) {
-            let live = chimera.classify(&item.product);
-            let frozen = snap.classify(&item.product).decision;
-            assert_eq!(live, frozen);
+        let before = chimera.metrics_snapshot();
+        let gate = "rulekit_chimera_stage_nanos{stage=\"gate\"}";
+        let decisions = "rulekit_chimera_decisions_total";
+        assert_eq!(before.histogram(gate).unwrap().count(), 0);
+
+        let items = g.generate(40);
+        for (i, item) in items.iter().enumerate() {
+            if i % 2 == 0 {
+                snap.classify(&item.product);
+            } else {
+                snap.classify_rules_only(&item.product);
+            }
         }
+        let after = chimera.metrics_snapshot();
+        assert_eq!(after.histogram(gate).unwrap().count(), 40);
+        assert_eq!(after.counter(decisions), Some(before.counter(decisions).unwrap() + 40));
     }
 
     #[test]

@@ -1,13 +1,11 @@
-//! Differential suite for the fact-inference tier, mirroring the
-//! three-executor differential harness: the tier is **opt-in**, so with it
-//! disabled — or enabled but with no `infer:` rules loaded — every decision
-//! on a generated catalog must be bit-identical to today's pipeline. A
-//! second half proves the positive direction: derived facts are ordinary
-//! attributes, visible to expression rules, attribute/value rules, and all
-//! three executors, live and through serving snapshots.
+//! Differential suite for the fact-inference tier: with it disabled — or
+//! enabled but with no `infer:` rules loaded — every decision on a generated
+//! catalog must be bit-identical to the pipeline without the tier. A second
+//! half proves the positive direction: derived facts are ordinary
+//! attributes, visible to expression rules and attribute/value rules, live
+//! and through serving snapshots.
 
 use rulekit_chimera::{Chimera, ChimeraConfig, Decision};
-use rulekit_core::ExecutorKind;
 use rulekit_data::{CatalogGenerator, LabeledCorpus, Product, Taxonomy, VendorId};
 
 const RULES: &str = "rings? -> rings\n\
@@ -93,32 +91,6 @@ fn derived_facts_reach_every_rule_form() {
         assert_eq!(on.classify(&p).type_id(), Some(books), "rule form: {rule}");
         assert_eq!(off.classify(&p).type_id(), None, "tier off must not derive: {rule}");
     }
-}
-
-/// All three executors agree on augmented products: literal-scan and
-/// trigram admission must surface rules whose only trigger is a derived
-/// fact, exactly like the naive executor.
-#[test]
-fn executors_agree_on_derived_facts() {
-    let products = catalog(200);
-    let mut per_kind: Vec<Vec<Decision>> = Vec::new();
-    for kind in [ExecutorKind::Naive, ExecutorKind::Trigram, ExecutorKind::LiteralScan] {
-        let chimera = Chimera::new(
-            Taxonomy::builtin(),
-            ChimeraConfig { executor: kind, ..Default::default() },
-        );
-        chimera
-            .add_rules(
-                "infer: has(isbn) => fact media = book\n\
-                 infer: media == \"book\" => fact shelved = yes\n\
-                 rule: shelved == \"yes\" => books\n\
-                 attr(media) -> books\n",
-            )
-            .unwrap();
-        per_kind.push(decisions(&chimera, &products));
-    }
-    assert_eq!(per_kind[0], per_kind[1], "trigram disagrees with naive on derived facts");
-    assert_eq!(per_kind[0], per_kind[2], "literal-scan disagrees with naive on derived facts");
 }
 
 /// Serving snapshots run the identical inference stage: frozen decisions

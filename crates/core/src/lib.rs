@@ -2,10 +2,11 @@
 //!
 //! The rule-management core: the rule model and analyst DSL, a versioned
 //! rule repository with per-type scale-down controls, rule-based
-//! classification with whitelist-before-blacklist phase semantics, three
-//! execution engines (naive, trigram-indexed, Aho-Corasick literal-scan)
-//! behind an [`ExecutorKind`] switch, an allocation-free prepared-product
-//! match path with a persistent worker pool for parallel batches, a
+//! classification with whitelist-before-blacklist phase semantics, one
+//! execution engine (the Aho-Corasick [`LiteralScanExecutor`]) checked
+//! against one oracle ([`NaiveExecutor`]), an allocation-free
+//! prepared-product match path with a persistent worker pool for parallel
+//! batches, a
 //! data-side index for rule development, and mechanical audits of
 //! rule-system properties (order independence).
 //!
@@ -32,7 +33,7 @@ pub use data_index::TitleIndex;
 pub use dsl::{compile_pattern, ParseError, RuleParser, RuleSpec};
 pub use engine::{
     execute_batch_parallel, execution_stats, ExecMetrics, ExecutionStats, ExecutorKind,
-    IndexedExecutor, LiteralScanExecutor, NaiveExecutor, RuleExecutor, WorkerPanic,
+    LiteralScanExecutor, NaiveExecutor, RuleExecutor, WorkerPanic,
 };
 pub use expr::{
     compile_condition, CompiledExpr, ExecContext, ExprCache, ExprCacheStats, ExprError, Program,

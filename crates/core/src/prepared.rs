@@ -1,19 +1,17 @@
 //! Per-product preparation for the matching hot path.
 //!
-//! Before this module existed, every layer of the match path lowercased text
-//! on its own: `Dictionary::matches_title` lowercased the title once *per
-//! dictionary rule*, `Condition::AttrValueIn` lowercased the attribute value
-//! once *per value rule*, and `IndexedExecutor` lowercased every attribute
-//! name once *per call*. At tens of thousands of rules those per-rule
-//! allocations dominate the per-item cost the §4 index was built to remove.
+//! Case folding is hoisted to once per product: left to each layer, a
+//! dictionary rule lowercases the title once *per rule* and a value rule the
+//! attribute value once *per rule*, and at tens of thousands of rules those
+//! allocations dominate the per-item cost the §4 index exists to remove.
 //!
-//! [`PreparedProduct`] hoists all of that to once per product: the title and
-//! each attribute name/value are case-folded a single time, then threaded by
-//! reference through `RuleExecutor::matching_rules`, `Condition::matches`
-//! and `RuleClassifier::classify`. Folding is per-character (context-free),
-//! so a prepared literal is found in a prepared title exactly when the
-//! original literal occurs in the original title under the same folding —
-//! the invariant both the trigram and literal-scan indexes rely on.
+//! [`PreparedProduct`] folds the title and each attribute name/value a
+//! single time, then is threaded by reference through
+//! `RuleExecutor::matching_rules`, `Condition::matches` and
+//! `RuleClassifier::classify`. Folding is per-character (context-free), so a
+//! prepared literal is found in a prepared title exactly when the original
+//! literal occurs in the original title under the same folding — the
+//! invariant the literal-scan index relies on.
 //! Already-lowercase ASCII (the common case for vendor feeds) borrows
 //! instead of allocating.
 

@@ -1,15 +1,15 @@
-//! Differential test across all three rule executors.
+//! Differential test: the engine against its oracle.
 //!
 //! One fixed-seed generated catalog plus a few hundred synthesized rules;
-//! Naive, Trigram, and LiteralScan must return identical fired-rule sets on
-//! every product. The corpus deliberately includes what the indexes treat
-//! specially: rules whose only literals are shorter than a trigram, rules
-//! with non-ASCII literals, products with non-ASCII titles, attribute and
-//! dictionary rules, and conjunctive rules with numeric guards.
+//! `LiteralScanExecutor` must return the fired-rule set `NaiveExecutor`
+//! returns on every product. The corpus deliberately includes what an index
+//! is tempted to treat specially: rules whose only literals are one or two
+//! bytes, rules with non-ASCII literals, products with non-ASCII titles,
+//! attribute and dictionary rules, and conjunctive rules with numeric guards.
 
 use rulekit_core::{
-    execution_stats, Dictionary, ExecMetrics, ExecutorKind, IndexedExecutor, LiteralScanExecutor,
-    NaiveExecutor, RuleExecutor, RuleId, RuleMeta, RuleParser, RuleRepository,
+    execution_stats, Dictionary, ExecMetrics, ExecutorKind, LiteralScanExecutor, NaiveExecutor,
+    RuleExecutor, RuleId, RuleMeta, RuleParser, RuleRepository,
 };
 use rulekit_data::{CatalogGenerator, Product, Taxonomy, VendorId};
 use std::sync::Arc;
@@ -37,8 +37,7 @@ fn build_rules(taxonomy: &Arc<Taxonomy>) -> Vec<rulekit_core::Rule> {
             ));
         }
     }
-    // Short-literal rules (< 3 bytes): un-indexable for the trigram index,
-    // indexed normally by the literal scan.
+    // Short-literal rules (< 3 bytes), indexed like any other literal.
     lines.push("tvs? -> televisions".into());
     lines.push("pcs? -> desktop computers".into());
     lines.push("4k tvs? -> televisions".into());
@@ -88,16 +87,15 @@ fn adversarial_products() -> Vec<Product> {
         mk("apple thing", &[("Brand Name", "APPLE")]),
         mk("padded laptop sleeve", &[]),
         mk("", &[]),
-        mk("ss", &[]), // shorter than any trigram window
+        mk("ss", &[]), // shorter than every rule literal but "tv"/"pc"
     ]
 }
 
 #[test]
-fn all_executors_agree_on_generated_catalog() {
+fn engine_agrees_with_oracle_on_generated_catalog() {
     let taxonomy = Taxonomy::builtin();
     let rules = build_rules(&taxonomy);
     let naive = NaiveExecutor::new(rules.clone());
-    let indexed = IndexedExecutor::new(rules.clone());
     let scan = LiteralScanExecutor::new(rules);
 
     let mut generator = CatalogGenerator::with_seed(taxonomy, 0xD1FF);
@@ -111,23 +109,19 @@ fn all_executors_agree_on_generated_catalog() {
             v.sort_unstable();
             v
         };
-        let a = fired(&naive);
-        assert_eq!(a, fired(&indexed), "trigram disagreement on {:?}", p.title);
-        assert_eq!(a, fired(&scan), "literal-scan disagreement on {:?}", p.title);
+        assert_eq!(fired(&naive), fired(&scan), "literal-scan disagreement on {:?}", p.title);
 
         let n = naive.candidates_considered(p);
-        let t = indexed.candidates_considered(p);
         let l = scan.candidates_considered(p);
-        assert!(t <= n, "trigram considered {t} > naive {n} on {:?}", p.title);
-        assert!(l <= t, "literal-scan considered {l} > trigram {t} on {:?}", p.title);
+        assert!(l <= n, "literal-scan considered {l} > naive {n} on {:?}", p.title);
     }
 }
 
 #[test]
 fn candidate_metrics_agree_with_execution_stats() {
     // The observability counters and `execution_stats` are two views of the
-    // same `matching_rules_with_stats` call; across all three executors they
-    // must report identical product, candidate, and fired totals.
+    // same `matching_rules_with_stats` call; for the engine and the oracle
+    // alike they must report identical product, candidate, and fired totals.
     let taxonomy = Taxonomy::builtin();
     let rules = build_rules(&taxonomy);
     let mut generator = CatalogGenerator::with_seed(taxonomy, 0xD1FF);
@@ -138,7 +132,7 @@ fn candidate_metrics_agree_with_execution_stats() {
 
     let registry = rulekit_obs::Registry::new();
     let mut candidate_sums = Vec::new();
-    for kind in [ExecutorKind::Naive, ExecutorKind::Trigram, ExecutorKind::LiteralScan] {
+    for kind in [ExecutorKind::Naive, ExecutorKind::LiteralScan] {
         let metrics = ExecMetrics::register(&registry, kind);
         let executor = kind.build_with(rules.clone(), Some(metrics.clone()));
         let stats = execution_stats(executor.as_ref(), &products);
@@ -157,18 +151,17 @@ fn candidate_metrics_agree_with_execution_stats() {
                 metrics.automaton_hits.value() > 0,
                 "catalog titles must contain rule literals"
             ),
-            _ => assert_eq!(metrics.automaton_hits.value(), 0, "{kind}: no automaton"),
+            ExecutorKind::Naive => assert_eq!(metrics.automaton_hits.value(), 0, "no automaton"),
         }
         candidate_sums.push(metrics.candidates.snapshot().sum);
     }
     // Index selectivity ordering holds in aggregate, mirroring the
-    // per-product assertion in `all_executors_agree_on_generated_catalog`.
-    assert!(candidate_sums[2] <= candidate_sums[1], "literal-scan considered more than trigram");
-    assert!(candidate_sums[1] <= candidate_sums[0], "trigram considered more than naive");
+    // per-product assertion in `engine_agrees_with_oracle_on_generated_catalog`.
+    assert!(candidate_sums[1] <= candidate_sums[0], "literal-scan considered more than naive");
 
-    // The shared registry renders all three executor families side by side.
+    // The shared registry renders both executor families side by side.
     let text = registry.render_text();
-    for kind in ["naive", "trigram", "literal-scan"] {
+    for kind in ["naive", "literal-scan"] {
         assert!(
             text.contains(&format!("rulekit_exec_candidates_count{{executor=\"{kind}\"}}")),
             "missing exposition for {kind}:\n{text}"

@@ -137,11 +137,11 @@ pub fn run_matcher(
     let threads = threads.max(1);
     let chunk = pairs.len().div_ceil(threads).max(1);
     let mut predicted_pairs: Vec<(u32, u32)> = Vec::new();
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = pairs
             .chunks(chunk)
             .map(|slice| {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     slice
                         .iter()
                         .filter(|&&(i, j)| {
@@ -156,8 +156,7 @@ pub fn run_matcher(
         for h in handles {
             predicted_pairs.extend(h.join().expect("matcher worker panicked"));
         }
-    })
-    .expect("scope panicked");
+    });
 
     let true_positives = predicted_pairs.iter().filter(|p| corpus.truth.contains(p)).count();
     MatchReport {

@@ -4,8 +4,10 @@
 //!
 //! The invariants the handlers rely on live here:
 //!
-//! * **No side door for traffic**: classification goes through
-//!   [`RuleService::submit_with_deadline`] — admission queue, deadlines,
+//! * **No side door for traffic**: a single `POST /classify` goes through
+//!   the blocking [`RuleService::classify`] (run on the handler's thread
+//!   when a shard is idle, queued otherwise) and the `{"items": […]}` form
+//!   through [`RuleService::submit_with_deadline`] — admission, deadlines,
 //!   and rules-only degradation all apply to network traffic exactly as to
 //!   in-process callers.
 //! * **No side door for edits**: when the app is durable, rule CRUD goes

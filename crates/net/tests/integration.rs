@@ -477,6 +477,33 @@ fn metrics_route_exposes_per_route_histograms() {
     assert!(text.ends_with('\n'), "exposition must end with a newline");
 }
 
+/// One scrape covers every tier: a durable server's `/metrics` carries the
+/// store's WAL series, and served classifies feed the pipeline's stage
+/// histograms.
+#[test]
+fn durable_server_metrics_include_store_and_pipeline_stages() {
+    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let app =
+        RuleApp::durable(ruled_chimera(), storage, DurableConfig::default(), serve_cfg()).unwrap();
+    let server = NetServer::start(app, NetConfig::default()).unwrap();
+    let mut c = client(&server);
+    let created = c.post_json("/rulesets", "{\"rules\": \"sofas? -> sofas\\n\"}").unwrap();
+    assert_eq!(created.status, 201, "{}", created.text());
+    assert_eq!(c.post_json("/classify", &classify_body("ring")).unwrap().status, 200);
+
+    let text = c.get("/metrics").unwrap().text();
+    let count = |series: &str| -> u64 {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with(series))
+            .unwrap_or_else(|| panic!("{series} missing from scrape:\n{text}"));
+        line.rsplit(' ').next().unwrap().parse().unwrap()
+    };
+    assert!(count("rulekit_store_wal_fsync_nanos_count ") >= 1);
+    assert!(count("rulekit_chimera_stage_nanos_count{stage=\"gate\"} ") >= 1);
+    assert!(count("rulekit_chimera_decisions_total ") >= 1);
+}
+
 /// `/health` reports status, snapshot version, and per-shard queue depths.
 #[test]
 fn health_reports_shard_depths_and_status() {

@@ -27,10 +27,10 @@
 //!   falls back from full Chimera voting to the cheaper rules-only path
 //!   (and records that it did); hysteresis restores full fidelity once the
 //!   backlog drains.
-//! - **Pluggable execution engine**: snapshots compile through the
-//!   pipeline's `ExecutorKind` (naive / trigram / Aho-Corasick
-//!   literal-scan), set on `ChimeraConfig::executor`; the engine is a
-//!   throughput knob only — responses are identical across kinds.
+//! - **One classify path**: a snapshot decides through the same Figure-2
+//!   function as the live pipeline and records into the pipeline's stage
+//!   histograms and decision counters, so `/metrics` shows where served
+//!   requests spend their pipeline time.
 //! - **Built-in metrics** ([`ServiceMetrics`]): lock-free counters and a
 //!   log-bucketed latency histogram — p50/p99, throughput inputs, queue
 //!   depth, swap counts, candidates considered.

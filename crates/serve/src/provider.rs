@@ -90,11 +90,15 @@ impl DurableProvider {
         config: rulekit_store::DurableConfig,
     ) -> Result<DurableProvider, rulekit_store::StoreError> {
         let parser = chimera.parser().clone();
-        let store = Arc::new(rulekit_store::DurableRepository::open_into(
+        // Observed on the pipeline's registry, so the one `/metrics` scrape
+        // carries the `rulekit_store_*` family too.
+        let metrics = rulekit_store::StoreMetrics::register(chimera.metrics().registry());
+        let store = Arc::new(rulekit_store::DurableRepository::open_into_observed(
             chimera.rules.clone(),
             storage,
             parser,
             config,
+            Some(metrics),
         )?);
         Ok(DurableProvider { inner: ChimeraProvider::new(chimera), store })
     }

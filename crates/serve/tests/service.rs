@@ -81,39 +81,6 @@ fn ruled_chimera() -> Arc<Chimera> {
 }
 
 #[test]
-fn serves_identically_under_every_executor_kind() {
-    // The ExecutorKind knob on ChimeraConfig flows through snapshot
-    // compilation into the serving tier; responses must not depend on it.
-    use rulekit_core::ExecutorKind;
-    let titles =
-        ["diamond wedding ring", "garden hose", "padded laptop sleeve", "braided area rug"];
-    let mut per_kind: Vec<Vec<Option<TypeId>>> = Vec::new();
-    for executor in [ExecutorKind::Naive, ExecutorKind::Trigram, ExecutorKind::LiteralScan] {
-        let tax = Taxonomy::builtin();
-        let chimera = Chimera::new(tax, ChimeraConfig { executor, ..Default::default() });
-        chimera.add_rules("rings? -> rings\n(area|oriental|braided) rugs? -> area rugs\n").unwrap();
-        let provider = Arc::new(ChimeraProvider::new(Arc::new(chimera)));
-        let mut service =
-            RuleService::start(provider, ServeConfig { shards: 2, ..Default::default() });
-        let answers: Vec<Option<TypeId>> = titles
-            .iter()
-            .map(|t| {
-                service
-                    .submit(product(t))
-                    .expect_enqueued()
-                    .wait()
-                    .map(|o| o.decision.type_id())
-                    .unwrap_or(None)
-            })
-            .collect();
-        service.shutdown();
-        per_kind.push(answers);
-    }
-    assert_eq!(per_kind[0], per_kind[1], "naive vs trigram");
-    assert_eq!(per_kind[0], per_kind[2], "naive vs literal-scan");
-}
-
-#[test]
 fn serves_real_pipeline_end_to_end() {
     let chimera = ruled_chimera();
     let rings = chimera.taxonomy().id_of("rings").unwrap();

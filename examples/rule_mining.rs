@@ -6,7 +6,7 @@
 //! cargo run --release --example rule_mining
 //! ```
 
-use rulekit::core::{IndexedExecutor, Provenance, RuleClassifier, RuleMeta, RuleRepository};
+use rulekit::core::{LiteralScanExecutor, Provenance, RuleClassifier, RuleMeta, RuleRepository};
 use rulekit::data::{CatalogGenerator, LabeledCorpus, Taxonomy};
 use rulekit::gen::{generate_rules, MiningConfig, RuleGenConfig, Tier};
 use std::sync::Arc;
@@ -58,7 +58,7 @@ fn main() {
         repo.add(rule.to_spec(&taxonomy), meta);
     }
     let rules = repo.enabled_snapshot();
-    let classifier = RuleClassifier::new(Arc::new(IndexedExecutor::new(rules.clone())), rules);
+    let classifier = RuleClassifier::new(Arc::new(LiteralScanExecutor::new(rules.clone())), rules);
 
     let eval = generator.generate(2_000);
     let mut classified = 0;

@@ -19,7 +19,7 @@
 //! | [`crowd`] | Simulated crowdsourcing with worker noise and budgets |
 //! | [`learn`] | NB / k-NN / centroid / perceptron classifiers + voting ensemble |
 //! | [`obs`] | Metrics registry, wait-free counters & latency histograms, span timers, text exposition |
-//! | [`core`] | Rule model & DSL, repository, indexed executors, property audits |
+//! | [`core`] | Rule model & DSL, repository, the literal-scan execution engine and its naive oracle, property audits |
 //! | [`gen`] | §5.1 synonym finder and §5.2 rule generation (Algorithms 1–2) |
 //! | [`eval`] | §4 rule-quality evaluation methods with crowd-cost accounting |
 //! | [`maint`] | Subsumption, overlap, imprecision, drift monitoring |

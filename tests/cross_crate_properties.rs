@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use rulekit::core::{
-    audit_order_independence, IndexedExecutor, LiteralScanExecutor, NaiveExecutor, RuleExecutor,
-    RuleMeta, RuleParser, RuleRepository,
+    audit_order_independence, LiteralScanExecutor, NaiveExecutor, RuleExecutor, RuleMeta,
+    RuleParser, RuleRepository,
 };
 use rulekit::data::{CatalogGenerator, Taxonomy};
 use rulekit::em::{MatchAction, MatchRule, Predicate, RuleMatcher, Semantics};
@@ -34,12 +34,10 @@ fn rule_pool() -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The trigram-indexed and literal-scan executors agree with the naive
-    /// executor on any rule subset and any generated products, and the
-    /// literal-scan executor's candidate sets never exceed the trigram
-    /// index's.
+    /// The literal-scan engine agrees with the naive executor on any rule
+    /// subset and any generated products.
     #[test]
-    fn indexed_executors_equal_naive(
+    fn literal_scan_equals_naive(
         seed in 0u64..1000,
         mask in prop::collection::vec(any::<bool>(), 82),
     ) {
@@ -53,24 +51,15 @@ proptest! {
         }
         let rules = repo.enabled_snapshot();
         let naive = NaiveExecutor::new(rules.clone());
-        let indexed = IndexedExecutor::new(rules.clone());
         let scan = LiteralScanExecutor::new(rules);
 
         let mut generator = CatalogGenerator::with_seed(taxonomy, seed);
         for item in generator.generate(60) {
             let mut a = naive.matching_rules(&item.product);
-            let mut b = indexed.matching_rules(&item.product);
-            let mut c = scan.matching_rules(&item.product);
+            let mut b = scan.matching_rules(&item.product);
             a.sort_unstable();
             b.sort_unstable();
-            c.sort_unstable();
-            prop_assert_eq!(&a, &b, "trigram disagreement on {:?}", item.product.title);
-            prop_assert_eq!(&a, &c, "literal-scan disagreement on {:?}", item.product.title);
-            prop_assert!(
-                scan.candidates_considered(&item.product)
-                    <= indexed.candidates_considered(&item.product),
-                "literal-scan considered more than trigram on {:?}", item.product.title
-            );
+            prop_assert_eq!(&a, &b, "literal-scan disagreement on {:?}", item.product.title);
         }
     }
 

@@ -2,7 +2,7 @@
 //! evaluate (§4), maintain (§4) — against one shared corpus.
 
 use rulekit::core::{
-    IndexedExecutor, Provenance, RuleMeta, RuleParser, RuleRepository, TitleIndex,
+    LiteralScanExecutor, Provenance, RuleMeta, RuleParser, RuleRepository, TitleIndex,
 };
 use rulekit::crowd::{CrowdConfig, CrowdSim};
 use rulekit::data::{CatalogGenerator, LabeledCorpus, Taxonomy};
@@ -42,7 +42,7 @@ fn mined_rules_survive_evaluation_and_maintenance() {
     let rules = repo.enabled_snapshot();
 
     // Evaluate (§4 Method 2 with overlap exploitation).
-    let executor = IndexedExecutor::new(rules.clone());
+    let executor = LiteralScanExecutor::new(rules.clone());
     let coverages = compute_coverages(&rules, &executor, eval_corpus.items());
     let mut crowd = CrowdSim::new(CrowdConfig { seed: 302, ..Default::default() });
     let eval = per_rule_eval(&coverages, eval_corpus.items(), 8, true, &mut crowd, 303);
