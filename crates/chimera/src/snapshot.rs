@@ -222,6 +222,37 @@ mod tests {
     }
 
     #[test]
+    fn learn_stage_histogram_counts_only_requests_that_ran_the_ensemble() {
+        let stage_count = |chimera: &Chimera, stage: &str| {
+            chimera
+                .metrics_snapshot()
+                .histogram(&format!("rulekit_chimera_stage_nanos{{stage=\"{stage}\"}}"))
+                .expect("stage registered")
+                .count()
+        };
+        // No gate rule short-circuits this product, so every call reaches the rules.
+        let product = ring_product();
+
+        let (trained, _) = trained();
+        let snap = trained.snapshot();
+        for _ in 0..7 {
+            snap.classify_rules_only(&product);
+        }
+        assert_eq!(stage_count(&trained, "rules"), 7);
+        assert_eq!(stage_count(&trained, "learn"), 0, "degraded answers ran no ensemble");
+        snap.classify(&product);
+        assert_eq!(stage_count(&trained, "learn"), 1);
+
+        let untrained = Chimera::new(Taxonomy::builtin(), ChimeraConfig::default());
+        untrained.add_rules("rings? -> rings\n").unwrap();
+        for _ in 0..7 {
+            untrained.classify(&product);
+        }
+        assert_eq!(stage_count(&untrained, "rules"), 7);
+        assert_eq!(stage_count(&untrained, "learn"), 0, "an untrained pipeline has no ensemble");
+    }
+
+    #[test]
     fn snapshot_is_send_sync_and_cheap_to_clone() {
         fn assert_send_sync<T: Send + Sync + Clone>() {}
         assert_send_sync::<PipelineSnapshot>();

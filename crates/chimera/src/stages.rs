@@ -104,13 +104,18 @@ impl Stages<'_> {
         let span = SpanTimer::start(&obs.stage_rules);
         let verdict = rules.classify_prepared(&prepared);
         span.finish();
-        // Learning ensemble.
-        let span = SpanTimer::start(&obs.stage_learn);
+        // Learning ensemble. A request that runs none (untrained pipeline,
+        // rules-only degraded path) records no learn-stage sample, so the
+        // histogram describes the requests that paid for the stage.
         let learned = match self.ensemble {
-            Some(e) => e.predict(&self.featurizer.features(product)),
+            Some(e) => {
+                let span = SpanTimer::start(&obs.stage_learn);
+                let learned = e.predict(&self.featurizer.features(product));
+                span.finish();
+                learned
+            }
             None => Prediction::empty(),
         };
-        span.finish();
         let span = SpanTimer::start(&obs.stage_vote);
         let decision = vote(&verdict, &learned, self.suppressed, self.voting);
         span.finish();

@@ -5,10 +5,11 @@ use crate::classifier::{Classifier, Prediction, TrainingSet};
 use crate::table::{class_index, slot, top_k, with_scratch, zeroed, TermRows};
 use rulekit_data::TypeId;
 use rulekit_text::{FrozenTfIdf, WeightedQuery};
+use std::sync::Arc;
 
 /// A trained nearest-centroid model.
 pub struct Centroid {
-    tfidf: FrozenTfIdf,
+    tfidf: Arc<FrozenTfIdf>,
     /// Classes seen in training, ascending; `centroids` indexes them by
     /// position.
     classes: Vec<TypeId>,
@@ -21,7 +22,11 @@ pub struct Centroid {
 impl Centroid {
     /// Trains centroids from `data`.
     pub fn train(data: &TrainingSet) -> Centroid {
-        let tfidf = data.fit_tfidf();
+        Centroid::train_with(data, Arc::new(data.fit_tfidf()))
+    }
+
+    /// [`Centroid::train`] over a TF/IDF model already fitted to `data`.
+    pub(crate) fn train_with(data: &TrainingSet, tfidf: Arc<FrozenTfIdf>) -> Centroid {
         let classes = data.labels();
         let mut class_docs = vec![0usize; classes.len()];
         // Per (term, class), the sum of the unit-length document vectors.

@@ -1,47 +1,107 @@
 //! k-nearest-neighbour classifier over TF/IDF vectors (§3.1's "k-NN").
 //!
-//! Scoring walks an inverted index over the training vectors, so a
-//! prediction costs the postings of the query's terms plus one pass over the
-//! documents they touch — not a scan of every training vector. On product
-//! feeds that is still about three postings per training document, because
-//! attribute-presence terms such as `attr::brand_name` sit in nearly every
-//! document with a tiny but non-zero IDF: the cost grows with the training
-//! set, only with a small constant (see DESIGN.md, "Learn stage").
+//! A prediction reads only the postings that can change the answer. The
+//! query's terms are accumulated heaviest first — rare words, short lists —
+//! and before a list longer than everything touched so far is opened, the
+//! k-th best partial cosine is held against the most a still-untouched
+//! document could reach, `‖q_rest‖ / ‖q‖` (Cauchy–Schwarz). Once that bound
+//! loses, the lists left are never opened: on product feeds those are the
+//! attribute-presence terms such as `attr::brand_name` that sit in nearly
+//! every training document with a near-zero IDF. The touched documents that
+//! could still reach the k-th best are then scored again, exactly, from a
+//! forward index in ascending term order, so every cosine carries the bits an
+//! exhaustive walk of all the query's postings would give it (see DESIGN.md,
+//! "Learn stage"; `tests/reference/` keeps that walk as the oracle).
+//!
+//! Weights are stored once per *group* — a distinct `(term, weight)` pair; a
+//! term has one group per term frequency that occurs in training, nearly
+//! always just tf = 1 — so a posting is a bare document index and a forward
+//! entry a bare group index, 4 bytes each.
 
 use crate::classifier::{add_vote, Classifier, Prediction, TrainingSet};
-use crate::table::{with_scratch, TermRows, TopK};
+use crate::table::{with_scratch, Csr, DocSums, Scratch, TopK};
 use rulekit_data::TypeId;
 use rulekit_text::{FrozenTfIdf, WeightedQuery};
+use std::ops::Range;
+use std::sync::Arc;
+
+/// How far below a bound a cosine may sit and still count as reaching it:
+/// far more than the rounding that separates a partial sum from the exact
+/// one (parts in 1e16), far less than any gap worth pruning on.
+const SLACK: f64 = 1e-9;
 
 /// A trained k-NN model.
 pub struct Knn {
     k: usize,
-    tfidf: FrozenTfIdf,
+    tfidf: Arc<FrozenTfIdf>,
     labels: Vec<TypeId>,
-    /// Norms of training vectors (vectors themselves live in the postings).
+    /// Norms of the training vectors.
     norms: Vec<f64>,
-    /// term id → `(doc index, weight)` postings, ascending by doc.
-    postings: TermRows,
+    /// group → its weight. Groups are numbered by ascending term.
+    weights: Vec<f64>,
+    /// Term `t`'s groups are `term_groups[t]..term_groups[t + 1]`.
+    term_groups: Vec<u32>,
+    /// group → the documents with that term at that weight, ascending.
+    postings: Csr<u32>,
+    /// document → its groups, ascending and so ascending by term.
+    forward: Csr<u32>,
+}
+
+/// What one prediction read, for the work guard in `tests/knn_work.rs`.
+#[doc(hidden)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct KnnWork {
+    /// Postings added into partial sums.
+    pub postings_walked: usize,
+    /// Documents those postings reached.
+    pub docs_touched: usize,
+    /// Documents scored exactly from the forward index.
+    pub docs_rescored: usize,
 }
 
 impl Knn {
     /// Trains a model with neighbourhood size `k`.
     pub fn train(data: &TrainingSet, k: usize) -> Knn {
+        Knn::train_with(data, k, Arc::new(data.fit_tfidf()))
+    }
+
+    /// [`Knn::train`] over a TF/IDF model already fitted to `data`.
+    pub(crate) fn train_with(data: &TrainingSet, k: usize, tfidf: Arc<FrozenTfIdf>) -> Knn {
         assert!(k >= 1, "k must be at least 1");
-        let tfidf = data.fit_tfidf();
+        // Each vector as `(term, which of the term's distinct weights)`.
         let mut labels = Vec::with_capacity(data.len());
         let mut norms = Vec::with_capacity(data.len());
-        let mut postings: Vec<Vec<(u32, f64)>> = vec![Vec::new(); tfidf.vocab_len()];
+        let mut vectors = Csr::with_capacity(data.len());
+        let mut term_weights: Vec<Vec<f64>> = vec![Vec::new(); tfidf.vocab_len()];
         let mut v = WeightedQuery::default();
-        for (i, (feats, label)) in data.docs.iter().enumerate() {
+        let mut row = Vec::new();
+        for (feats, label) in &data.docs {
             tfidf.weigh_into(feats, &mut v);
             labels.push(*label);
             norms.push(v.norm());
-            for &(term, w) in v.entries() {
-                postings[term as usize].push((i as u32, w));
-            }
+            row.clear();
+            row.extend(v.entries().iter().map(|&(term, w)| {
+                let seen = &mut term_weights[term as usize];
+                let at = seen.iter().position(|&s| s == w).unwrap_or_else(|| {
+                    seen.push(w);
+                    seen.len() - 1
+                });
+                (term, at as u32)
+            }));
+            vectors.push_row(&row);
         }
-        Knn { k, tfidf, labels, norms, postings: TermRows::from_rows(postings) }
+        // Groups numbered term by term; then the vectors by group index, and
+        // the same table by group.
+        let mut term_groups = Vec::with_capacity(term_weights.len() + 1);
+        let mut weights = Vec::new();
+        for of_term in &term_weights {
+            term_groups.push(weights.len() as u32);
+            weights.extend_from_slice(of_term);
+        }
+        term_groups.push(u32::try_from(weights.len()).expect("groups fit u32"));
+        let forward = vectors.map(|(term, at)| term_groups[term as usize] + at);
+        let postings = forward.transposed(weights.len());
+        Knn { k, tfidf, labels, norms, weights, term_groups, postings, forward }
     }
 
     /// Number of training documents.
@@ -58,42 +118,119 @@ impl Knn {
     pub fn vocab_len(&self) -> usize {
         self.tfidf.vocab_len()
     }
-}
 
-impl Classifier for Knn {
-    fn name(&self) -> &str {
-        "knn"
+    fn groups_of(&self, term: u32) -> Range<u32> {
+        self.term_groups[term as usize]..self.term_groups[term as usize + 1]
     }
 
-    fn predict(&self, features: &[String]) -> Prediction {
-        if self.is_empty() {
-            return Prediction::empty();
+    /// The k-th best partial cosine among the documents touched so far, or
+    /// −∞ when fewer than k are. Partial sums only grow (weights are
+    /// positive), so this never exceeds the k-th best final cosine.
+    fn kth_partial_cosine(&self, dots: &DocSums, qnorm: f64, best: &mut TopK<u32>) -> f64 {
+        best.reset(self.k.min(self.len()));
+        let mut floor = f64::NEG_INFINITY;
+        for (doc, dot) in dots.touched() {
+            // A division costs more than the rest of this pass; skipping a
+            // document can only lower the bound returned.
+            let denom = qnorm * self.norms[doc as usize];
+            if dot <= floor * denom {
+                continue;
+            }
+            best.offer(doc, dot / denom);
+            floor = best.floor();
         }
-        with_scratch(|s| {
-            self.tfidf.weigh_into(features, &mut s.query);
-            let qnorm = s.query.norm();
+        floor
+    }
+
+    /// `query · doc` with the products added in ascending term order — the
+    /// order a walk of every posting of the query's terms adds them in.
+    fn exact_dot(&self, query: &[(u32, f64)], doc: u32) -> f64 {
+        let mut groups = self.forward.row(doc).iter().copied().peekable();
+        let mut dot = 0.0;
+        for &(term, qw) in query {
+            let of_term = self.groups_of(term);
+            while groups.next_if(|&g| g < of_term.start).is_some() {}
+            if let Some(g) = groups.next_if(|&g| g < of_term.end) {
+                dot += qw * self.weights[g as usize];
+            }
+        }
+        dot
+    }
+
+    /// [`Classifier::predict`], also reporting what the prediction read.
+    #[doc(hidden)]
+    pub fn predict_counted(&self, features: &[String]) -> (Prediction, KnnWork) {
+        let mut work = KnnWork::default();
+        if self.is_empty() {
+            return (Prediction::empty(), work);
+        }
+        let prediction = with_scratch(|s| {
+            let Scratch { query, dots, heaviest, partial_best, .. } = s;
+            self.tfidf.weigh_into(features, query);
+            let qnorm = query.norm();
             if qnorm == 0.0 {
                 return Prediction::empty();
             }
-            // Dot products via postings. Terms ascend, so each document's
-            // sum adds its terms in the order a merge-join would.
-            s.dots.begin(self.len());
-            for &(term, qw) in s.query.entries() {
-                s.dots.add_row(self.postings.row(term), qw);
+            heaviest.clear();
+            heaviest.extend_from_slice(query.entries());
+            heaviest.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+
+            // Partial dot products, heaviest term first. `floor` is a lower
+            // bound on the k-th best final cosine; `opened` counts the lists
+            // that went into the sums.
+            dots.begin(self.len());
+            let mut floor = f64::NEG_INFINITY;
+            let mut opened = heaviest.len();
+            let mut opened_sq = 0.0;
+            for (i, &(term, qw)) in heaviest.iter().enumerate() {
+                let groups = self.groups_of(term);
+                let list_len = self.postings.rows(groups.start, groups.end).len();
+                // Checking costs a pass over the touched documents, so it is
+                // worth it only against a list longer than that.
+                if list_len > dots.len() {
+                    // A document no opened list reached shares only the rest
+                    // of the query: its cosine is at most ‖q_rest‖ / ‖q‖. A
+                    // touched one has at most ‖q_opened‖ / ‖q‖ so far, so
+                    // until the opened terms outweigh the rest there is
+                    // nothing to look for.
+                    let rest_sq: f64 = heaviest[i..].iter().rev().map(|&(_, qw)| qw * qw).sum();
+                    if opened_sq > rest_sq {
+                        floor = self.kth_partial_cosine(dots, qnorm, partial_best);
+                        if floor > rest_sq.sqrt() / qnorm + SLACK {
+                            opened = i;
+                            break;
+                        }
+                    }
+                }
+                for g in groups {
+                    dots.add_docs(self.postings.row(g), qw * self.weights[g as usize]);
+                }
+                opened_sq += qw * qw;
+                work.postings_walked += list_len;
             }
-            // A division costs more than the rest of this pass, so skip it
-            // where the cosine is below the k-th best by more than the
-            // rounding of the operations involved (a few parts in 1e16)
-            // could hide.
+            work.docs_touched = dots.len();
+
+            // The unopened lists can still add this much to a touched
+            // document's dot product, and no more.
+            let headroom: f64 = heaviest[opened..]
+                .iter()
+                .map(|&(term, qw)| {
+                    let heaviest_group = self.groups_of(term).map(|g| self.weights[g as usize]);
+                    qw * heaviest_group.fold(0.0, f64::max)
+                })
+                .sum();
+            // Rescore, exactly, every touched document that could still be
+            // among the k nearest.
             let mut nearest = TopK::new(self.k.min(self.len()));
-            let mut cutoff = f64::NEG_INFINITY;
-            for (doc, dot) in s.dots.touched() {
+            let mut cutoff = floor - SLACK;
+            for (doc, partial) in dots.touched() {
                 let denom = qnorm * self.norms[doc as usize];
-                if dot < cutoff * denom {
+                if partial + headroom < cutoff * denom {
                     continue;
                 }
-                nearest.offer(doc, dot / denom);
-                cutoff = nearest.floor() * (1.0 - 1e-12);
+                nearest.offer(doc, self.exact_dot(query.entries(), doc) / denom);
+                cutoff = cutoff.max(nearest.floor() - SLACK);
+                work.docs_rescored += 1;
             }
 
             // Similarity-weighted vote among the k nearest.
@@ -102,7 +239,18 @@ impl Classifier for Knn {
                 add_vote(&mut votes, self.labels[doc as usize], sim);
             }
             Prediction::from_scores(votes)
-        })
+        });
+        (prediction, work)
+    }
+}
+
+impl Classifier for Knn {
+    fn name(&self) -> &str {
+        "knn"
+    }
+
+    fn predict(&self, features: &[String]) -> Prediction {
+        self.predict_counted(features).0
     }
 }
 

@@ -28,12 +28,16 @@ pub use knn::Knn;
 pub use linear::{Perceptron, PerceptronConfig};
 pub use naive_bayes::NaiveBayes;
 
+use std::sync::Arc;
+
 /// Builds the paper's default ensemble (NB + k-NN + centroid + perceptron,
-/// equal weights) with the given abstention threshold.
+/// equal weights) with the given abstention threshold. The two TF/IDF
+/// members share one fitted vocabulary and IDF table.
 pub fn default_ensemble(data: &TrainingSet, confidence_threshold: f64) -> Ensemble {
+    let tfidf = Arc::new(data.fit_tfidf());
     Ensemble::new(confidence_threshold)
         .add(Box::new(NaiveBayes::train(data)), 1.0)
-        .add(Box::new(Knn::train(data, 5)), 1.0)
-        .add(Box::new(Centroid::train(data)), 1.0)
+        .add(Box::new(Knn::train_with(data, 5, tfidf.clone())), 1.0)
+        .add(Box::new(Centroid::train_with(data, tfidf)), 1.0)
         .add(Box::new(Perceptron::train(data)), 1.0)
 }

@@ -1,42 +1,88 @@
-//! Flat storage the four ensemble members share: term-major sparse tables,
+//! Flat storage the four ensemble members share: compressed rows (the
+//! term-major `(class, value)` tables, k-NN's postings and forward index),
 //! the bounded top-k pass, and the per-thread prediction scratch.
 
 use rulekit_data::TypeId;
 use rulekit_text::WeightedQuery;
 use std::cell::RefCell;
 
-/// A sparse table in compressed rows, one row per term id. A row lists
-/// `(column, value)` pairs; the column is a training document (k-NN
-/// postings) or a dense class index (Naive Bayes, perceptron, centroid).
+/// Compressed rows: row `r` of a table is one slice of a flat buffer.
 #[derive(Debug)]
-pub(crate) struct TermRows {
-    /// Row `t` is `entries[offsets[t]..offsets[t + 1]]`.
+pub(crate) struct Csr<T> {
+    /// Row `r` is `entries[offsets[r]..offsets[r + 1]]`.
     offsets: Vec<u32>,
-    entries: Vec<(u32, f64)>,
+    entries: Vec<T>,
 }
 
-impl TermRows {
-    /// Flattens per-term rows, keeping the order within each row.
-    pub(crate) fn from_rows(rows: Vec<Vec<(u32, f64)>>) -> TermRows {
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut entries = Vec::with_capacity(rows.iter().map(Vec::len).sum());
+/// A sparse table, one row per term id. A row lists `(column, value)` pairs;
+/// the column is a dense class index (Naive Bayes, perceptron, centroid).
+pub(crate) type TermRows = Csr<(u32, f64)>;
+
+impl<T: Copy> Csr<T> {
+    /// An empty table with room for `rows` rows.
+    pub(crate) fn with_capacity(rows: usize) -> Csr<T> {
+        let mut offsets = Vec::with_capacity(rows + 1);
         offsets.push(0);
-        for row in rows {
-            entries.extend(row);
-            offsets.push(u32::try_from(entries.len()).expect("table fits u32 offsets"));
-        }
-        TermRows { offsets, entries }
+        Csr { offsets, entries: Vec::new() }
     }
 
-    /// Number of rows (terms).
+    /// Appends `row` as the next row.
+    pub(crate) fn push_row(&mut self, row: &[T]) {
+        self.entries.extend_from_slice(row);
+        self.offsets.push(u32::try_from(self.entries.len()).expect("table fits u32 offsets"));
+    }
+
+    /// Flattens per-term rows, keeping the order within each row.
+    pub(crate) fn from_rows(rows: Vec<Vec<T>>) -> Csr<T> {
+        let mut table = Csr::with_capacity(rows.len());
+        table.entries.reserve_exact(rows.iter().map(Vec::len).sum());
+        for row in &rows {
+            table.push_row(row);
+        }
+        table
+    }
+
+    /// Number of rows.
     pub(crate) fn len(&self) -> usize {
         self.offsets.len() - 1
     }
 
-    /// Row of `term`, which must be below [`TermRows::len`].
-    pub(crate) fn row(&self, term: u32) -> &[(u32, f64)] {
-        let t = term as usize;
-        &self.entries[self.offsets[t] as usize..self.offsets[t + 1] as usize]
+    /// Row `at`, which must be below [`Csr::len`].
+    pub(crate) fn row(&self, at: u32) -> &[T] {
+        self.rows(at, at + 1)
+    }
+
+    /// The same rows with every entry passed through `f`.
+    pub(crate) fn map<U>(&self, f: impl Fn(T) -> U) -> Csr<U> {
+        Csr { offsets: self.offsets.clone(), entries: self.entries.iter().map(|&e| f(e)).collect() }
+    }
+
+    /// Rows `from..to` end to end; `to` must not exceed [`Csr::len`].
+    pub(crate) fn rows(&self, from: u32, to: u32) -> &[T] {
+        &self.entries[self.offsets[from as usize] as usize..self.offsets[to as usize] as usize]
+    }
+}
+
+impl Csr<u32> {
+    /// The table turned round: row `c` of the result lists, ascending, the
+    /// rows of `self` that hold `c`. Every entry must be below `cols`.
+    pub(crate) fn transposed(&self, cols: usize) -> Csr<u32> {
+        let mut offsets = vec![0u32; cols + 1];
+        for &c in &self.entries {
+            offsets[c as usize + 1] += 1;
+        }
+        for c in 0..cols {
+            offsets[c + 1] += offsets[c];
+        }
+        let mut next = offsets.clone();
+        let mut entries = vec![0u32; self.entries.len()];
+        for r in 0..self.len() as u32 {
+            for &c in self.row(r) {
+                entries[next[c as usize] as usize] = r;
+                next[c as usize] += 1;
+            }
+        }
+        Csr { offsets, entries }
     }
 }
 
@@ -59,9 +105,23 @@ pub(crate) struct TopK<K> {
     k: usize,
 }
 
+impl<K> Default for TopK<K> {
+    fn default() -> Self {
+        TopK { best: Vec::new(), k: 0 }
+    }
+}
+
 impl<K: Ord + Copy> TopK<K> {
     pub(crate) fn new(k: usize) -> Self {
         TopK { best: Vec::with_capacity(k), k }
+    }
+
+    /// Forgets every offer and holds the `k` best from here on, keeping the
+    /// buffer.
+    pub(crate) fn reset(&mut self, k: usize) {
+        self.best.clear();
+        self.best.reserve(k);
+        self.k = k;
     }
 
     /// The score an offer must reach to enter: the `k`-th best once `k` are
@@ -122,6 +182,10 @@ pub(crate) struct Scratch {
     pub(crate) term_row: Vec<f64>,
     /// k-NN: one dot product per training document.
     pub(crate) dots: DocSums,
+    /// k-NN: the query's `(term, weight)` entries, heaviest first.
+    pub(crate) heaviest: Vec<(u32, f64)>,
+    /// k-NN: the `k` best partial cosines of a pruning check.
+    pub(crate) partial_best: TopK<u32>,
 }
 
 /// `buf` as `n` zeros.
@@ -161,23 +225,28 @@ impl DocSums {
         self.count = 0;
     }
 
-    /// Adds `scale · value` to the sum of every document in `row`; a sum
-    /// starts from zero. Written without a branch on first touch: whether a
+    /// Adds `weight` to the sum of every document in `docs`; a sum starts
+    /// from zero. Written without a branch on first touch: whether a
     /// posting's document was already touched is a coin flip inside the long
     /// attribute lists.
-    pub(crate) fn add_row(&mut self, row: &[(u32, f64)], scale: f64) {
+    pub(crate) fn add_docs(&mut self, docs: &[u32], weight: f64) {
         let (stamps, sums, touched) =
             (&mut self.stamps[..], &mut self.sums[..], &mut self.touched[..]);
         let (epoch, mut count) = (self.epoch, self.count);
-        for &(doc, value) in row {
+        for &doc in docs {
             let i = doc as usize;
             let fresh = stamps[i] != epoch;
             stamps[i] = epoch;
-            sums[i] = if fresh { 0.0 } else { sums[i] } + scale * value;
+            sums[i] = if fresh { 0.0 } else { sums[i] } + weight;
             touched[count] = doc;
             count += fresh as usize;
         }
         self.count = count;
+    }
+
+    /// Number of documents touched since `begin`.
+    pub(crate) fn len(&self) -> usize {
+        self.count
     }
 
     /// `(doc, sum)` of every document touched since `begin`, in first-touch
@@ -208,6 +277,19 @@ mod tests {
         assert_eq!(rows.row(0), &[(3, 1.0), (1, 2.0)]);
         assert!(rows.row(1).is_empty());
         assert_eq!(rows.row(2), &[(0, 0.5)]);
+        assert_eq!(rows.rows(0, 3), &[(3, 1.0), (1, 2.0), (0, 0.5)]);
+    }
+
+    #[test]
+    fn transposed_lists_rows_by_column() {
+        let by_row = Csr::from_rows(vec![vec![0, 2], vec![], vec![2, 3], vec![0]]);
+        let by_col = by_row.transposed(5);
+        assert_eq!(by_col.len(), 5);
+        assert_eq!(by_col.row(0), &[0, 3]);
+        assert!(by_col.row(1).is_empty());
+        assert_eq!(by_col.row(2), &[0, 2]);
+        assert_eq!(by_col.row(3), &[2]);
+        assert!(by_col.row(4).is_empty());
     }
 
     #[test]
@@ -225,16 +307,17 @@ mod tests {
     fn doc_sums_forget_the_previous_query() {
         let mut sums = DocSums::default();
         sums.begin(3);
-        sums.add_row(&[(2, 1.0), (0, 0.5)], 1.0);
-        sums.add_row(&[(2, 0.5)], 0.5);
-        assert_eq!(sums.touched().collect::<Vec<_>>(), vec![(2, 1.25), (0, 0.5)]);
+        sums.add_docs(&[2, 0], 1.0);
+        sums.add_docs(&[2], 0.25);
+        assert_eq!(sums.touched().collect::<Vec<_>>(), vec![(2, 1.25), (0, 1.0)]);
+        assert_eq!(sums.len(), 2);
         sums.begin(5);
-        sums.add_row(&[(4, 2.0), (2, 3.0)], 1.0);
-        assert_eq!(sums.touched().collect::<Vec<_>>(), vec![(4, 2.0), (2, 3.0)]);
+        sums.add_docs(&[4, 2], 2.0);
+        assert_eq!(sums.touched().collect::<Vec<_>>(), vec![(4, 2.0), (2, 2.0)]);
         sums.epoch = u32::MAX;
         sums.begin(5);
         assert_eq!(sums.touched().count(), 0);
-        sums.add_row(&[(2, 7.0)], 1.0);
+        sums.add_docs(&[2], 7.0);
         assert_eq!(sums.touched().collect::<Vec<_>>(), vec![(2, 7.0)]);
     }
 }

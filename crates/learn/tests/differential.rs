@@ -13,6 +13,12 @@
 //! the process; production adds them in order of first occurrence in the
 //! query. There the TF/IDF members (and the ensemble over them) may differ
 //! by at most 1e-12 per weight, with the same ranking.
+//!
+//! k-NN reads only part of the query's postings and rescores a few documents
+//! from a forward index; `reference::Knn` still walks everything. The
+//! presence-term corpus and the tiny random corpora below aim at what such
+//! pruning can get wrong: exact ties at the k-th place, `k` beyond the
+//! documents touched, queries with nothing rare in them.
 
 mod common;
 mod reference;
@@ -21,8 +27,8 @@ use common::corpus;
 use proptest::prelude::*;
 use rulekit_data::TypeId;
 use rulekit_learn::{
-    Centroid, Classifier, Ensemble, Knn, NaiveBayes, Perceptron, PerceptronConfig, Prediction,
-    TrainingSet,
+    default_ensemble, Centroid, Classifier, Ensemble, Knn, NaiveBayes, Perceptron,
+    PerceptronConfig, Prediction, TrainingSet,
 };
 use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
@@ -143,6 +149,12 @@ fn run_corpus(items: usize) {
         let pair = Pair::train(&data, 5);
         let exact =
             feed.iter().chain(&degenerate_bags(&data)).filter(|bag| pair.check(bag)).count();
+        // `default_ensemble` fits TF/IDF once for k-NN and the centroids;
+        // `Pair` trained each member alone. Same models, to the bit.
+        let shared_fit = default_ensemble(&data, CONFIDENCE);
+        for bag in feed.iter().step_by(5) {
+            assert_eq!(shared_fit.member_predictions(bag), pair.production.member_predictions(bag));
+        }
         // The exception must stay an exception.
         assert!(exact >= 1_990, "seed {seed}: only {exact} of the queries were compared exactly");
     }
@@ -172,6 +184,66 @@ fn identical_on_degenerate_training_sets() {
         let pair = Pair::train(data, k);
         for bag in feed.iter().chain(&degenerate_bags(data)) {
             pair.check(bag);
+        }
+    }
+}
+
+/// A corpus shaped to make pruning decide: every document carries
+/// `attr::all` (IDF 0), nearly every one `attr::most` (IDF near 0), half
+/// `attr::half`; eight documents are the same bag under different labels,
+/// so their cosines tie exactly and document order picks the neighbours;
+/// one document is nothing but `attr::all` (a zero vector: no postings, no
+/// forward row) and one repeats a token.
+fn presence_corpus() -> TrainingSet {
+    let mut docs = Vec::new();
+    for i in 0..120u32 {
+        let mut feats = vec![format!("w{}", i % 30), format!("v{}", i % 7), "attr::all".into()];
+        if i % 40 != 3 {
+            feats.push("attr::most".into());
+        }
+        if i % 2 == 0 {
+            feats.push("attr::half".into());
+        }
+        docs.push((feats, TypeId(i % 4)));
+        if i % 15 == 7 {
+            docs.push((bag(&["rare", "attr::all", "attr::most"]), TypeId(docs.len() as u32 % 5)));
+        }
+    }
+    docs.push((bag(&["attr::all"]), TypeId(1)));
+    docs.push((bag(&["w1", "w1", "w1", "v2", "attr::all"]), TypeId(2)));
+    TrainingSet::from_pairs(docs)
+}
+
+#[test]
+fn identical_where_pruning_decides() {
+    let data = presence_corpus();
+    let queries = [
+        // The eight duplicates tie at the top; k cuts through the tie.
+        bag(&["rare", "attr::all", "attr::most"]),
+        bag(&["rare"]),
+        // One rare term, then lists that reach nearly every document.
+        bag(&["rare", "attr::most", "attr::half"]),
+        bag(&["w7", "attr::most", "attr::half", "attr::all"]),
+        bag(&["w7", "v3", "attr::most"]),
+        // Nothing rare: every-document terms only.
+        bag(&["attr::most", "attr::half"]),
+        bag(&["attr::most"]),
+        bag(&["attr::all"]),
+        bag(&["attr::all", "attr::all", "attr::most", "attr::most"]),
+        // Unseen terms only (equal counts, so the comparison stays exact).
+        bag(&["zzz-novel", "qqq-novel"]),
+        // Repeated tokens, in the query and (w1) in a training document.
+        bag(&["w1", "w1", "attr::most", "v2", "v2", "v2"]),
+        bag(&["rare", "rare", "rare", "attr::half", "zzz-novel"]),
+    ];
+    // k = 50 exceeds the documents `rare` touches; 10,000 the training set.
+    for k in [1, 2, 3, 5, 7, 8, 9, 50, 10_000] {
+        let pair = Pair::train(&data, k);
+        for query in &queries {
+            assert!(pair.check(query), "{query:?} was not compared exactly");
+        }
+        for query in &degenerate_bags(&data) {
+            pair.check(query);
         }
     }
 }
@@ -213,6 +285,26 @@ proptest! {
         let (pair, pool) = property_fixture();
         let bag: Vec<String> = picks.iter().map(|&i| pool[i].clone()).collect();
         pair.check(&bag);
+    }
+
+    /// Tiny corpora over a dozen terms: duplicates, empty documents and
+    /// zero-IDF terms are the rule, so cosines tie at every rank.
+    #[test]
+    fn knn_identical_on_random_tiny_corpora(
+        docs in prop::collection::vec((prop::collection::vec(0usize..12, 0..6), 0u32..4), 1..40),
+        queries in prop::collection::vec(prop::collection::vec(0usize..13, 0..8), 1..6),
+        k in 1usize..8,
+    ) {
+        // Term 12 is in no document: the one unseen term a query may carry.
+        let tokens = |ids: &[usize]| ids.iter().map(|t| format!("t{t}")).collect::<Vec<_>>();
+        let data = TrainingSet::from_pairs(
+            docs.iter().map(|(terms, label)| (tokens(terms), TypeId(*label))).collect(),
+        );
+        let (ours, theirs) = (Knn::train(&data, k), reference::Knn::train(&data, k));
+        for query in &queries {
+            let query = tokens(query);
+            assert_same("knn", &query, &ours.predict(&query), &theirs.predict(&query), true);
+        }
     }
 }
 
