@@ -13,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rulekit_core::{
-    AggregateStore, InferenceEngine, LiteralScanExecutor, ParseError, Rule, RuleAction,
-    RuleClassifier, RuleId, RuleMeta, RuleParser, RuleRepository, WorkerPool,
+    AggregateStore, InferenceEngine, LiteralScanExecutor, ParseError, RuleAction, RuleClassifier,
+    RuleEntry, RuleId, RuleMeta, RuleParser, RuleRepository, WorkerPool,
 };
 use rulekit_crowd::{CrowdSim, PrecisionEstimate};
 use rulekit_data::{Batch, GeneratedItem, Product, Taxonomy, TypeId};
@@ -295,53 +295,58 @@ impl Chimera {
         self.rules.enable_type(ty)
     }
 
-    /// Compiles `rules` into the engine, recording into the pipeline's
+    /// Builds the engine over shared entries, recording into the pipeline's
     /// executor metrics.
-    fn compile(&self, rules: Vec<Rule>) -> Arc<RuleClassifier> {
+    fn compile(&self, entries: Vec<Arc<RuleEntry>>) -> Arc<RuleClassifier> {
         let engine =
-            LiteralScanExecutor::new(rules.clone()).with_metrics(Some(self.obs.exec.clone()));
-        Arc::new(RuleClassifier::new(Arc::new(engine), rules))
+            LiteralScanExecutor::from_entries(entries).with_metrics(Some(self.obs.exec.clone()));
+        Arc::new(RuleClassifier::over(Arc::new(engine)))
     }
 
     /// The rule side compiled at the repositories' current revisions,
-    /// rebuilt only when either revision moved.
+    /// rebuilt only when either revision moved. A rebuild copies entry
+    /// pointers — each rule's compiled form is shared with every earlier
+    /// build — and builds the literal index.
     fn compiled(&self) -> CompiledRules {
-        let gate_rev = self.gate_rules.revision();
-        let rule_rev = self.rules.revision();
         let mut cache = self.cache.lock();
         if let Some(c) = cache.as_ref() {
-            if c.gate_rev == gate_rev && c.rule_rev == rule_rev {
+            if c.gate_rev == self.gate_rules.revision() && c.rule_rev == self.rules.revision() {
                 return c.clone();
             }
         }
+        // Each store's revision and entries come from one read lock, so the
+        // build is labelled with exactly the revision its rules are at.
+        let (gate_rev, gate_entries) = self.gate_rules.versioned_entries();
+        let (rule_rev, rule_entries) = self.rules.versioned_entries();
         // `infer:` rules are evaluated by the forward-chaining tier, never
         // by the classification phases: partition them out of both
         // snapshots before optimizing/compiling.
-        let is_infer = |r: &Rule| matches!(r.action, RuleAction::Infer(_));
-        let (mut infer_rules, gate_snapshot): (Vec<Rule>, Vec<Rule>) =
-            self.gate_rules.enabled_snapshot().into_iter().partition(is_infer);
-        let (main_infer, mut rule_snapshot): (Vec<Rule>, Vec<Rule>) =
-            self.rules.enabled_snapshot().into_iter().partition(is_infer);
-        infer_rules.extend(main_infer);
-        let infer = Arc::new(InferenceEngine::from_rules(&infer_rules));
+        let is_infer = |e: &Arc<RuleEntry>| matches!(e.rule().action, RuleAction::Infer(_));
+        let (mut infer_entries, gate_entries): (Vec<_>, Vec<_>) =
+            gate_entries.into_iter().partition(is_infer);
+        let (main_infer, mut rule_entries): (Vec<_>, Vec<_>) =
+            rule_entries.into_iter().partition(is_infer);
+        infer_entries.extend(main_infer);
+        let infer = Arc::new(InferenceEngine::from_rules(infer_entries.iter().map(|e| e.rule())));
         if self.cfg.optimize_rules {
             // Only the decision-exact passes run (no guard corpus here), so
             // the optimized snapshot classifies identically — it's purely a
-            // build-time compaction of what the executor must serve.
+            // build-time compaction of what the executor must serve. It
+            // rewrites rules by value, so the result is compiled cold.
             let (optimized, report) = rulekit_maint::optimize(
-                rule_snapshot,
+                rule_entries.iter().map(|e| e.rule().clone()).collect(),
                 &rulekit_maint::OptimizeOptions::default(),
                 None,
             );
             self.obs.opt.record(&report);
-            rule_snapshot = optimized;
+            rule_entries = optimized.into_iter().map(|r| Arc::new(RuleEntry::new(r))).collect();
         }
         let infer_active = self.cfg.infer_enabled && !infer.is_empty();
         let compiled = CompiledRules {
             gate_rev,
             rule_rev,
-            gate: self.compile(gate_snapshot),
-            rules: self.compile(rule_snapshot),
+            gate: self.compile(gate_entries),
+            rules: self.compile(rule_entries),
             infer,
             ie: infer_active.then(|| self.ie_pipeline()),
         };

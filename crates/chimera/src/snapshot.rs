@@ -7,7 +7,7 @@
 use crate::obs::PipelineMetrics;
 use crate::stages::{CompiledRules, Stages};
 use crate::voting::{Decision, VotingConfig};
-use rulekit_core::AggregateStore;
+use rulekit_core::{AggregateStore, RuleTable};
 use rulekit_data::{Product, TypeId};
 use rulekit_learn::{Ensemble, Featurizer};
 use std::collections::HashSet;
@@ -67,6 +67,13 @@ impl PipelineSnapshot {
     /// Number of enabled rules compiled in (main store).
     pub fn rule_count(&self) -> usize {
         self.compiled.rules.rule_count()
+    }
+
+    /// The main store's compiled rule table, for tests that check what a
+    /// rebuild shares with the build before it.
+    #[doc(hidden)]
+    pub fn rule_table(&self) -> &RuleTable {
+        self.compiled.rules.table()
     }
 
     /// Whether the learning ensemble is present (false → `classify` and

@@ -3,10 +3,14 @@
 //! within each phase results are aggregated commutatively, which is what
 //! makes the output independent of rule execution order — a property the
 //! `properties` module verifies mechanically.
+//!
+//! The classifier owns no rules: it reads each fired rule's action and
+//! confidence from the executor's [`RuleTable`](crate::engine::RuleTable) by
+//! table position, the same flat arrays the executor evaluates.
 
-use crate::engine::RuleExecutor;
+use crate::engine::{Effect, RuleExecutor, RuleTable};
 use crate::prepared::PreparedProduct;
-use crate::rule::{Rule, RuleAction, RuleId};
+use crate::rule::{Rule, RuleId};
 use rulekit_data::{Product, TypeId};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -72,14 +76,30 @@ impl RuleVerdict {
 /// plus the phase-aggregation semantics.
 pub struct RuleClassifier {
     executor: Arc<dyn RuleExecutor>,
-    rules: HashMap<RuleId, Rule>,
 }
 
 impl RuleClassifier {
     /// Builds a classifier over an executor and the rules it serves.
+    /// `rules` must be the rules the executor was built from, in the same
+    /// order: the classifier reads them from the executor's table, so this
+    /// is [`RuleClassifier::over`] for callers that compile both from one
+    /// snapshot.
     pub fn new(executor: Arc<dyn RuleExecutor>, rules: Vec<Rule>) -> Self {
-        let rules = rules.into_iter().map(|r| (r.id, r)).collect();
-        RuleClassifier { executor, rules }
+        debug_assert!(
+            rules.iter().map(|r| r.id).eq(executor.table().ids().iter().copied()),
+            "classifier rules differ from the executor's"
+        );
+        RuleClassifier::over(executor)
+    }
+
+    /// A classifier over the rules `executor` serves.
+    pub fn over(executor: Arc<dyn RuleExecutor>) -> Self {
+        RuleClassifier { executor }
+    }
+
+    /// The rule table the executor and this classifier share.
+    pub fn table(&self) -> &RuleTable {
+        self.executor.table()
     }
 
     /// Classifies one product. The product is prepared (case-folded) once
@@ -93,47 +113,49 @@ impl RuleClassifier {
     /// prepare once (optionally with an aggregate store attached) and run
     /// both the gate keeper and the main rule layer on the same view.
     pub fn classify_prepared(&self, prepared: &PreparedProduct<'_>) -> RuleVerdict {
-        let mut fired = self.executor.matching_rules_prepared(prepared);
-        fired.sort_unstable();
+        let table = self.executor.table();
+        let ids = table.ids();
+        let (mut fired, _) = self.executor.matching_positions(prepared);
+        // Rule-id order, so weight sums are bit-identical however the table
+        // is laid out.
+        fired.sort_unstable_by_key(|&i| ids[i as usize]);
 
         let mut verdict = RuleVerdict::default();
         let mut weights: HashMap<TypeId, f64> = HashMap::new();
 
         // Phase 1: whitelist (order within the phase is irrelevant — weights
         // are summed, a commutative aggregation).
-        for &id in &fired {
-            let Some(rule) = self.rules.get(&id) else { continue };
-            if let RuleAction::Assign(ty) = rule.action {
-                *weights.entry(ty).or_insert(0.0) += rule.meta.confidence;
-                verdict.fired_whitelist.push(id);
+        for &i in &fired {
+            if let Effect::Assign(ty, confidence) = table.effect(i) {
+                *weights.entry(ty).or_insert(0.0) += confidence;
+                verdict.fired_whitelist.push(ids[i as usize]);
             }
         }
 
         // Phase 2: blacklist (set union — also commutative).
-        for &id in &fired {
-            let Some(rule) = self.rules.get(&id) else { continue };
-            if let RuleAction::Forbid(ty) = rule.action {
+        for &i in &fired {
+            if let Effect::Forbid(ty) = table.effect(i) {
                 if !verdict.forbidden.contains(&ty) {
                     verdict.forbidden.push(ty);
                 }
-                verdict.fired_blacklist.push(id);
+                verdict.fired_blacklist.push(ids[i as usize]);
             }
         }
         verdict.forbidden.sort_unstable();
 
         // Phase 3: restrictions (set intersection — commutative).
-        for &id in &fired {
-            let Some(rule) = self.rules.get(&id) else { continue };
-            if let RuleAction::Restrict(allowed) = &rule.action {
+        for &i in &fired {
+            if let Effect::Restrict = table.effect(i) {
+                let allowed = table.restriction(i);
                 verdict.restricted = Some(match verdict.restricted.take() {
                     None => {
-                        let mut a = allowed.clone();
+                        let mut a = allowed.to_vec();
                         a.sort_unstable();
                         a
                     }
                     Some(current) => current.into_iter().filter(|t| allowed.contains(t)).collect(),
                 });
-                verdict.fired_restrictions.push(id);
+                verdict.fired_restrictions.push(ids[i as usize]);
             }
         }
 
@@ -146,7 +168,7 @@ impl RuleClassifier {
 
     /// Number of rules served.
     pub fn rule_count(&self) -> usize {
-        self.rules.len()
+        self.executor.rule_count()
     }
 }
 
@@ -166,9 +188,7 @@ mod tests {
         for line in lines {
             repo.add(parser.parse_rule(line).unwrap(), RuleMeta::default());
         }
-        let rules = repo.enabled_snapshot();
-        let executor = Arc::new(NaiveExecutor::new(rules.clone()));
-        (RuleClassifier::new(executor, rules), tax)
+        (RuleClassifier::over(Arc::new(NaiveExecutor::new(repo.enabled_snapshot()))), tax)
     }
 
     fn product(title: &str, attrs: &[(&str, &str)]) -> Product {

@@ -15,6 +15,15 @@
 //! * [`NaiveExecutor`] — runs every rule; the differential oracle the engine
 //!   is checked against, and E7's baseline.
 //!
+//! Both serve a [`RuleTable`]: flat arrays of ids, bytecode programs and
+//! verdict effects, built from the repository's shared
+//! [`RuleEntry`]s. A rule's [`CompiledRule`] (program plus admission key) is
+//! derived once per entry and reused by every table that holds the entry, so
+//! building a table copies pointers and building the engine is only the
+//! literal index: interning the literals, one automaton, flat posting
+//! arrays. The `Vec<Rule>` constructors are cold compiles that wrap each rule
+//! in a fresh entry first.
+//!
 //! [`ExecutorKind`] names the two for builders and metric labels. Both share
 //! the per-product view: a
 //! [`PreparedProduct`](crate::prepared::PreparedProduct) folds the title and
@@ -28,26 +37,270 @@
 use crate::expr::{ExecContext, Program};
 use crate::pool::WorkerPool;
 use crate::prepared::{fold_lower, PreparedProduct};
-use crate::rule::{Rule, RuleId};
+use crate::repository::RuleEntry;
+use crate::rule::{Condition, Rule, RuleAction, RuleId};
+use rulekit_data::TypeId;
 use rulekit_obs::{Counter, Histogram, Registry};
 use rulekit_regex::AhoCorasick;
 use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// How the literal index admits a rule as a candidate.
+#[derive(Debug, Clone)]
+pub enum Admission {
+    /// When every clause of this required-literal CNF (over the folded
+    /// title) has a literal in the title.
+    Literals(LiteralCnf),
+    /// When the product carries this attribute (name folded).
+    Attr(String),
+    /// On every product.
+    Always,
+}
+
+/// A rule's required-literal CNF laid out for the index build: every
+/// literal in one text buffer with its hash precomputed, so interning a
+/// rule's literals reads one buffer and hashes nothing.
+#[derive(Debug, Clone)]
+pub struct LiteralCnf {
+    text: Box<str>,
+    /// `(hash, end offset in text)` per literal; each starts where the
+    /// previous one ends.
+    literals: Box<[(u64, u32)]>,
+    /// End index into `literals` of each clause.
+    clause_ends: Box<[u32]>,
+}
+
+/// The process-wide keyed hasher literal hashes are computed with.
+fn literal_hasher() -> &'static RandomState {
+    static HASHER: OnceLock<RandomState> = OnceLock::new();
+    HASHER.get_or_init(RandomState::new)
+}
+
+impl LiteralCnf {
+    fn new(cnf: &[Vec<String>]) -> LiteralCnf {
+        // Sized exactly, so the boxed slices below need no reallocation.
+        let mut text = String::with_capacity(cnf.iter().flatten().map(String::len).sum());
+        let mut literals = Vec::with_capacity(cnf.iter().map(Vec::len).sum());
+        let mut clause_ends = Vec::with_capacity(cnf.len());
+        for clause in cnf {
+            for literal in clause {
+                text.push_str(literal);
+                literals.push((literal_hasher().hash_one(literal.as_str()), text.len() as u32));
+            }
+            clause_ends.push(literals.len() as u32);
+        }
+        LiteralCnf { text: text.into(), literals: literals.into(), clause_ends: clause_ends.into() }
+    }
+
+    /// Number of clauses (each must be hit for admission).
+    fn clause_count(&self) -> usize {
+        self.clause_ends.len()
+    }
+
+    /// Every literal of every clause.
+    pub fn literals(&self) -> impl Iterator<Item = &str> + '_ {
+        (0..self.literals.len()).map(|i| self.literal(i).1)
+    }
+
+    /// The clauses, each as its `(hash, literal)` pairs.
+    fn clauses(&self) -> impl Iterator<Item = impl Iterator<Item = (u64, &str)> + '_> + '_ {
+        let mut start = 0;
+        self.clause_ends.iter().map(move |&end| {
+            let literals = start..end as usize;
+            start = end as usize;
+            literals.map(|i| self.literal(i))
+        })
+    }
+
+    fn literal(&self, i: usize) -> (u64, &str) {
+        let start = if i == 0 { 0 } else { self.literals[i - 1].1 as usize };
+        let (hash, end) = self.literals[i];
+        (hash, &self.text[start..end as usize])
+    }
+}
+
+/// An interning key whose hash was computed ahead of time.
+#[derive(PartialEq, Eq)]
+struct Prehashed<'a>(u64, &'a str);
+
+impl Hash for Prehashed<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.0);
+    }
+}
+
+/// Passes a [`Prehashed`] key's hash through unchanged.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only prehashed keys are hashed");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+/// What every executor build needs from a rule, derived from its condition
+/// once: the bytecode program the hot path evaluates and the key the literal
+/// index admits it by.
+#[derive(Debug, Clone)]
+pub struct CompiledRule {
+    /// The condition compiled to stack bytecode.
+    pub program: Arc<Program>,
+    /// How the literal index admits the rule.
+    pub admission: Admission,
+}
+
+impl CompiledRule {
+    /// Compiles `condition`. Expression conditions return their
+    /// already-shared program (the compile cache makes this an `Arc` clone).
+    pub(crate) fn of(condition: &Condition) -> CompiledRule {
+        // The unified admission interface: regex, dictionary, conjunction and
+        // expression conditions all surface their requirement as one literal
+        // CNF; rules without one fall back to their attribute key.
+        let cnf = condition.required_literal_cnf();
+        let admission = if !cnf.is_empty() {
+            Admission::Literals(LiteralCnf::new(&cnf))
+        } else if let Some(attr) = condition.attr_key() {
+            Admission::Attr(fold_lower(attr).into_owned())
+        } else {
+            Admission::Always
+        };
+        CompiledRule { program: condition.compile(), admission }
+    }
+}
+
+/// What a fired rule contributes to a verdict, copied out of its action so
+/// the classifier never reads the rule itself.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Effect {
+    /// Whitelist: the type and the rule's confidence weight.
+    Assign(TypeId, f64),
+    /// Blacklist.
+    Forbid(TypeId),
+    /// Restriction; the allowed set is read from the entry
+    /// ([`RuleTable::restriction`]), so only restriction rules pay that hop.
+    Restrict,
+    /// Fact inference, which no classification phase reads.
+    Infer,
+}
+
+/// The rules one executor serves, laid out flat by table position: the ids
+/// and programs the executor evaluates and the effects the
+/// [`RuleClassifier`](crate::classifier::RuleClassifier) aggregates. Built
+/// from shared entries, so it copies pointers; the executor and the
+/// classifier over it read this one table.
+pub struct RuleTable {
+    ids: Vec<RuleId>,
+    programs: Vec<Arc<Program>>,
+    effects: Vec<Effect>,
+    entries: Vec<Arc<RuleEntry>>,
+}
+
+impl RuleTable {
+    /// A cold compile: a table over fresh entries for `rules`.
+    pub(crate) fn from_rules(rules: Vec<Rule>) -> RuleTable {
+        let entries = fresh_entries(rules);
+        let (ids, programs, effects) = RuleTable::columns(&entries, |_, _| {});
+        RuleTable { ids, programs, effects, entries }
+    }
+
+    /// The table's columns for `entries`, filled in one pass that compiles
+    /// any entry no earlier build has compiled and shows each compiled form,
+    /// with its position, to `visit`.
+    fn columns<'e>(
+        entries: &'e [Arc<RuleEntry>],
+        mut visit: impl FnMut(u32, &'e CompiledRule),
+    ) -> (Vec<RuleId>, Vec<Arc<Program>>, Vec<Effect>) {
+        let mut ids = Vec::with_capacity(entries.len());
+        let mut programs = Vec::with_capacity(entries.len());
+        let mut effects = Vec::with_capacity(entries.len());
+        for (i, entry) in entries.iter().enumerate() {
+            let rule = entry.rule();
+            let compiled = entry.compiled();
+            visit(i as u32, compiled);
+            ids.push(rule.id);
+            programs.push(compiled.program.clone());
+            effects.push(match &rule.action {
+                RuleAction::Assign(ty) => Effect::Assign(*ty, rule.meta.confidence),
+                RuleAction::Forbid(ty) => Effect::Forbid(*ty),
+                RuleAction::Restrict(_) => Effect::Restrict,
+                RuleAction::Infer(_) => Effect::Infer,
+            });
+        }
+        (ids, programs, effects)
+    }
+
+    /// Rules in the table.
+    pub fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Whether the table holds no rule.
+    pub fn is_empty(&self) -> bool {
+        self.ids.is_empty()
+    }
+
+    /// Rule ids by table position.
+    pub fn ids(&self) -> &[RuleId] {
+        &self.ids
+    }
+
+    /// Compiled programs by table position.
+    pub fn programs(&self) -> &[Arc<Program>] {
+        &self.programs
+    }
+
+    /// The shared entries by table position.
+    pub fn entries(&self) -> &[Arc<RuleEntry>] {
+        &self.entries
+    }
+
+    pub(crate) fn effect(&self, i: u32) -> Effect {
+        self.effects[i as usize]
+    }
+
+    /// The allowed set of the restriction rule at position `i`.
+    pub(crate) fn restriction(&self, i: u32) -> &[TypeId] {
+        match &self.entries[i as usize].rule().action {
+            RuleAction::Restrict(allowed) => allowed,
+            _ => &[],
+        }
+    }
+}
+
+/// Wraps each rule in an entry of its own, for the cold-compile constructors.
+fn fresh_entries(rules: Vec<Rule>) -> Vec<Arc<RuleEntry>> {
+    rules.into_iter().map(|r| Arc::new(RuleEntry::new(r))).collect()
+}
 
 /// Finds the rules that fire on a product.
 ///
-/// Implementors provide [`RuleExecutor::rule_count`] and the combined
-/// [`RuleExecutor::matching_rules_with_stats`]; the convenience entry points
-/// are derived. External callers that don't manage a
+/// Implementors serve a [`RuleTable`] and report fired rules both as table
+/// positions (what the classifier aggregates over) and as ids; the
+/// convenience entry points are derived. External callers that don't manage a
 /// [`PreparedProduct`] can keep calling [`RuleExecutor::matching_rules`]
 /// with a raw product — preparation then happens once inside the call.
 pub trait RuleExecutor: Send + Sync {
-    /// Total rules served.
-    fn rule_count(&self) -> usize;
+    /// The rules served.
+    fn table(&self) -> &RuleTable;
+
+    /// Table positions of all rules whose condition matches the prepared
+    /// product, plus how many rules were *considered*.
+    fn matching_positions(&self, product: &PreparedProduct<'_>) -> (Vec<u32>, usize);
 
     /// Ids of all enabled rules whose condition matches the prepared
     /// product, plus how many rules were *considered* (condition-evaluated
@@ -55,6 +308,11 @@ pub trait RuleExecutor: Send + Sync {
     /// One call produces both, so stats collection never pays candidate
     /// generation twice.
     fn matching_rules_with_stats(&self, product: &PreparedProduct<'_>) -> (Vec<RuleId>, usize);
+
+    /// Total rules served.
+    fn rule_count(&self) -> usize {
+        self.table().len()
+    }
 
     /// Ids of all enabled rules whose condition matches the prepared
     /// product.
@@ -270,26 +528,16 @@ fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     SCRATCH.with(|s| f(&mut s.borrow_mut()))
 }
 
-/// Compiles every rule's condition to stack bytecode — done once per
-/// executor build, so the hot path is a VM dispatch per candidate rather
-/// than a tree walk. Expression rules return their already-shared program
-/// (the compile cache makes this an `Arc` clone).
-fn compile_programs(rules: &[Rule]) -> Vec<Arc<Program>> {
-    rules.iter().map(|r| r.condition.compile()).collect()
-}
-
 /// Baseline: evaluate every rule on every product.
 pub struct NaiveExecutor {
-    rules: Vec<Rule>,
-    programs: Vec<Arc<Program>>,
+    table: RuleTable,
     metrics: Option<Arc<ExecMetrics>>,
 }
 
 impl NaiveExecutor {
-    /// Wraps a rule snapshot.
+    /// Wraps a rule snapshot (a cold compile).
     pub fn new(rules: Vec<Rule>) -> Self {
-        let programs = compile_programs(&rules);
-        NaiveExecutor { rules, programs, metrics: None }
+        NaiveExecutor { table: RuleTable::from_rules(rules), metrics: None }
     }
 
     /// Attaches (or detaches) hot-path instrumentation.
@@ -297,30 +545,38 @@ impl NaiveExecutor {
         self.metrics = metrics;
         self
     }
+
+    /// Every rule whose program holds, each mapped through `out`.
+    fn fire<T>(&self, product: &PreparedProduct<'_>, out: impl Fn(u32) -> T) -> (Vec<T>, usize) {
+        let ctx = ExecContext::new(product);
+        let programs = self.table.programs();
+        let fired: Vec<T> = (0..programs.len() as u32)
+            .filter(|&i| programs[i as usize].eval(&ctx))
+            .map(out)
+            .collect();
+        if let Some(m) = &self.metrics {
+            m.record(programs.len(), fired.len());
+        }
+        (fired, programs.len())
+    }
 }
 
 impl RuleExecutor for NaiveExecutor {
-    fn rule_count(&self) -> usize {
-        self.rules.len()
+    fn table(&self) -> &RuleTable {
+        &self.table
+    }
+
+    fn matching_positions(&self, product: &PreparedProduct<'_>) -> (Vec<u32>, usize) {
+        self.fire(product, |i| i)
     }
 
     fn matching_rules_with_stats(&self, product: &PreparedProduct<'_>) -> (Vec<RuleId>, usize) {
-        let ctx = ExecContext::new(product);
-        let fired: Vec<RuleId> = self
-            .rules
-            .iter()
-            .zip(&self.programs)
-            .filter(|(_, p)| p.eval(&ctx))
-            .map(|(r, _)| r.id)
-            .collect();
-        if let Some(m) = &self.metrics {
-            m.record(self.rules.len(), fired.len());
-        }
-        (fired, self.rules.len())
+        let ids = self.table.ids();
+        self.fire(product, |i| ids[i as usize])
     }
 
     fn candidates_considered(&self, _product: &rulekit_data::Product) -> usize {
-        self.rules.len()
+        self.table.len()
     }
 }
 
@@ -335,19 +591,20 @@ impl RuleExecutor for NaiveExecutor {
 /// literals of any length, ASCII or not, are indexed alike, so only rules
 /// with no required literal and no attribute key are always considered.
 pub struct LiteralScanExecutor {
-    rules: Vec<Rule>,
-    programs: Vec<Arc<Program>>,
+    table: RuleTable,
     /// One automaton over all distinct literals (`None` when no rule
     /// contributes a literal).
     automaton: Option<AhoCorasick>,
-    /// pattern id → ids of the disjunction groups the literal credits.
-    pattern_groups: Vec<Vec<u32>>,
-    /// group id → owning rule index.
+    /// pattern id → its disjunction groups, as
+    /// `pattern_groups[pattern_start[p]..pattern_start[p + 1]]`.
+    pattern_start: Vec<u32>,
+    pattern_groups: Vec<u32>,
+    /// group id → owning rule position.
     group_rule: Vec<u32>,
-    /// rule index → number of distinct groups required (0 = not
+    /// rule position → number of distinct groups required (0 = not
     /// literal-admitted).
     required: Vec<u32>,
-    /// folded attribute name → rule indices.
+    /// folded attribute name → rule positions.
     attr_postings: HashMap<String, Vec<u32>>,
     /// Rules that must always be considered.
     always: Vec<u32>,
@@ -355,54 +612,82 @@ pub struct LiteralScanExecutor {
 }
 
 impl LiteralScanExecutor {
-    /// Builds the literal-scan index over a rule snapshot.
+    /// Builds the literal-scan index over a rule snapshot (a cold compile).
     pub fn new(rules: Vec<Rule>) -> Self {
-        let mut patterns: Vec<String> = Vec::new();
-        let mut pattern_ids: HashMap<String, u32> = HashMap::new();
-        let mut pattern_groups: Vec<Vec<u32>> = Vec::new();
+        LiteralScanExecutor::from_entries(fresh_entries(rules))
+    }
+
+    /// Builds the literal-scan index over shared repository entries: the
+    /// per-rule work is pointer copies, the rest is the index itself.
+    pub fn from_entries(entries: Vec<Arc<RuleEntry>>) -> Self {
+        // Literals are interned by `&str` borrowed from the entries' compiled
+        // forms, on hashes computed when each rule was compiled; each
+        // (pattern, group) credit is recorded flat and laid out by pattern
+        // afterwards, so the build allocates per distinct literal (and
+        // automaton state), never per rule.
+        let mut patterns: Vec<&str> = Vec::new();
+        let mut pattern_ids: HashMap<Prehashed, u32, BuildHasherDefault<PassThrough>> =
+            HashMap::default();
+        let mut credits: Vec<(u32, u32)> = Vec::new();
         let mut group_rule: Vec<u32> = Vec::new();
-        let mut required: Vec<u32> = Vec::with_capacity(rules.len());
-        let mut attr_postings: HashMap<String, Vec<u32>> = HashMap::new();
+        let mut required: Vec<u32> = Vec::with_capacity(entries.len());
+        let mut attr_postings: HashMap<&str, Vec<u32>> = HashMap::new();
         let mut always: Vec<u32> = Vec::new();
 
-        for (i, rule) in rules.iter().enumerate() {
-            let condition = &rule.condition;
-            // The unified admission interface: regex, dictionary,
-            // conjunction and expression conditions all surface their
-            // requirement as one literal CNF.
-            let cnf = condition.required_literal_cnf();
-            if !cnf.is_empty() {
-                // Every disjunction is a requirement; demanding all of them
-                // makes admission strictly tighter than any single-
-                // disjunction index.
-                required.push(cnf.len() as u32);
-                for disjunction in &cnf {
-                    let gid = group_rule.len() as u32;
-                    group_rule.push(i as u32);
-                    for literal in disjunction {
-                        let pid = *pattern_ids.entry(literal.clone()).or_insert_with(|| {
-                            patterns.push(literal.clone());
-                            pattern_groups.push(Vec::new());
-                            (patterns.len() - 1) as u32
-                        });
-                        pattern_groups[pid as usize].push(gid);
+        let (ids, programs, effects) =
+            RuleTable::columns(&entries, |i, compiled| match &compiled.admission {
+                Admission::Literals(cnf) => {
+                    // Every disjunction is a requirement; demanding all of
+                    // them makes admission strictly tighter than any single-
+                    // disjunction index.
+                    required.push(cnf.clause_count() as u32);
+                    for disjunction in cnf.clauses() {
+                        let gid = group_rule.len() as u32;
+                        group_rule.push(i);
+                        for (hash, literal) in disjunction {
+                            let next = patterns.len() as u32;
+                            let pid =
+                                *pattern_ids.entry(Prehashed(hash, literal)).or_insert_with(|| {
+                                    patterns.push(literal);
+                                    next
+                                });
+                            credits.push((pid, gid));
+                        }
                     }
                 }
-                continue;
-            }
-            required.push(0);
-            if let Some(attr) = condition.attr_key() {
-                attr_postings.entry(fold_lower(attr).into_owned()).or_default().push(i as u32);
-            } else {
-                always.push(i as u32);
-            }
+                Admission::Attr(key) => {
+                    required.push(0);
+                    attr_postings.entry(key).or_default().push(i);
+                }
+                Admission::Always => {
+                    required.push(0);
+                    always.push(i);
+                }
+            });
+
+        // Counting sort of the credits by pattern, stable so each pattern
+        // credits its groups in rule order.
+        let mut pattern_start = vec![0u32; patterns.len() + 1];
+        for &(pid, _) in &credits {
+            pattern_start[pid as usize + 1] += 1;
+        }
+        for p in 0..patterns.len() {
+            pattern_start[p + 1] += pattern_start[p];
+        }
+        let mut cursor = pattern_start.clone();
+        let mut pattern_groups = vec![0u32; credits.len()];
+        for &(pid, gid) in &credits {
+            let slot = &mut cursor[pid as usize];
+            pattern_groups[*slot as usize] = gid;
+            *slot += 1;
         }
 
         let automaton = if patterns.is_empty() { None } else { Some(AhoCorasick::new(&patterns)) };
+        let attr_postings = attr_postings.into_iter().map(|(k, v)| (k.to_owned(), v)).collect();
         LiteralScanExecutor {
-            programs: compile_programs(&rules),
-            rules,
+            table: RuleTable { ids, programs, effects, entries },
             automaton,
+            pattern_start,
             pattern_groups,
             group_rule,
             required,
@@ -427,7 +712,7 @@ impl LiteralScanExecutor {
     /// many literal occurrences the automaton reported (every occurrence,
     /// not just first-per-pattern — the raw scan workload signal).
     fn collect_candidates(&self, product: &PreparedProduct<'_>, scratch: &mut Scratch) -> u64 {
-        scratch.begin(self.rules.len(), self.pattern_groups.len(), self.group_rule.len());
+        scratch.begin(self.table.len(), self.pattern_start.len() - 1, self.group_rule.len());
         let mut hits = 0u64;
         for &i in &self.always {
             scratch.mark_rule(i);
@@ -440,7 +725,11 @@ impl LiteralScanExecutor {
                 // distinct disjunction group it belongs to; a rule whose
                 // every group has been credited becomes a candidate.
                 if scratch.mark_pattern(pid) {
-                    for &gid in &self.pattern_groups[pid as usize] {
+                    let (start, end) = (
+                        self.pattern_start[pid as usize] as usize,
+                        self.pattern_start[pid as usize + 1] as usize,
+                    );
+                    for &gid in &self.pattern_groups[start..end] {
                         if scratch.mark_group(gid) {
                             let rule = self.group_rule[gid as usize];
                             if scratch.hit_rule(rule) == self.required[rule as usize] {
@@ -462,23 +751,19 @@ impl LiteralScanExecutor {
         }
         hits
     }
-}
 
-impl RuleExecutor for LiteralScanExecutor {
-    fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
-    fn matching_rules_with_stats(&self, product: &PreparedProduct<'_>) -> (Vec<RuleId>, usize) {
+    /// Every admitted rule whose program holds, each mapped through `out`.
+    fn fire<T>(&self, product: &PreparedProduct<'_>, out: impl Fn(u32) -> T) -> (Vec<T>, usize) {
         with_scratch(|scratch| {
             let hits = self.collect_candidates(product, scratch);
             let considered = scratch.candidates.len();
             let ctx = ExecContext::new(product);
-            let fired: Vec<RuleId> = scratch
+            let programs = self.table.programs();
+            let fired: Vec<T> = scratch
                 .candidates
                 .iter()
-                .filter(|&&i| self.programs[i as usize].eval(&ctx))
-                .map(|&i| self.rules[i as usize].id)
+                .filter(|&&i| programs[i as usize].eval(&ctx))
+                .map(|&i| out(i))
                 .collect();
             if let Some(m) = &self.metrics {
                 m.record(considered, fired.len());
@@ -486,6 +771,21 @@ impl RuleExecutor for LiteralScanExecutor {
             }
             (fired, considered)
         })
+    }
+}
+
+impl RuleExecutor for LiteralScanExecutor {
+    fn table(&self) -> &RuleTable {
+        &self.table
+    }
+
+    fn matching_positions(&self, product: &PreparedProduct<'_>) -> (Vec<u32>, usize) {
+        self.fire(product, |i| i)
+    }
+
+    fn matching_rules_with_stats(&self, product: &PreparedProduct<'_>) -> (Vec<RuleId>, usize) {
+        let ids = self.table.ids();
+        self.fire(product, |i| ids[i as usize])
     }
 }
 
@@ -928,17 +1228,29 @@ mod tests {
         assert!(execute_batch_parallel(&indexed, &[], 4).unwrap().is_empty());
     }
 
-    /// An executor that panics on a marker product.
-    struct PoisonExecutor;
+    /// An executor that fires its one rule on every product and panics on a
+    /// marker product.
+    struct PoisonExecutor(RuleTable);
+
+    impl PoisonExecutor {
+        fn new() -> Self {
+            PoisonExecutor(RuleTable::from_rules(rules(&["rings? -> rings"])))
+        }
+    }
 
     impl RuleExecutor for PoisonExecutor {
-        fn rule_count(&self) -> usize {
-            1
+        fn table(&self) -> &RuleTable {
+            &self.0
+        }
+
+        fn matching_positions(&self, product: &PreparedProduct<'_>) -> (Vec<u32>, usize) {
+            assert!(product.product().title != "poison", "poisoned product");
+            (vec![0], 1)
         }
 
         fn matching_rules_with_stats(&self, product: &PreparedProduct<'_>) -> (Vec<RuleId>, usize) {
-            assert!(product.product().title != "poison", "poisoned product");
-            (vec![RuleId(1)], 1)
+            let (fired, considered) = self.matching_positions(product);
+            (fired.iter().map(|&i| self.0.ids()[i as usize]).collect(), considered)
         }
     }
 
@@ -946,8 +1258,9 @@ mod tests {
     fn worker_panic_is_contained_and_reported() {
         let mut products: Vec<Product> = (0..40).map(|_| product("fine", &[])).collect();
         products[33] = product("poison", &[]);
-        let err = execute_batch_parallel(&PoisonExecutor, &products, 4)
-            .expect_err("poisoned chunk must fail");
+        let poison = PoisonExecutor::new();
+        let err =
+            execute_batch_parallel(&poison, &products, 4).expect_err("poisoned chunk must fail");
         // The reported chunk index follows the shared chunking policy for
         // whatever dispatch width the global pool actually granted (a
         // single-core host clamps to the serial path).
@@ -963,7 +1276,7 @@ mod tests {
 
         // Healthy batches on the same executor still succeed afterwards.
         let clean: Vec<Product> = (0..40).map(|_| product("fine", &[])).collect();
-        let rows = execute_batch_parallel(&PoisonExecutor, &clean, 4).unwrap();
+        let rows = execute_batch_parallel(&poison, &clean, 4).unwrap();
         assert_eq!(rows.len(), 40);
     }
 
@@ -993,7 +1306,7 @@ mod tests {
         let mut poisoned: Vec<Product> =
             (0..SERIAL_CUTOFF * 10).map(|_| product("fine", &[])).collect();
         poisoned[SERIAL_CUTOFF * 4 + 1] = product("poison", &[]);
-        let err = execute_batch_on(&pool, &PoisonExecutor, &poisoned, 3)
+        let err = execute_batch_on(&pool, &PoisonExecutor::new(), &poisoned, 3)
             .expect_err("poisoned chunk must fail");
         let chunk = steal_chunk_size(poisoned.len(), 3);
         assert_eq!(err.chunk, (SERIAL_CUTOFF * 4 + 1) / chunk);

@@ -127,10 +127,10 @@ impl InferenceEngine {
         InferenceEngine { rules, max_rounds: DEFAULT_MAX_ROUNDS }
     }
 
-    /// Builds an engine from a repository snapshot, keeping only
-    /// `RuleAction::Infer` rules.
-    pub fn from_rules(rules: &[Rule]) -> Self {
-        Self::new(rules.iter().filter_map(InferRule::from_rule).collect())
+    /// Builds an engine from a repository snapshot — owned rules or the
+    /// rules of shared entries — keeping only `RuleAction::Infer` rules.
+    pub fn from_rules<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> Self {
+        Self::new(rules.into_iter().filter_map(InferRule::from_rule).collect())
     }
 
     /// Overrides the chaining round bound (min 1).

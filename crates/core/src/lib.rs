@@ -32,8 +32,9 @@ pub use classifier::{RuleClassifier, RuleVerdict};
 pub use data_index::TitleIndex;
 pub use dsl::{compile_pattern, ParseError, RuleParser, RuleSpec};
 pub use engine::{
-    execute_batch_parallel, execution_stats, ExecMetrics, ExecutionStats, ExecutorKind,
-    LiteralScanExecutor, NaiveExecutor, RuleExecutor, WorkerPanic,
+    execute_batch_parallel, execution_stats, Admission, CompiledRule, ExecMetrics, ExecutionStats,
+    ExecutorKind, LiteralCnf, LiteralScanExecutor, NaiveExecutor, RuleExecutor, RuleTable,
+    WorkerPanic,
 };
 pub use expr::{
     compile_condition, CompiledExpr, ExecContext, ExprCache, ExprCacheStats, ExprError, Program,
@@ -42,7 +43,7 @@ pub use infer::{DerivedFact, InferRule, InferenceEngine, InferenceOutcome, DEFAU
 pub use pool::{PoolScope, WorkerPool};
 pub use prepared::PreparedProduct;
 pub use properties::{audit_order_independence, OrderAudit};
-pub use repository::{RepositoryStats, Revision, RuleRepository, DEFAULT_LOG_CAPACITY};
+pub use repository::{RepositoryStats, Revision, RuleEntry, RuleRepository, DEFAULT_LOG_CAPACITY};
 pub use rule::{
     CompareOp, Condition, Dictionary, InferFact, Provenance, Rule, RuleAction, RuleId, RuleMeta,
     RuleStatus,

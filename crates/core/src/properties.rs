@@ -64,8 +64,7 @@ pub fn audit_order_independence(
 }
 
 fn verdicts(rules: Vec<Rule>, products: &[Product]) -> Vec<RuleVerdict> {
-    let executor = Arc::new(NaiveExecutor::new(rules.clone()));
-    let classifier = RuleClassifier::new(executor, rules);
+    let classifier = RuleClassifier::over(Arc::new(NaiveExecutor::new(rules)));
     products.iter().map(|p| classifier.classify(p)).collect()
 }
 

@@ -6,13 +6,55 @@
 //! monotonic revision log of every change, supports per-rule and per-type
 //! enable/disable (the §2.2 "scale down" lever), and hands out immutable
 //! snapshots to executors.
+//!
+//! Each rule is held as one shared, immutable [`RuleEntry`]: the [`Rule`]
+//! plus its [`CompiledRule`], filled in by the first executor build that
+//! needs it. A snapshot for serving ([`RuleRepository::versioned_entries`])
+//! is `Arc` clones of the enabled entries, in insertion order, taken under
+//! one read lock, so every rebuild after an edit reuses every untouched
+//! rule's compiled form. A status toggle swaps in a new entry that keeps the
+//! old one's compiled form; snapshots holding the old entry are unaffected.
+//! `enabled_snapshot` and `full_snapshot` still return owned `Rule`s for
+//! callers that edit them.
 
 use crate::dsl::RuleSpec;
+use crate::engine::CompiledRule;
 use crate::rule::{Rule, RuleAction, RuleId, RuleMeta, RuleStatus};
 use parking_lot::RwLock;
 use rulekit_data::TypeId;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// One rule as the repository holds it: the rule and its compiled form,
+/// shared by every snapshot that serves the rule.
+///
+/// The compiled form is computed by the first build that asks for it, so a
+/// store that never serves (a follower, WAL replay, a verification reopen)
+/// never pays for it. The memo lives here and not on [`Rule`]: a `Rule` is
+/// edited by value (the offline optimizer rewrites `condition` in place), and
+/// a copy carrying a memo would serve a stale program.
+#[derive(Debug, Clone)]
+pub struct RuleEntry {
+    rule: Rule,
+    compiled: OnceLock<CompiledRule>,
+}
+
+impl RuleEntry {
+    /// An entry whose compiled form is not computed yet.
+    pub fn new(rule: Rule) -> RuleEntry {
+        RuleEntry { rule, compiled: OnceLock::new() }
+    }
+
+    /// The rule.
+    pub fn rule(&self) -> &Rule {
+        &self.rule
+    }
+
+    /// The rule's compiled form, computed on first use.
+    pub fn compiled(&self) -> &CompiledRule {
+        self.compiled.get_or_init(|| CompiledRule::of(&self.rule.condition))
+    }
+}
 
 /// Default bound on the in-memory revision ring. The ring is an
 /// operational convenience (recent-change introspection); the durable
@@ -80,8 +122,10 @@ impl Default for RuleRepository {
 
 #[derive(Debug)]
 struct Inner {
-    rules: HashMap<RuleId, Rule>,
-    order: Vec<RuleId>,
+    /// Every rule by id.
+    rules: HashMap<RuleId, Arc<RuleEntry>>,
+    /// The same entries in insertion order, so a snapshot is one scan.
+    order: Vec<Arc<RuleEntry>>,
     next_id: u64,
     /// Monotonic mutation counter. Decoupled from `log.len()`: the ring
     /// below keeps only the most recent revisions in memory.
@@ -171,17 +215,16 @@ impl RuleRepository {
             inner.next_id += 1;
             meta.added_at = inner.revision;
             inner.record(Revision::Added { rule_id: id, source: spec.source.clone() });
-            inner.order.push(id);
-            inner.rules.insert(
+            let rule = Rule {
                 id,
-                Rule {
-                    id,
-                    condition: spec.condition,
-                    action: spec.action,
-                    meta,
-                    source: spec.source,
-                },
-            );
+                condition: spec.condition,
+                action: spec.action,
+                meta,
+                source: spec.source,
+            };
+            let entry = Arc::new(RuleEntry::new(rule));
+            inner.order.push(entry.clone());
+            inner.rules.insert(id, entry);
             id
         };
         self.notify_change();
@@ -195,50 +238,57 @@ impl RuleRepository {
 
     /// Fetches a rule by id.
     pub fn get(&self, id: RuleId) -> Option<Rule> {
-        self.inner.read().rules.get(&id).cloned()
+        self.inner.read().rules.get(&id).map(|e| e.rule.clone())
+    }
+
+    /// Sets one rule's status, recording `revision` when it changed. Entries
+    /// are immutable once shared, so the rule gets a new entry that keeps
+    /// the old one's compiled form: the condition did not change.
+    fn set_status(
+        &self,
+        id: RuleId,
+        status: RuleStatus,
+        revision: impl FnOnce() -> Revision,
+    ) -> bool {
+        {
+            let mut inner = self.inner.write();
+            let Some(old) = inner.rules.get(&id) else { return false };
+            if old.rule.meta.status == status {
+                return false;
+            }
+            let mut entry = RuleEntry::clone(old);
+            entry.rule.meta.status = status;
+            let entry = Arc::new(entry);
+            let old = inner.rules.insert(id, entry.clone()).expect("rule present");
+            let slot =
+                inner.order.iter_mut().find(|e| Arc::ptr_eq(e, &old)).expect("rule in order");
+            *slot = entry;
+            inner.record(revision());
+        }
+        self.notify_change();
+        true
     }
 
     /// Disables one rule ("if that rule misclassifies widely, we can simply
     /// disable it, with minimal impacts on the rest of the system", §3.2).
     pub fn disable(&self, id: RuleId, reason: impl Into<String>) -> bool {
-        let changed = {
-            let mut inner = self.inner.write();
-            let Some(rule) = inner.rules.get_mut(&id) else { return false };
-            if rule.meta.status == RuleStatus::Disabled {
-                return false;
-            }
-            rule.meta.status = RuleStatus::Disabled;
-            inner.record(Revision::Disabled { rule_id: id, reason: reason.into() });
-            true
-        };
-        self.notify_change();
-        changed
+        self.set_status(id, RuleStatus::Disabled, || Revision::Disabled {
+            rule_id: id,
+            reason: reason.into(),
+        })
     }
 
     /// Re-enables one rule.
     pub fn enable(&self, id: RuleId) -> bool {
-        let changed = {
-            let mut inner = self.inner.write();
-            let Some(rule) = inner.rules.get_mut(&id) else { return false };
-            if rule.meta.status == RuleStatus::Enabled {
-                return false;
-            }
-            rule.meta.status = RuleStatus::Enabled;
-            inner.record(Revision::Enabled { rule_id: id });
-            true
-        };
-        self.notify_change();
-        changed
+        self.set_status(id, RuleStatus::Enabled, || Revision::Enabled { rule_id: id })
     }
 
     /// Permanently removes a rule (maintenance: subsumed/imprecise rules).
     pub fn remove(&self, id: RuleId, reason: impl Into<String>) -> bool {
         let changed = {
             let mut inner = self.inner.write();
-            if inner.rules.remove(&id).is_none() {
-                return false;
-            }
-            inner.order.retain(|&r| r != id);
+            let Some(old) = inner.rules.remove(&id) else { return false };
+            inner.order.retain(|e| !Arc::ptr_eq(e, &old));
             inner.record(Revision::Removed { rule_id: id, reason: reason.into() });
             true
         };
@@ -255,13 +305,8 @@ impl RuleRepository {
             inner
                 .order
                 .iter()
-                .filter(|id| {
-                    inner
-                        .rules
-                        .get(id)
-                        .is_some_and(|r| r.is_enabled() && r.target_type() == Some(ty))
-                })
-                .copied()
+                .filter(|e| e.rule.is_enabled() && e.rule.target_type() == Some(ty))
+                .map(|e| e.rule.id)
                 .collect()
         };
         for &id in &ids {
@@ -277,13 +322,8 @@ impl RuleRepository {
             inner
                 .order
                 .iter()
-                .filter(|id| {
-                    inner
-                        .rules
-                        .get(id)
-                        .is_some_and(|r| !r.is_enabled() && r.target_type() == Some(ty))
-                })
-                .copied()
+                .filter(|e| !e.rule.is_enabled() && e.rule.target_type() == Some(ty))
+                .map(|e| e.rule.id)
                 .collect()
         };
         for &id in &ids {
@@ -292,33 +332,33 @@ impl RuleRepository {
         ids
     }
 
-    /// Immutable snapshot of all enabled rules, in insertion order.
+    /// Owned copies of all enabled rules, in insertion order.
     pub fn enabled_snapshot(&self) -> Vec<Rule> {
         self.versioned_snapshot().1
     }
 
-    /// Atomically captures `(revision, enabled rules)` under a single read
-    /// lock, so the rules are exactly the state at that revision — the
+    /// Atomically captures `(revision, enabled entries)` under a single read
+    /// lock, so the entries are exactly the state at that revision — the
     /// consistency hook for snapshot caches and the serving layer's
-    /// hot-swap rebuilds (a separate `revision()` + `enabled_snapshot()`
-    /// pair could interleave with a writer).
-    pub fn versioned_snapshot(&self) -> (u64, Vec<Rule>) {
+    /// hot-swap rebuilds (a separate `revision()` + snapshot pair could
+    /// interleave with a writer). The entries are `Arc` clones: no rule is
+    /// copied.
+    pub fn versioned_entries(&self) -> (u64, Vec<Arc<RuleEntry>>) {
         let inner = self.inner.read();
-        let revision = inner.revision;
-        let rules = inner
-            .order
-            .iter()
-            .filter_map(|id| inner.rules.get(id))
-            .filter(|r| r.is_enabled())
-            .cloned()
-            .collect();
-        (revision, rules)
+        let entries = inner.order.iter().filter(|e| e.rule.is_enabled()).cloned().collect();
+        (inner.revision, entries)
     }
 
-    /// Immutable snapshot of all rules regardless of status.
+    /// [`RuleRepository::versioned_entries`] as owned rule copies.
+    pub fn versioned_snapshot(&self) -> (u64, Vec<Rule>) {
+        let (revision, entries) = self.versioned_entries();
+        (revision, entries.iter().map(|e| e.rule.clone()).collect())
+    }
+
+    /// Owned copies of all rules regardless of status.
     pub fn full_snapshot(&self) -> Vec<Rule> {
         let inner = self.inner.read();
-        inner.order.iter().filter_map(|id| inner.rules.get(id)).cloned().collect()
+        inner.order.iter().map(|e| e.rule.clone()).collect()
     }
 
     /// Enabled rules targeting `ty`.
@@ -330,7 +370,7 @@ impl RuleRepository {
     pub fn stats(&self) -> RepositoryStats {
         let inner = self.inner.read();
         let mut stats = RepositoryStats { total: inner.rules.len(), ..Default::default() };
-        for rule in inner.rules.values() {
+        for rule in inner.rules.values().map(|e| &e.rule) {
             if rule.is_enabled() {
                 stats.enabled += 1;
             }
@@ -358,8 +398,7 @@ impl RuleRepository {
     pub fn export_dsl(&self) -> String {
         let inner = self.inner.read();
         let mut out = String::new();
-        for id in &inner.order {
-            let Some(rule) = inner.rules.get(id) else { continue };
+        for rule in inner.order.iter().map(|e| &e.rule) {
             if rule.is_enabled() {
                 out.push_str(&rule.source);
             } else {
@@ -393,8 +432,8 @@ impl RuleRepository {
     pub fn restore(&self, rules: Vec<Rule>, next_id: u64, revision: u64) {
         {
             let mut inner = self.inner.write();
-            inner.order = rules.iter().map(|r| r.id).collect();
-            inner.rules = rules.into_iter().map(|r| (r.id, r)).collect();
+            inner.order = rules.into_iter().map(|r| Arc::new(RuleEntry::new(r))).collect();
+            inner.rules = inner.order.iter().map(|e| (e.rule.id, e.clone())).collect();
             inner.next_id = next_id;
             inner.revision = revision;
             inner.log.clear();
@@ -608,6 +647,20 @@ mod tests {
         let (rev2, rules2) = repo.versioned_snapshot();
         assert_eq!(rev2, rev + 1);
         assert_eq!(rules2.len(), 1);
+    }
+
+    #[test]
+    fn a_toggle_swaps_the_entry_and_keeps_its_compiled_form() {
+        let (repo, ids, _) = repo_with(&["rings? -> rings", "rugs? -> area rugs"]);
+        let (_, held) = repo.versioned_entries();
+        let program = held[0].compiled().program.clone();
+        repo.disable(ids[0], "drift");
+        assert!(held[0].rule().is_enabled(), "an entry a snapshot holds never changes");
+        repo.enable(ids[0]);
+        let (_, now) = repo.versioned_entries();
+        assert!(!Arc::ptr_eq(&held[0], &now[0]));
+        assert!(Arc::ptr_eq(&program, &now[0].compiled().program), "toggle recompiled the rule");
+        assert!(Arc::ptr_eq(&held[1], &now[1]), "the untouched rule's entry is shared");
     }
 
     #[test]

@@ -193,8 +193,7 @@ fn decision(verdict: &RuleVerdict) -> Decision {
 }
 
 fn decisions_for(rules: &[Rule], corpus: &[Product]) -> Vec<Decision> {
-    let executor = ExecutorKind::LiteralScan.build(rules.to_vec());
-    let classifier = RuleClassifier::new(executor, rules.to_vec());
+    let classifier = RuleClassifier::over(ExecutorKind::LiteralScan.build(rules.to_vec()));
     corpus.iter().map(|p| decision(&classifier.classify(p))).collect()
 }
 
