@@ -112,18 +112,18 @@ fn main() {
     }
     let e7_rows = if want("e7") { exp::execution::e7(scale) } else { Vec::new() };
     let e16_rows = if want("e16") { exp::execution::e16(scale) } else { Vec::new() };
-    // A row-filtered run (profiling escape hatch) measures a partial sweep;
-    // never let it clobber the full snapshot CI diffs against.
-    let filtered = std::env::var("RULEKIT_E7_ROWS").is_ok();
-    if (!e7_rows.is_empty() || !e16_rows.is_empty()) && !filtered {
+    // Only a full default-scale sweep may replace the committed ledger; a
+    // scaled or row-filtered (`RULEKIT_E7_ROWS`) run writes under `target/`.
+    if !e7_rows.is_empty() || !e16_rows.is_empty() {
+        let full = factor == 1.0 && std::env::var("RULEKIT_E7_ROWS").is_err();
+        let path = if full { "BENCH_engine.json" } else { "target/BENCH_engine.json" };
         let json = exp::execution::engine_json(&e7_rows, &e16_rows);
-        match std::fs::write("BENCH_engine.json", &json) {
-            Ok(()) => println!(
-                "wrote BENCH_engine.json ({} e7 rows, {} e16 rows)",
-                e7_rows.len(),
-                e16_rows.len()
-            ),
-            Err(e) => eprintln!("warning: could not write BENCH_engine.json: {e}"),
+        let written = std::fs::create_dir_all("target").and_then(|()| std::fs::write(path, &json));
+        match written {
+            Ok(()) => {
+                println!("wrote {path} ({} e7 rows, {} e16 rows)", e7_rows.len(), e16_rows.len())
+            }
+            Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }
     }
     if want("e8") {

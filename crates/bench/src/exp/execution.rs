@@ -6,8 +6,8 @@
 use crate::setup::{analyst_rules, world, Scale};
 use crate::table::{f3, Table};
 use rulekit_core::{
-    audit_order_independence, execute_batch_parallel, execution_stats, LiteralScanExecutor,
-    NaiveExecutor, Rule, RuleClassifier, RuleExecutor, RuleMeta, RuleParser, RuleRepository,
+    audit_order_independence, execution_stats, map_chunks, LiteralScanExecutor, NaiveExecutor,
+    PreparedProduct, Rule, RuleClassifier, RuleExecutor, RuleMeta, RuleParser, RuleRepository,
 };
 use rulekit_data::Taxonomy;
 use rulekit_em::{order_sensitivity, synthesize_duplicates, BlockingKey, RuleMatcher, Semantics};
@@ -252,7 +252,12 @@ pub fn e7(scale: Scale) -> Vec<E7Row> {
         let mut literal_par_items_s = 0f64;
         for _attempt in 0..6 {
             let t = Instant::now();
-            let _ = execute_batch_parallel(&literal, &products, 4).expect("no worker panicked");
+            map_chunks(&products, 4, |chunk| {
+                chunk
+                    .iter()
+                    .map(|p| literal.matching_rules_prepared(&PreparedProduct::new(p)))
+                    .collect()
+            });
             let par = products.len() as f64 / t.elapsed().as_secs_f64().max(1e-9);
             literal_par_items_s = literal_par_items_s.max(par);
             if literal_par_items_s >= literal_items_s {

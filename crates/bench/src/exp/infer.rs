@@ -64,7 +64,7 @@ pub fn e17(scale: Scale) {
     let n = scale.eval_items.clamp(1_000, 20_000);
     let products: Vec<Product> = generator.generate(n).into_iter().map(|i| i.product).collect();
 
-    // Warm up once (worker pool, lazy ie pipeline), then best-of-3.
+    // Warm up once (lazy ie pipeline), then best-of-3.
     for c in [&off, &on_empty, &on_chaining] {
         let _ = c.classify_batch(&products[..200.min(n)]);
     }

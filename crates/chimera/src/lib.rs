@@ -6,6 +6,8 @@
 //! Analysis stage that turns flagged pairs into rules and training data,
 //! and the scale-down/restore controls driven by per-type drift alarms.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod metrics;
 pub mod obs;

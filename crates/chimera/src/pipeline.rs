@@ -13,8 +13,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rulekit_core::{
-    AggregateStore, InferenceEngine, LiteralScanExecutor, ParseError, RuleAction, RuleClassifier,
-    RuleEntry, RuleId, RuleMeta, RuleParser, RuleRepository, WorkerPool,
+    map_chunks, AggregateStore, InferenceEngine, LiteralScanExecutor, ParseError, RuleAction,
+    RuleClassifier, RuleEntry, RuleId, RuleMeta, RuleParser, RuleRepository,
 };
 use rulekit_crowd::{CrowdSim, PrecisionEstimate};
 use rulekit_data::{Batch, GeneratedItem, Product, Taxonomy, TypeId};
@@ -304,13 +304,19 @@ impl Chimera {
     }
 
     /// The rule side compiled at the repositories' current revisions,
-    /// rebuilt only when either revision moved. A rebuild copies entry
-    /// pointers — each rule's compiled form is shared with every earlier
-    /// build — and builds the literal index.
+    /// rebuilt only when either revision or restore epoch moved. A rebuild
+    /// copies entry pointers — each rule's compiled form is shared with
+    /// every earlier build — and builds the literal index.
     fn compiled(&self) -> CompiledRules {
         let mut cache = self.cache.lock();
+        // Read before the entries: a restore in between leaves the build
+        // keyed to the older epoch, so the next call rebuilds.
+        let epochs = [self.gate_rules.restore_epoch(), self.rules.restore_epoch()];
         if let Some(c) = cache.as_ref() {
-            if c.gate_rev == self.gate_rules.revision() && c.rule_rev == self.rules.revision() {
+            if c.epochs == epochs
+                && c.gate_rev == self.gate_rules.revision()
+                && c.rule_rev == self.rules.revision()
+            {
                 return c.clone();
             }
         }
@@ -343,6 +349,7 @@ impl Chimera {
         }
         let infer_active = self.cfg.infer_enabled && !infer.is_empty();
         let compiled = CompiledRules {
+            epochs,
             gate_rev,
             rule_rev,
             gate: self.compile(gate_entries),
@@ -395,30 +402,14 @@ impl Chimera {
         self.stages(&self.compiled()).classify(product).0
     }
 
-    /// Classifies a slice of products on `cfg.threads` chunks of the
-    /// persistent process-wide worker pool (no thread spawn per batch).
+    /// Classifies a slice of products on up to `cfg.threads` scoped threads
+    /// ([`map_chunks`]), in input order.
     pub fn classify_batch(&self, products: &[Product]) -> Vec<Decision> {
         let compiled = self.compiled();
         let stages = self.stages(&compiled);
-        let classify_all =
-            |slice: &[Product]| slice.iter().map(|p| stages.classify(p).0).collect::<Vec<_>>();
-        let threads = self.cfg.threads.max(1);
-        if products.len() < 64 || threads == 1 {
-            return classify_all(products);
-        }
-        let chunk = products.len().div_ceil(threads);
-        let slots: Vec<parking_lot::Mutex<Option<Vec<Decision>>>> =
-            products.chunks(chunk).map(|_| parking_lot::Mutex::new(None)).collect();
-        WorkerPool::global().scope(|scope| {
-            for (slice, slot) in products.chunks(chunk).zip(&slots) {
-                let classify_all = &classify_all;
-                scope.spawn(move || *slot.lock() = Some(classify_all(slice)));
-            }
-        });
-        slots
-            .into_iter()
-            .flat_map(|slot| slot.into_inner().expect("classification worker panicked"))
-            .collect()
+        map_chunks(products, self.cfg.threads, |chunk| {
+            chunk.iter().map(|p| stages.classify(p).0).collect()
+        })
     }
 
     /// Runs the full Figure 2 loop on one batch: classify → crowd-sample →
@@ -713,11 +704,40 @@ mod tests {
     #[test]
     fn batch_parallel_equals_sequential() {
         let (mut chimera, mut g) = trained_chimera(55);
-        let products: Vec<Product> = g.generate(200).into_iter().map(|i| i.product).collect();
-        let parallel = chimera.classify_batch(&products);
-        chimera.cfg.threads = 1;
-        let sequential = chimera.classify_batch(&products);
-        assert_eq!(parallel, sequential);
+        let products: Vec<Product> = g.generate(201).into_iter().map(|i| i.product).collect();
+        let sequential: Vec<Decision> = products.iter().map(|p| chimera.classify(p)).collect();
+        // Around the serial cutoff, a length no width divides, and more
+        // threads than the host has cores.
+        for len in [0, 1, 63, 64, 65, 201] {
+            for threads in [1, 2, 3, 8] {
+                chimera.cfg.threads = threads;
+                let batch = chimera.classify_batch(&products[..len]);
+                assert_eq!(batch, sequential[..len], "len {len}, threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn restore_at_a_seen_revision_rebuilds() {
+        let tax = Taxonomy::builtin();
+        let sofas = tax.id_of("sofas").unwrap();
+        let ring = Product {
+            id: 0,
+            title: "diamond ring".into(),
+            description: String::new(),
+            attributes: Vec::new(),
+            vendor: rulekit_data::VendorId(0),
+        };
+        let chimera = Chimera::new(tax.clone(), ChimeraConfig::default());
+        chimera.add_rules("rings? -> rings\n").unwrap();
+        let other = Chimera::new(tax, ChimeraConfig::default());
+        other.add_rules("rings? -> sofas\n").unwrap();
+        assert_ne!(chimera.classify(&ring).type_id(), Some(sofas));
+
+        // Different rules installed at the revision the cache already saw.
+        let revision = chimera.rules.revision();
+        chimera.rules.restore(other.rules.full_snapshot(), other.rules.next_rule_id(), revision);
+        assert_eq!(chimera.classify(&ring).type_id(), Some(sofas));
     }
 
     #[test]

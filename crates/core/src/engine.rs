@@ -29,13 +29,10 @@
 //! [`PreparedProduct`](crate::prepared::PreparedProduct) folds the title and
 //! attributes once, and the engine's candidate generation runs on an
 //! epoch-stamped thread-local scratch, so it allocates nothing per product.
-//!
-//! [`execute_batch_parallel`] fans an executor out over the persistent
-//! [`WorkerPool`](crate::pool::WorkerPool) for batch rule execution (the
-//! "cluster" stand-in) — no thread spawn per batch.
+//! Batches fan out over scoped threads with [`map_chunks`](crate::map_chunks)
+//! (the "cluster" stand-in).
 
 use crate::expr::{ExecContext, Program};
-use crate::pool::WorkerPool;
 use crate::prepared::{fold_lower, PreparedProduct};
 use crate::repository::RuleEntry;
 use crate::rule::{Condition, Rule, RuleAction, RuleId};
@@ -47,9 +44,8 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::str::FromStr;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 /// How the literal index admits a rule as a candidate.
 #[derive(Debug, Clone)]
@@ -789,173 +785,6 @@ impl RuleExecutor for LiteralScanExecutor {
     }
 }
 
-/// A worker panic during [`execute_batch_parallel`], identifying which
-/// product chunk was poisoned so callers can retry, skip, or quarantine it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// Index of the product chunk whose worker panicked.
-    pub chunk: usize,
-    /// Panic payload rendered to text (when it carried a message).
-    pub message: String,
-}
-
-impl fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "batch worker for chunk {} panicked: {}", self.chunk, self.message)
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Minimum items per stolen chunk: small enough that a skewed batch still
-/// load-balances, large enough that the per-chunk dispatch cost (one
-/// relaxed `fetch_add` + one slot lock) is noise next to the work.
-const STEAL_CHUNK_MIN: usize = 16;
-/// Maximum items per stolen chunk, so very large batches still rebalance.
-const STEAL_CHUNK_MAX: usize = 512;
-/// Below this many items the batch runs serially on the caller's thread:
-/// dispatching to the pool costs more than it saves, which is exactly the
-/// regime where `literal_par4` used to lose to single-thread execution.
-const SERIAL_CUTOFF: usize = 2 * STEAL_CHUNK_MIN;
-
-/// Work-stealing chunk size, clamped by batch length *and* the worker count
-/// actually available. Three forces:
-///
-/// * aim for ~8 chunks per worker, so stealing has slack to rebalance when
-///   per-item cost is skewed — at high rule counts one expensive title costs
-///   100µs+ and the PR 5 policy (4 chunks/worker, floored at 16) could leave
-///   a worker stalled behind a single hot chunk while the rest sat idle;
-/// * floor at [`STEAL_CHUNK_MIN`] so per-chunk dispatch stays noise — unless
-///   the batch is so small that the floor would leave workers with nothing
-///   to steal, in which case the floor shrinks until every worker gets at
-///   least one chunk;
-/// * cap at [`STEAL_CHUNK_MAX`] so very large batches still rebalance.
-///
-/// The serial path uses the same function (with one thread) for its
-/// panic-containment chunks, so [`WorkerPanic::chunk`] indices stay
-/// consistent between paths for a given dispatch width.
-fn steal_chunk_size(len: usize, threads: usize) -> usize {
-    let threads = threads.max(1);
-    let floor = STEAL_CHUNK_MIN.min(len.div_ceil(threads)).max(1);
-    len.div_ceil(threads.saturating_mul(8)).clamp(floor, STEAL_CHUNK_MAX)
-}
-
-/// Runs `executor` over `products` on the persistent process-wide
-/// [`WorkerPool`], preserving input order — the paper's "execute the rules
-/// in parallel on a cluster of machines", one machine's worth, without
-/// spawning threads per batch.
-///
-/// Dispatch is chunked work-stealing rather than a static 1/`threads`
-/// split: the batch is cut into small fixed-size chunks and `threads` pool
-/// jobs race an atomic cursor for the next unclaimed chunk. A worker that
-/// lands cheap products just steals more chunks, so one expensive chunk
-/// can no longer stall the whole batch behind a single thread — the
-/// imbalance that made `literal_par4` slower than serial execution at
-/// 200–500 rules. Batches too small to amortize dispatch — and requests
-/// for more parallelism than the pool physically has (a single-core host
-/// clamps to one worker) — run serially on the calling thread, so
-/// "parallel" can never lose to serial.
-///
-/// Each chunk catches its own panics: one poisoned product fails only its
-/// chunk, surfaced as [`WorkerPanic`], instead of aborting the whole batch
-/// run.
-pub fn execute_batch_parallel(
-    executor: &dyn RuleExecutor,
-    products: &[rulekit_data::Product],
-    threads: usize,
-) -> Result<Vec<Vec<RuleId>>, WorkerPanic> {
-    execute_batch_on(WorkerPool::global(), executor, products, threads)
-}
-
-/// Per-chunk outcome: the rows, or the payload of a contained panic.
-type ChunkResult = std::thread::Result<Vec<Vec<RuleId>>>;
-
-/// Runs one chunk under `catch_unwind` so a poisoned product fails only
-/// its chunk.
-fn run_chunk(executor: &dyn RuleExecutor, slice: &[rulekit_data::Product]) -> ChunkResult {
-    catch_unwind(AssertUnwindSafe(|| {
-        slice
-            .iter()
-            .map(|p| executor.matching_rules_prepared(&PreparedProduct::new(p)))
-            .collect::<Vec<_>>()
-    }))
-}
-
-/// [`execute_batch_parallel`] against an explicit pool — separated so tests
-/// can drive the work-stealing dispatch on a private multi-worker pool even
-/// when the host (and therefore the global pool) has a single core.
-fn execute_batch_on(
-    pool: &WorkerPool,
-    executor: &dyn RuleExecutor,
-    products: &[rulekit_data::Product],
-    threads: usize,
-) -> Result<Vec<Vec<RuleId>>, WorkerPanic> {
-    // More jobs than workers just queue behind each other; clamping keeps
-    // the dispatch honest about the parallelism actually available.
-    let threads = threads.clamp(1, pool.size().max(1));
-    if products.is_empty() {
-        return Ok(Vec::new());
-    }
-
-    if threads == 1 || products.len() < SERIAL_CUTOFF {
-        let mut rows = Vec::with_capacity(products.len());
-        for (i, slice) in products.chunks(steal_chunk_size(products.len(), 1)).enumerate() {
-            match run_chunk(executor, slice) {
-                Ok(chunk_rows) => rows.extend(chunk_rows),
-                Err(payload) => {
-                    return Err(WorkerPanic { chunk: i, message: panic_message(payload.as_ref()) })
-                }
-            }
-        }
-        return Ok(rows);
-    }
-
-    let chunk = steal_chunk_size(products.len(), threads);
-    let chunks: Vec<&[rulekit_data::Product]> = products.chunks(chunk).collect();
-    let slots: Vec<Mutex<Option<ChunkResult>>> = chunks.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-
-    pool.scope(|scope| {
-        for _ in 0..threads.min(chunks.len()) {
-            let cursor = &cursor;
-            let chunks = &chunks;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(slice) = chunks.get(i) else { break };
-                let outcome = run_chunk(executor, slice);
-                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(outcome);
-            });
-        }
-    });
-
-    let mut rows = Vec::with_capacity(products.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot.into_inner().unwrap_or_else(|e| e.into_inner()) {
-            Some(Ok(chunk_rows)) => rows.extend(chunk_rows),
-            Some(Err(payload)) => {
-                return Err(WorkerPanic { chunk: i, message: panic_message(payload.as_ref()) })
-            }
-            // The scope guarantees every job ran; an empty slot would mean a
-            // job was lost, which the pool's completion count prevents.
-            None => {
-                return Err(WorkerPanic { chunk: i, message: "chunk job never ran".to_string() })
-            }
-        }
-    }
-    Ok(rows)
-}
-
 /// Statistics comparing executors on a product set (E7's metric).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ExecutionStats {
@@ -1204,126 +1033,6 @@ mod tests {
                 assert_eq!(&got, expected);
             }
         }
-    }
-
-    #[test]
-    fn parallel_execution_preserves_order_and_results() {
-        let rs = rules(LINES);
-        let indexed = LiteralScanExecutor::new(rs);
-        let products: Vec<Product> = (0..97)
-            .map(|i| {
-                if i % 2 == 0 {
-                    product("diamond ring", &[])
-                } else {
-                    product("garden hose", &[])
-                }
-            })
-            .collect();
-        let sequential: Vec<Vec<RuleId>> =
-            products.iter().map(|p| indexed.matching_rules(p)).collect();
-        for threads in [1, 2, 4, 7] {
-            let parallel = execute_batch_parallel(&indexed, &products, threads).unwrap();
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-        assert!(execute_batch_parallel(&indexed, &[], 4).unwrap().is_empty());
-    }
-
-    /// An executor that fires its one rule on every product and panics on a
-    /// marker product.
-    struct PoisonExecutor(RuleTable);
-
-    impl PoisonExecutor {
-        fn new() -> Self {
-            PoisonExecutor(RuleTable::from_rules(rules(&["rings? -> rings"])))
-        }
-    }
-
-    impl RuleExecutor for PoisonExecutor {
-        fn table(&self) -> &RuleTable {
-            &self.0
-        }
-
-        fn matching_positions(&self, product: &PreparedProduct<'_>) -> (Vec<u32>, usize) {
-            assert!(product.product().title != "poison", "poisoned product");
-            (vec![0], 1)
-        }
-
-        fn matching_rules_with_stats(&self, product: &PreparedProduct<'_>) -> (Vec<RuleId>, usize) {
-            let (fired, considered) = self.matching_positions(product);
-            (fired.iter().map(|&i| self.0.ids()[i as usize]).collect(), considered)
-        }
-    }
-
-    #[test]
-    fn worker_panic_is_contained_and_reported() {
-        let mut products: Vec<Product> = (0..40).map(|_| product("fine", &[])).collect();
-        products[33] = product("poison", &[]);
-        let poison = PoisonExecutor::new();
-        let err =
-            execute_batch_parallel(&poison, &products, 4).expect_err("poisoned chunk must fail");
-        // The reported chunk index follows the shared chunking policy for
-        // whatever dispatch width the global pool actually granted (a
-        // single-core host clamps to the serial path).
-        let eff = 4usize.clamp(1, WorkerPool::global().size().max(1));
-        let chunk = if eff == 1 || products.len() < SERIAL_CUTOFF {
-            steal_chunk_size(products.len(), 1)
-        } else {
-            steal_chunk_size(products.len(), eff)
-        };
-        assert_eq!(err.chunk, 33 / chunk);
-        assert!(err.message.contains("poisoned product"), "message: {}", err.message);
-        assert!(err.to_string().contains(&format!("chunk {}", 33 / chunk)));
-
-        // Healthy batches on the same executor still succeed afterwards.
-        let clean: Vec<Product> = (0..40).map(|_| product("fine", &[])).collect();
-        let rows = execute_batch_parallel(&poison, &clean, 4).unwrap();
-        assert_eq!(rows.len(), 40);
-    }
-
-    /// Drives the work-stealing dispatch on a private multi-worker pool, so
-    /// the parallel path is exercised even when the host is single-core and
-    /// the global pool clamps `execute_batch_parallel` to the serial path.
-    #[test]
-    fn work_stealing_dispatch_matches_serial_and_contains_panics() {
-        let pool = WorkerPool::new(3);
-        let rs = rules(LINES);
-        let scan = LiteralScanExecutor::new(rs);
-        let products: Vec<Product> = (0..SERIAL_CUTOFF * 10)
-            .map(|i| {
-                if i % 2 == 0 {
-                    product("diamond ring", &[])
-                } else {
-                    product("garden hose", &[])
-                }
-            })
-            .collect();
-        let sequential: Vec<Vec<RuleId>> =
-            products.iter().map(|p| scan.matching_rules(p)).collect();
-        let parallel = execute_batch_on(&pool, &scan, &products, 3).unwrap();
-        assert_eq!(parallel, sequential);
-
-        // A poisoned product fails only its chunk, via the stealing path.
-        let mut poisoned: Vec<Product> =
-            (0..SERIAL_CUTOFF * 10).map(|_| product("fine", &[])).collect();
-        poisoned[SERIAL_CUTOFF * 4 + 1] = product("poison", &[]);
-        let err = execute_batch_on(&pool, &PoisonExecutor::new(), &poisoned, 3)
-            .expect_err("poisoned chunk must fail");
-        let chunk = steal_chunk_size(poisoned.len(), 3);
-        assert_eq!(err.chunk, (SERIAL_CUTOFF * 4 + 1) / chunk);
-        assert!(err.message.contains("poisoned product"));
-    }
-
-    #[test]
-    fn steal_chunk_size_clamps_by_batch_and_pool() {
-        // Small batch, many workers: the floor shrinks so no worker idles.
-        assert_eq!(steal_chunk_size(40, 4), 10);
-        // One worker: the floor holds at the steal minimum.
-        assert_eq!(steal_chunk_size(40, 1), STEAL_CHUNK_MIN);
-        // Large batch: ~8 chunks per worker.
-        assert_eq!(steal_chunk_size(2000, 4), 63);
-        // Degenerate inputs stay sane.
-        assert_eq!(steal_chunk_size(1, 8), 1);
-        assert!(steal_chunk_size(1_000_000, 2) <= STEAL_CHUNK_MAX);
     }
 
     #[test]

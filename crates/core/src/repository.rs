@@ -111,6 +111,7 @@ impl Default for RuleRepository {
                 order: Vec::new(),
                 next_id: 0,
                 revision: 0,
+                restores: 0,
                 log: VecDeque::new(),
                 log_capacity: DEFAULT_LOG_CAPACITY,
             }),
@@ -130,6 +131,8 @@ struct Inner {
     /// Monotonic mutation counter. Decoupled from `log.len()`: the ring
     /// below keeps only the most recent revisions in memory.
     revision: u64,
+    /// Bumped by every [`RuleRepository::restore`].
+    restores: u64,
     log: VecDeque<Revision>,
     log_capacity: usize,
 }
@@ -416,6 +419,13 @@ impl RuleRepository {
         self.inner.read().revision
     }
 
+    /// How many times [`RuleRepository::restore`] has replaced the
+    /// contents. A restore can reinstate a revision a cache already saw with
+    /// different rules, so caches key on `(restore_epoch, revision)`.
+    pub fn restore_epoch(&self) -> u64 {
+        self.inner.read().restores
+    }
+
     /// The id the next [`RuleRepository::add`] will assign. Used by the
     /// durability layer to stamp WAL records before applying a mutation;
     /// only meaningful while writers are externally serialized.
@@ -436,6 +446,7 @@ impl RuleRepository {
             inner.rules = inner.order.iter().map(|e| (e.rule.id, e.clone())).collect();
             inner.next_id = next_id;
             inner.revision = revision;
+            inner.restores += 1;
             inner.log.clear();
         }
         self.notify_change();
@@ -581,6 +592,7 @@ mod tests {
         let fresh = RuleRepository::new();
         fresh.restore(rules, next_id, revision);
         assert_eq!(fresh.revision(), revision);
+        assert_eq!((repo.restore_epoch(), fresh.restore_epoch()), (0, 1));
         assert_eq!(fresh.next_rule_id(), next_id);
         assert_eq!(fresh.len(), 2);
         assert!(!fresh.get(ids[1]).unwrap().is_enabled());
