@@ -10,7 +10,6 @@
 //! snapshots pays a few atomic adds per product.
 
 use rulekit_core::{ExecMetrics, ExecutorKind};
-use rulekit_maint::OptimizeMetrics;
 use rulekit_obs::{Counter, Histogram, MetricsSnapshot, Registry};
 use std::sync::Arc;
 
@@ -41,10 +40,6 @@ pub struct PipelineMetrics {
     /// Candidate accounting for the execution engine (shared by the gate
     /// and main-store classifiers).
     pub exec: Arc<ExecMetrics>,
-    /// Snapshot-optimizer outcomes (rules merged/dropped/reordered and the
-    /// post-optimization rule count), populated when
-    /// `ChimeraConfig::optimize_rules` is on.
-    pub opt: OptimizeMetrics,
     /// Fact-inference tier accounting (`rulekit_infer_*`), populated when
     /// the tier is enabled and infer rules exist.
     pub infer: Arc<InferMetrics>,
@@ -103,7 +98,6 @@ impl PipelineMetrics {
             gate_shortcircuits: registry.counter("rulekit_chimera_gate_shortcircuits_total"),
             batches: registry.counter("rulekit_chimera_batches_total"),
             exec: ExecMetrics::register(&registry, ExecutorKind::LiteralScan),
-            opt: OptimizeMetrics::register(&registry),
             infer: InferMetrics::register(&registry),
             registry,
         })

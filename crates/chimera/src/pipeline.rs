@@ -48,15 +48,6 @@ pub struct ChimeraConfig {
     pub analysis_enabled: bool,
     /// Worker threads for batch classification.
     pub threads: usize,
-    /// Run the offline rule-set optimizer ([`rulekit_maint::optimize`])
-    /// over each main-store snapshot before compiling it: duplicates merge,
-    /// formally-subsumed blacklist rules drop, dictionary blacklists union,
-    /// and confirmation order is rewritten cheapest-probe first. Only the
-    /// decision-exact passes run (no guard corpus is wired through the
-    /// pipeline), so classifications are bit-identical either way; the
-    /// outcome is recorded in the pipeline registry's
-    /// `rulekit_maint_opt_*` series.
-    pub optimize_rules: bool,
     /// Run the fact-inference tier (`core::infer`) before classification:
     /// `infer:` rules forward-chain over a working memory seeded from the
     /// product's attributes and the `ie` extractors, and derived facts are
@@ -87,7 +78,6 @@ impl Default for ChimeraConfig {
             auto_scale_down: false,
             analysis_enabled: true,
             threads: 4,
-            optimize_rules: false,
             infer_enabled: true,
             seed: 0,
             monitor_window: 60,
@@ -303,22 +293,17 @@ impl Chimera {
         Arc::new(RuleClassifier::over(Arc::new(engine)))
     }
 
-    /// The rule side compiled at the repositories' current revisions,
-    /// rebuilt only when either revision or restore epoch moved. A rebuild
-    /// copies entry pointers — each rule's compiled form is shared with
-    /// every earlier build — and builds the literal index.
+    /// The rule side compiled at the repositories' current state, rebuilt
+    /// only when either store's change signal moved. A rebuild copies entry
+    /// pointers — each rule's compiled form is shared with every earlier
+    /// build — and builds the literal indexes.
     fn compiled(&self) -> CompiledRules {
         let mut cache = self.cache.lock();
-        // Read before the entries: a restore in between leaves the build
-        // keyed to the older epoch, so the next call rebuilds.
-        let epochs = [self.gate_rules.restore_epoch(), self.rules.restore_epoch()];
-        if let Some(c) = cache.as_ref() {
-            if c.epochs == epochs
-                && c.gate_rev == self.gate_rules.revision()
-                && c.rule_rev == self.rules.revision()
-            {
-                return c.clone();
-            }
+        // Read before the entries: a change in between leaves the build
+        // keyed to the older count, so the next call rebuilds.
+        let changes = [self.gate_rules.changes(), self.rules.changes()];
+        if let Some(c) = cache.as_ref().filter(|c| c.changes == changes) {
+            return c.clone();
         }
         // Each store's revision and entries come from one read lock, so the
         // build is labelled with exactly the revision its rules are at.
@@ -326,30 +311,17 @@ impl Chimera {
         let (rule_rev, rule_entries) = self.rules.versioned_entries();
         // `infer:` rules are evaluated by the forward-chaining tier, never
         // by the classification phases: partition them out of both
-        // snapshots before optimizing/compiling.
+        // snapshots.
         let is_infer = |e: &Arc<RuleEntry>| matches!(e.rule().action, RuleAction::Infer(_));
         let (mut infer_entries, gate_entries): (Vec<_>, Vec<_>) =
             gate_entries.into_iter().partition(is_infer);
-        let (main_infer, mut rule_entries): (Vec<_>, Vec<_>) =
+        let (main_infer, rule_entries): (Vec<_>, Vec<_>) =
             rule_entries.into_iter().partition(is_infer);
         infer_entries.extend(main_infer);
-        let infer = Arc::new(InferenceEngine::from_rules(infer_entries.iter().map(|e| e.rule())));
-        if self.cfg.optimize_rules {
-            // Only the decision-exact passes run (no guard corpus here), so
-            // the optimized snapshot classifies identically — it's purely a
-            // build-time compaction of what the executor must serve. It
-            // rewrites rules by value, so the result is compiled cold.
-            let (optimized, report) = rulekit_maint::optimize(
-                rule_entries.iter().map(|e| e.rule().clone()).collect(),
-                &rulekit_maint::OptimizeOptions::default(),
-                None,
-            );
-            self.obs.opt.record(&report);
-            rule_entries = optimized.into_iter().map(|r| Arc::new(RuleEntry::new(r))).collect();
-        }
+        let infer = Arc::new(InferenceEngine::from_entries(infer_entries));
         let infer_active = self.cfg.infer_enabled && !infer.is_empty();
         let compiled = CompiledRules {
-            epochs,
+            changes,
             gate_rev,
             rule_rev,
             gate: self.compile(gate_entries),
@@ -593,55 +565,6 @@ mod tests {
         assert_eq!(chimera.suppressed_types(), vec![rings]);
         chimera.restore(rings);
         assert_eq!(chimera.classify(&item.product).type_id(), Some(rings));
-    }
-
-    #[test]
-    fn optimized_snapshot_classifies_identically() {
-        // optimize_rules is a build-time compaction, never a semantics
-        // knob: a store salted with duplicates and subsumed blacklist rules
-        // must decide every product exactly as the unoptimized build does.
-        let tax = Taxonomy::builtin();
-        let mut g = CatalogGenerator::with_seed(tax.clone(), 61);
-        let corpus = LabeledCorpus::generate(&mut g, 1500);
-        let products: Vec<Product> = g.generate(200).into_iter().map(|i| i.product).collect();
-        let redundant = "rings? -> rings\nrings? -> rings\n\
-                         denim.*jeans? -> NOT shorts\njeans? -> NOT shorts\n\
-                         laptop (bag|case|sleeve)s? -> NOT laptop computers\n";
-        // Compare (type, confidence) — explanations legitimately shrink
-        // when merged/dropped rules stop being listed as voters.
-        let mut all: Vec<Vec<(Option<TypeId>, Option<u64>)>> = Vec::new();
-        for optimize in [false, true] {
-            let mut chimera = Chimera::new(
-                tax.clone(),
-                ChimeraConfig { optimize_rules: optimize, ..Default::default() },
-            );
-            chimera.train(corpus.items());
-            chimera.add_rules(redundant).unwrap();
-            all.push(
-                chimera
-                    .classify_batch(&products)
-                    .into_iter()
-                    .map(|d| {
-                        let conf = match &d {
-                            Decision::Classified { confidence, .. } => Some(confidence.to_bits()),
-                            _ => None,
-                        };
-                        (d.type_id(), conf)
-                    })
-                    .collect(),
-            );
-            let opt = &chimera.metrics().opt;
-            if optimize {
-                assert!(opt.merged.value() >= 1, "duplicate rings rule merged");
-                assert!(opt.dropped.value() >= 1, "subsumed jeans blacklist dropped");
-                assert!(opt.active_rules.value() >= 1);
-                let text = chimera.metrics().registry().render_text();
-                assert!(text.contains("rulekit_maint_opt_rules_dropped_total"));
-            } else {
-                assert_eq!(opt.merged.value() + opt.dropped.value(), 0);
-            }
-        }
-        assert_eq!(all[0], all[1], "optimized vs raw snapshot decisions");
     }
 
     #[test]

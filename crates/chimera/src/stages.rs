@@ -20,8 +20,8 @@ use std::sync::Arc;
 /// revisions. Cheap to clone (four `Arc` bumps).
 #[derive(Clone)]
 pub(crate) struct CompiledRules {
-    /// The gate and main stores' restore epochs, read before their entries.
-    pub epochs: [u64; 2],
+    /// The gate and main stores' change signals, read before their entries.
+    pub changes: [u64; 2],
     pub gate_rev: u64,
     pub rule_rev: u64,
     pub gate: Arc<RuleClassifier>,

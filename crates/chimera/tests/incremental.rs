@@ -136,8 +136,8 @@ impl Edited {
             1 => self.add(|t, _| format!("{t} -> NOT televisions")),
             2 => self.add(|t, ty| format!("rule: title ~ /{t}/ && price < 50 => {ty}")),
             3 => {
-                // Same-type dictionary blacklists: the shape the optimizer
-                // merges into one rule with a rewritten condition.
+                // Same-type dictionary blacklists, each over a dictionary
+                // registered after the rules before it were compiled.
                 let name = format!("dict{}", self.tokens.len());
                 let token = format!("tok{}q", self.tokens.len());
                 self.chimera.parser_mut().register_dictionary(Dictionary::new(&name, [&token]));
@@ -241,9 +241,10 @@ fn decisions(snapshot: &PipelineSnapshot, products: &[Product]) -> Vec<Decision>
 
 /// Applies seeded random edit sequences, checking after every step that the
 /// served snapshot decides like one compiled from scratch.
-fn incremental_equals_from_scratch(optimize_rules: bool) {
+#[test]
+fn incremental_build_equals_from_scratch() {
     const STEPS: usize = 45;
-    let cfg = ChimeraConfig { optimize_rules, threads: 1, ..Default::default() };
+    let cfg = ChimeraConfig { threads: 1, ..Default::default() };
     // (gate short-circuits, other classifications, declines) seen, so the
     // check cannot pass by every answer being the same.
     let mut seen = (0, 0, 0);
@@ -267,11 +268,7 @@ fn incremental_equals_from_scratch(optimize_rules: bool) {
             let expected = decisions(&edited.scratch_build(&cfg).snapshot(), &products);
             let got = decisions(&served, &products);
             for ((p, want), got) in products.iter().zip(&expected).zip(&got) {
-                assert_eq!(
-                    got, want,
-                    "seed {seed}, step {step}, optimize_rules {optimize_rules}: {:?}",
-                    p.title
-                );
+                assert_eq!(got, want, "seed {seed}, step {step}: {:?}", p.title);
                 match got {
                     Decision::Classified { explanation, .. } if explanation[0].contains("gate") => {
                         seen.0 += 1
@@ -283,14 +280,4 @@ fn incremental_equals_from_scratch(optimize_rules: bool) {
         }
     }
     assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0, "(gate, classified, declined) = {seen:?}");
-}
-
-#[test]
-fn incremental_build_equals_from_scratch() {
-    incremental_equals_from_scratch(false);
-}
-
-#[test]
-fn incremental_build_equals_from_scratch_with_optimized_rules() {
-    incremental_equals_from_scratch(true);
 }

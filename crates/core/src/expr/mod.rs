@@ -23,9 +23,11 @@
 //! program across WAL replays, checkpoint rebuilds, and snapshot rebuilds.
 //!
 //! Legacy [`Condition`](crate::rule::Condition) variants compile to the
-//! same IR via [`compile_condition`], making the bytecode VM the single
-//! evaluation path for every executor; the tree-walk interpreter in
-//! `rule.rs` remains as the reference semantics the differential suite
+//! same IR via [`compile_condition`], making the bytecode VM the only
+//! condition evaluator in the library — for classification, fact inference
+//! and one-shot [`Condition::matches`](crate::rule::Condition::matches)
+//! alike. The readable tree-walk over `Condition` lives in the test suites
+//! (`tests/tree_walk`), as the reference semantics the differential suite
 //! checks the bytecode against.
 
 mod cache;

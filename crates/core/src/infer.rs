@@ -8,8 +8,8 @@
 //! **working memory** seeded from the product's attributes, the `ie`
 //! extractor output, and previously derived facts, chaining to fixpoint.
 //! Derived facts are then appended to the product as ordinary attributes,
-//! so every downstream consumer — the three executors, the expression VM,
-//! the gate keeper — sees them with zero changes.
+//! so every downstream consumer — the rule engine, the expression VM, the
+//! gate keeper — sees them with zero changes.
 //!
 //! ## Fixpoint semantics (confluence by construction)
 //!
@@ -31,10 +31,23 @@
 //! round adds at least one name from a finite set, and chaining must
 //! terminate within `min(max_rounds, #rules)` rounds — cyclic and
 //! self-referential rule graphs simply stop producing new names.
+//!
+//! ## Evaluation
+//!
+//! The fact rules run on the classification engine: one
+//! [`LiteralScanExecutor`] over their repository entries decides, each round,
+//! which antecedents hold on working memory. A rule is considered only when
+//! its required title literals occur, when the attribute its antecedent
+//! requires is present (a product attribute, a seed, or a fact an earlier
+//! round derived), or when it has neither. There is no dependency index
+//! between rounds: chains are a few rounds deep, and each round re-admits
+//! from the literal and attribute postings.
 
 use crate::aggregate::AggregateStore;
+use crate::engine::{LiteralScanExecutor, RuleExecutor};
 use crate::prepared::{fold_lower, PreparedProduct};
-use crate::rule::{Condition, InferFact, Rule, RuleAction, RuleId};
+use crate::repository::RuleEntry;
+use crate::rule::{InferFact, Rule, RuleAction, RuleId};
 use rulekit_data::Product;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -43,33 +56,8 @@ use std::sync::Arc;
 /// rounds; the cap is a belt-and-braces bound for adversarial inputs.
 pub const DEFAULT_MAX_ROUNDS: usize = 32;
 
-/// One fact-inference rule: an expression antecedent plus the fact its
-/// firing derives.
-#[derive(Debug, Clone)]
-pub struct InferRule {
-    /// Repository rule id (conflict-resolution tiebreaker).
-    pub id: RuleId,
-    /// Antecedent, evaluated against working memory.
-    pub condition: Condition,
-    /// Consequent.
-    pub fact: InferFact,
-    /// Original DSL source line.
-    pub source: String,
-}
-
-impl InferRule {
-    /// Extracts the inference view of a repository rule, if it is one.
-    pub fn from_rule(rule: &Rule) -> Option<InferRule> {
-        match &rule.action {
-            RuleAction::Infer(fact) => Some(InferRule {
-                id: rule.id,
-                condition: rule.condition.clone(),
-                fact: fact.clone(),
-                source: rule.source.clone(),
-            }),
-            _ => None,
-        }
-    }
+fn is_fact_rule(rule: &Rule) -> bool {
+    matches!(rule.action, RuleAction::Infer(_))
 }
 
 /// A fact derived by chaining.
@@ -114,23 +102,36 @@ impl InferenceOutcome {
     }
 }
 
-/// Forward-chaining engine over a fixed set of [`InferRule`]s.
-#[derive(Debug, Default)]
+/// Forward-chaining engine over the fact rules of a repository snapshot.
 pub struct InferenceEngine {
-    rules: Vec<InferRule>,
+    /// Admits and evaluates the fact rules; built without `ExecMetrics`, so
+    /// the executor series count classification only.
+    executor: LiteralScanExecutor,
     max_rounds: usize,
 }
 
 impl InferenceEngine {
-    /// Builds an engine over `rules` with the default round bound.
-    pub fn new(rules: Vec<InferRule>) -> Self {
-        InferenceEngine { rules, max_rounds: DEFAULT_MAX_ROUNDS }
+    /// Builds an engine over shared repository entries, keeping only
+    /// `RuleAction::Infer` rules. Each rule's compiled form is the entry's,
+    /// shared with every other build that holds the entry.
+    pub fn from_entries(mut entries: Vec<Arc<RuleEntry>>) -> Self {
+        entries.retain(|e| is_fact_rule(e.rule()));
+        InferenceEngine {
+            executor: LiteralScanExecutor::from_entries(entries),
+            max_rounds: DEFAULT_MAX_ROUNDS,
+        }
     }
 
-    /// Builds an engine from a repository snapshot — owned rules or the
-    /// rules of shared entries — keeping only `RuleAction::Infer` rules.
+    /// Builds an engine from owned rules, keeping only `RuleAction::Infer`
+    /// rules (a cold compile).
     pub fn from_rules<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> Self {
-        Self::new(rules.into_iter().filter_map(InferRule::from_rule).collect())
+        Self::from_entries(
+            rules
+                .into_iter()
+                .filter(|r| is_fact_rule(r))
+                .map(|r| Arc::new(RuleEntry::new(r.clone())))
+                .collect(),
+        )
     }
 
     /// Overrides the chaining round bound (min 1).
@@ -141,17 +142,12 @@ impl InferenceEngine {
 
     /// Number of inference rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.executor.rule_count()
     }
 
     /// Whether the engine has no rules (chaining is then a no-op).
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-    }
-
-    /// The rules, in load order (diagnostics / tests).
-    pub fn rules(&self) -> &[InferRule] {
-        &self.rules
+        self.len() == 0
     }
 
     /// Chains `product` to fixpoint. `seeds` are extra working-memory
@@ -164,8 +160,33 @@ impl InferenceEngine {
         seeds: &[(String, String)],
         aggregates: Option<Arc<AggregateStore>>,
     ) -> InferenceOutcome {
+        self.chain(product, seeds, aggregates, |_| {})
+    }
+
+    /// [`InferenceEngine::infer`], also reporting how many rules each round
+    /// considered (the fixpoint probe included), for the work guard in
+    /// `tests/infer_work.rs`.
+    #[doc(hidden)]
+    pub fn infer_counted(
+        &self,
+        product: &Product,
+        seeds: &[(String, String)],
+        aggregates: Option<Arc<AggregateStore>>,
+    ) -> (InferenceOutcome, Vec<usize>) {
+        let mut considered = Vec::new();
+        let outcome = self.chain(product, seeds, aggregates, |n| considered.push(n));
+        (outcome, considered)
+    }
+
+    fn chain(
+        &self,
+        product: &Product,
+        seeds: &[(String, String)],
+        aggregates: Option<Arc<AggregateStore>>,
+        mut considered: impl FnMut(usize),
+    ) -> InferenceOutcome {
         let mut outcome = InferenceOutcome::default();
-        if self.rules.is_empty() {
+        if self.is_empty() {
             return outcome;
         }
 
@@ -187,22 +208,23 @@ impl InferenceEngine {
         // Each productive round writes ≥1 new name, and only rules whose
         // fact name is unwritten can fire, so `#rules` rounds always
         // suffice to reach fixpoint.
-        let bound = self.max_rounds.min(self.rules.len()).max(1);
+        let bound = self.max_rounds.min(self.len()).max(1);
         for round in 1..=bound {
             let prepared = PreparedProduct::with_aggregates(&wm, aggregates.clone());
-            let winners = self.round_winners(&prepared, &occupied);
+            let winners = self.round_winners(&prepared, &occupied, &mut considered);
             if winners.is_empty() {
                 return outcome; // fixpoint
             }
             outcome.rounds = round;
-            for (name, rule) in winners {
-                occupied.insert(name.clone());
-                wm.attributes.push((name.clone(), rule.fact.value.clone()));
+            for (name, i) in winners {
+                let fact = self.fact(i);
+                occupied.insert(name.to_owned());
+                wm.attributes.push((name.to_owned(), fact.value.clone()));
                 outcome.facts.push(DerivedFact {
-                    name,
-                    value: rule.fact.value.clone(),
-                    confidence_ppm: rule.fact.confidence_ppm,
-                    rule: rule.id,
+                    name: name.to_owned(),
+                    value: fact.value.clone(),
+                    confidence_ppm: fact.confidence_ppm,
+                    rule: self.executor.table().ids()[i as usize],
                     round,
                 });
             }
@@ -211,50 +233,61 @@ impl InferenceEngine {
         // Ran out of rounds: probe once to tell "fixed exactly at the
         // bound" from "stopped early".
         let prepared = PreparedProduct::with_aggregates(&wm, aggregates);
-        outcome.hit_bound = !self.round_winners(&prepared, &occupied).is_empty();
+        outcome.hit_bound = !self.round_winners(&prepared, &occupied, &mut considered).is_empty();
         outcome
     }
 
-    /// One synchronous round against frozen working memory: every rule
-    /// whose fact name is unwritten is evaluated, and per fact name one
-    /// winner is chosen by the total conflict-resolution order. The
-    /// `BTreeMap` keys the merge by name, so the result is independent of
-    /// rule order.
-    fn round_winners<'a>(
-        &'a self,
+    /// One synchronous round against frozen working memory: the engine
+    /// finds the rules whose antecedent holds, rules deriving a written name
+    /// drop out, and per fact name one winner (a table position) is chosen
+    /// by the total conflict-resolution order. The `BTreeMap` keys the merge
+    /// by name, so the result is independent of rule order.
+    fn round_winners(
+        &self,
         prepared: &PreparedProduct<'_>,
         occupied: &HashSet<String>,
-    ) -> BTreeMap<String, &'a InferRule> {
-        let mut winners: BTreeMap<String, &InferRule> = BTreeMap::new();
-        for rule in &self.rules {
-            if occupied.contains(&rule.fact.name) {
-                continue;
-            }
-            if !rule.condition.matches_prepared(prepared) {
+        considered: &mut impl FnMut(usize),
+    ) -> BTreeMap<&str, u32> {
+        let (fired, candidates) = self.executor.matching_positions(prepared);
+        considered(candidates);
+        let mut winners: BTreeMap<&str, u32> = BTreeMap::new();
+        for i in fired {
+            let name = self.fact(i).name.as_str();
+            if occupied.contains(name) {
                 continue;
             }
             winners
-                .entry(rule.fact.name.clone())
+                .entry(name)
                 .and_modify(|incumbent| {
-                    if beats(rule, incumbent) {
-                        *incumbent = rule;
+                    if self.beats(i, *incumbent) {
+                        *incumbent = i;
                     }
                 })
-                .or_insert(rule);
+                .or_insert(i);
         }
         winners
     }
-}
 
-/// The conflict-resolution total order: priority desc → confidence desc →
-/// value lex asc → rule id asc. Total (ids are unique), so order of
-/// comparison cannot matter.
-fn beats(a: &InferRule, b: &InferRule) -> bool {
-    (b.fact.priority, b.fact.confidence_ppm)
-        .cmp(&(a.fact.priority, a.fact.confidence_ppm))
-        .then_with(|| a.fact.value.cmp(&b.fact.value))
-        .then_with(|| a.id.0.cmp(&b.id.0))
-        .is_lt()
+    /// The fact the rule at table position `i` derives.
+    fn fact(&self, i: u32) -> &InferFact {
+        match &self.executor.table().entries()[i as usize].rule().action {
+            RuleAction::Infer(fact) => fact,
+            _ => unreachable!("the engine holds fact rules only"),
+        }
+    }
+
+    /// The conflict-resolution total order between the rules at positions
+    /// `a` and `b`: priority desc → confidence desc → value lex asc → rule
+    /// id asc. Total (ids are unique), so order of comparison cannot matter.
+    fn beats(&self, a: u32, b: u32) -> bool {
+        let (fa, fb) = (self.fact(a), self.fact(b));
+        let ids = self.executor.table().ids();
+        (fb.priority, fb.confidence_ppm)
+            .cmp(&(fa.priority, fa.confidence_ppm))
+            .then_with(|| fa.value.cmp(&fb.value))
+            .then_with(|| ids[a as usize].cmp(&ids[b as usize]))
+            .is_lt()
+    }
 }
 
 #[cfg(test)]
@@ -376,10 +409,25 @@ mod tests {
 
     #[test]
     fn empty_engine_is_a_noop() {
-        let eng = InferenceEngine::new(Vec::new());
+        let eng = InferenceEngine::from_entries(Vec::new());
         let out = eng.infer(&product("x", &[("a", "1")]), &[], None);
         assert!(out.facts.is_empty() && out.rounds == 0 && !out.hit_bound);
         assert!(out.augmented(&product("x", &[])).is_none());
+    }
+
+    #[test]
+    fn from_entries_keeps_fact_rules_and_shares_their_programs() {
+        let parser = RuleParser::new(Taxonomy::builtin());
+        let repo = crate::repository::RuleRepository::new();
+        for line in ["rings? -> rings", r#"infer: has(isbn) => fact media = book"#] {
+            repo.add(parser.parse_rule(line).unwrap(), RuleMeta::default());
+        }
+        let (_, entries) = repo.versioned_entries();
+        let eng = InferenceEngine::from_entries(entries.clone());
+        assert_eq!(eng.len(), 1, "the classification rule is dropped");
+        assert!(Arc::ptr_eq(&eng.executor.table().programs()[0], &entries[1].compiled().program));
+        let out = eng.infer(&product("x", &[("ISBN", "978")]), &[], None);
+        assert_eq!(out.facts[0].rule, RuleId(1));
     }
 
     #[test]

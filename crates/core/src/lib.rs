@@ -4,10 +4,12 @@
 //! rule repository with per-type scale-down controls, rule-based
 //! classification with whitelist-before-blacklist phase semantics, one
 //! execution engine (the Aho-Corasick [`LiteralScanExecutor`]) checked
-//! against one oracle ([`NaiveExecutor`]), an allocation-free
-//! prepared-product match path, one scoped-thread batch fan-out
-//! ([`map_chunks`]), a data-side index for rule development, and mechanical
-//! audits of rule-system properties (order independence).
+//! against one oracle ([`NaiveExecutor`]), forward-chaining fact inference
+//! ([`InferenceEngine`]) that runs its rules on that same engine, one
+//! condition evaluator (the expression VM every condition compiles to), an
+//! allocation-free prepared-product match path, one scoped-thread batch
+//! fan-out ([`map_chunks`]), a data-side index for rule development, and
+//! mechanical audits of rule-system properties (order independence).
 //!
 //! This crate is the direct reproduction of §3.3's rule machinery and §4's
 //! "rule languages / system properties / execution and optimization"
@@ -40,7 +42,7 @@ pub use engine::{
 pub use expr::{
     compile_condition, CompiledExpr, ExecContext, ExprCache, ExprCacheStats, ExprError, Program,
 };
-pub use infer::{DerivedFact, InferRule, InferenceEngine, InferenceOutcome, DEFAULT_MAX_ROUNDS};
+pub use infer::{DerivedFact, InferenceEngine, InferenceOutcome, DEFAULT_MAX_ROUNDS};
 pub use prepared::PreparedProduct;
 pub use properties::{audit_order_independence, OrderAudit};
 pub use repository::{RepositoryStats, Revision, RuleEntry, RuleRepository, DEFAULT_LOG_CAPACITY};

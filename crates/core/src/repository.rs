@@ -16,6 +16,11 @@
 //! old one's compiled form; snapshots holding the old entry are unaffected.
 //! `enabled_snapshot` and `full_snapshot` still return owned `Rule`s for
 //! callers that edit them.
+//!
+//! One change signal ([`RuleRepository::changes`]) counts every mutation and
+//! every restore. Compiled-rule caches key on it and the serving refresher
+//! waits on it; the revision cannot serve either, because a restore may set
+//! it back or reinstate one a cache already saw.
 
 use crate::dsl::RuleSpec;
 use crate::engine::CompiledRule;
@@ -96,10 +101,11 @@ pub enum Revision {
 #[derive(Debug)]
 pub struct RuleRepository {
     inner: RwLock<Inner>,
-    /// Change notification: `published` mirrors the revision after every
-    /// mutation, `changed` wakes [`RuleRepository::wait_for_change`]
+    /// The change signal: counts every mutation and every restore, so it
+    /// never moves backwards even when a restore lowers or reinstates the
+    /// revision. `changed` wakes [`RuleRepository::wait_for_change`]
     /// blockers (the serving layer's snapshot refresher).
-    published: std::sync::Mutex<u64>,
+    changes: std::sync::Mutex<u64>,
     changed: std::sync::Condvar,
 }
 
@@ -111,11 +117,10 @@ impl Default for RuleRepository {
                 order: Vec::new(),
                 next_id: 0,
                 revision: 0,
-                restores: 0,
                 log: VecDeque::new(),
                 log_capacity: DEFAULT_LOG_CAPACITY,
             }),
-            published: std::sync::Mutex::new(0),
+            changes: std::sync::Mutex::new(0),
             changed: std::sync::Condvar::new(),
         }
     }
@@ -131,8 +136,6 @@ struct Inner {
     /// Monotonic mutation counter. Decoupled from `log.len()`: the ring
     /// below keeps only the most recent revisions in memory.
     revision: u64,
-    /// Bumped by every [`RuleRepository::restore`].
-    restores: u64,
     log: VecDeque<Revision>,
     log_capacity: usize,
 }
@@ -173,40 +176,46 @@ impl RuleRepository {
         self.inner.read().log_capacity
     }
 
-    /// Publishes the latest revision to watchers. Always called *after* the
-    /// write lock is released (lock order: `inner` before `published`).
+    fn lock_changes(&self) -> std::sync::MutexGuard<'_, u64> {
+        self.changes.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Advances the change signal and wakes watchers. Always called *after*
+    /// the write lock is released, so a watcher that sees the new count
+    /// reads the new state.
     fn notify_change(&self) {
-        let rev = self.revision();
-        let mut published =
-            self.published.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if *published < rev {
-            *published = rev;
-        }
-        drop(published);
+        *self.lock_changes() += 1;
         self.changed.notify_all();
     }
 
-    /// Blocks until the revision exceeds `last_seen` or `timeout` elapses;
-    /// returns the latest published revision either way. This is the
-    /// rebuild hook for executor caches and the serving layer: a refresher
-    /// sleeps here instead of polling [`RuleRepository::revision`].
+    /// The change signal: how many mutations and restores the repository
+    /// has seen. Unlike [`RuleRepository::revision`], which a restore may
+    /// set to any value, it never moves backwards and moves on every change,
+    /// so a cache of anything derived from the rules is current exactly when
+    /// this has not moved since it was read (read it *before* the rules).
+    pub fn changes(&self) -> u64 {
+        *self.lock_changes()
+    }
+
+    /// Blocks until the change signal exceeds `last_seen` or `timeout`
+    /// elapses; returns the signal either way. This is the rebuild hook for
+    /// the serving layer: a refresher sleeps here instead of polling.
     pub fn wait_for_change(&self, last_seen: u64, timeout: std::time::Duration) -> u64 {
         let deadline = std::time::Instant::now() + timeout;
-        let mut published =
-            self.published.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut changes = self.lock_changes();
         loop {
-            if *published > last_seen {
-                return *published;
+            if *changes > last_seen {
+                return *changes;
             }
             let now = std::time::Instant::now();
             if now >= deadline {
-                return *published;
+                return *changes;
             }
             let (guard, _) = self
                 .changed
-                .wait_timeout(published, deadline - now)
+                .wait_timeout(changes, deadline - now)
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            published = guard;
+            changes = guard;
         }
     }
 
@@ -413,17 +422,11 @@ impl RuleRepository {
         out
     }
 
-    /// Monotonic revision number (increments on every change) — executors
-    /// cache snapshots keyed on this.
+    /// The revision: increments on every mutation and is what the durable
+    /// log sequences by. A [`RuleRepository::restore`] sets it to the
+    /// recovered value, so caches key on [`RuleRepository::changes`].
     pub fn revision(&self) -> u64 {
         self.inner.read().revision
-    }
-
-    /// How many times [`RuleRepository::restore`] has replaced the
-    /// contents. A restore can reinstate a revision a cache already saw with
-    /// different rules, so caches key on `(restore_epoch, revision)`.
-    pub fn restore_epoch(&self) -> u64 {
-        self.inner.read().restores
     }
 
     /// The id the next [`RuleRepository::add`] will assign. Used by the
@@ -446,7 +449,6 @@ impl RuleRepository {
             inner.rules = inner.order.iter().map(|e| (e.rule.id, e.clone())).collect();
             inner.next_id = next_id;
             inner.revision = revision;
-            inner.restores += 1;
             inner.log.clear();
         }
         self.notify_change();
@@ -592,7 +594,7 @@ mod tests {
         let fresh = RuleRepository::new();
         fresh.restore(rules, next_id, revision);
         assert_eq!(fresh.revision(), revision);
-        assert_eq!((repo.restore_epoch(), fresh.restore_epoch()), (0, 1));
+        assert_eq!((repo.changes(), fresh.changes()), (3, 1));
         assert_eq!(fresh.next_rule_id(), next_id);
         assert_eq!(fresh.len(), 2);
         assert!(!fresh.get(ids[1]).unwrap().is_enabled());
@@ -679,7 +681,7 @@ mod tests {
     fn wait_for_change_wakes_on_mutation() {
         use std::time::Duration;
         let (repo, ids, _) = repo_with(&["rings? -> rings"]);
-        let before = repo.revision();
+        let before = repo.changes();
         // Timeout path: nothing changes.
         assert_eq!(repo.wait_for_change(before, Duration::from_millis(20)), before);
         // Wake path: a writer thread disables a rule while we block.
@@ -690,8 +692,27 @@ mod tests {
                 repo2.disable(ids[0], "churn");
             });
             let seen = repo.wait_for_change(before, Duration::from_secs(5));
-            assert!(seen > before, "watcher saw revision {seen} <= {before}");
+            assert!(seen > before, "watcher saw change {seen} <= {before}");
         });
+    }
+
+    #[test]
+    fn every_restore_moves_the_change_signal_forward() {
+        use std::time::Duration;
+        let (repo, _, _) = repo_with(&["rings? -> rings", "rugs? -> area rugs"]);
+        let (rules, next_id) = (repo.full_snapshot(), repo.next_rule_id());
+        // The same revision, then a lower one: the revision stays or falls,
+        // the change signal moves on, and a watcher that saw it blocks.
+        for revision in [repo.revision(), 1] {
+            let before = repo.changes();
+            repo.restore(rules.clone(), next_id, revision);
+            assert_eq!(repo.revision(), revision);
+            assert_eq!(repo.changes(), before + 1);
+            assert_eq!(repo.wait_for_change(before, Duration::ZERO), before + 1);
+            let start = std::time::Instant::now();
+            repo.wait_for_change(before + 1, Duration::from_millis(20));
+            assert!(start.elapsed() >= Duration::from_millis(20), "returned before the timeout");
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //!   laptop") — [`Condition::All`], [`Condition::NumCompare`],
 //!   [`Condition::InDictionary`].
 
+use crate::expr::ExecContext;
 use crate::prepared::{fold_lower, PreparedProduct};
 use rulekit_data::{Product, TypeId};
 use rulekit_regex::Regex;
@@ -51,13 +52,8 @@ impl Dictionary {
         }
     }
 
-    /// Whether `title` contains any entry as a substring (case-folded).
-    pub fn matches_title(&self, title: &str) -> bool {
-        self.matches_title_lower(&fold_lower(title))
-    }
-
-    /// Like [`Dictionary::matches_title`] for a title that is already
-    /// case-folded (the prepared hot path — no allocation per rule).
+    /// Whether the already case-folded `lowered` title contains any entry
+    /// as a substring.
     pub fn matches_title_lower(&self, lowered: &str) -> bool {
         self.entries.iter().any(|e| lowered.contains(e.as_str()))
     }
@@ -152,34 +148,12 @@ pub enum Condition {
 }
 
 impl Condition {
-    /// Evaluates the condition against `product`. One-shot entry point:
-    /// prepares the product internally. Batch callers (the executors)
-    /// prepare once and use [`Condition::matches_prepared`].
+    /// Evaluates the condition against `product`: a one-shot compile and
+    /// run of the bytecode every executor evaluates. Callers that test many
+    /// products compile once ([`Condition::compile`]) and evaluate each
+    /// prepared product, or build an executor.
     pub fn matches(&self, product: &Product) -> bool {
-        self.matches_prepared(&PreparedProduct::new(product))
-    }
-
-    /// Evaluates the condition against an already-prepared product — the
-    /// allocation-free hot path: dictionary and value comparisons run
-    /// against the pre-folded title/attributes instead of lowercasing per
-    /// rule.
-    pub fn matches_prepared(&self, product: &PreparedProduct<'_>) -> bool {
-        match self {
-            Condition::TitleMatches(re) => re.is_match(&product.product().title),
-            Condition::AttrExists(name) => product.product().has_attr(name),
-            Condition::AttrValueIn { attr, values } => product
-                .attr_value_lower(attr)
-                .map(|lowered| values.iter().any(|v| v == lowered))
-                .unwrap_or(false),
-            Condition::NumCompare { attr, op, value } => {
-                // The numeric parse is cached in the prepared product, so a
-                // thousand price rules cost a thousand lookups, not parses.
-                product.attr_num(attr).map(|v| op.apply(v, *value)).unwrap_or(false)
-            }
-            Condition::InDictionary(dict) => dict.matches_title_lower(product.title_lower()),
-            Condition::All(conds) => conds.iter().all(|c| c.matches_prepared(product)),
-            Condition::Expr(ce) => ce.matches_prepared(product),
-        }
+        self.compile().eval(&ExecContext::new(&PreparedProduct::new(product)))
     }
 
     /// The title regex, if this condition (or one of its conjuncts) has one.
@@ -381,14 +355,10 @@ pub struct Rule {
 }
 
 impl Rule {
-    /// Whether the rule's condition fires on `product`.
+    /// Whether the rule's condition fires on `product` (see
+    /// [`Condition::matches`]).
     pub fn matches(&self, product: &Product) -> bool {
         self.condition.matches(product)
-    }
-
-    /// Whether the rule's condition fires on an already-prepared product.
-    pub fn matches_prepared(&self, product: &PreparedProduct<'_>) -> bool {
-        self.condition.matches_prepared(product)
     }
 
     /// Whether the rule is enabled.

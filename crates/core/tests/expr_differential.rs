@@ -1,9 +1,12 @@
 //! Differential test between the two evaluation semantics: every condition
 //! species compiled to stack bytecode (`Condition::compile` → `Program::eval`)
-//! must agree with the tree-walk reference interpreter
-//! (`Condition::matches_prepared`) on a generated catalog plus adversarial
-//! products. The executors run only the bytecode; this suite is what keeps
-//! that single hot path honest against the readable reference semantics.
+//! must agree with the tree-walk reference interpreter (`tree_walk::matches`,
+//! which lives only here in the tests) on a generated catalog plus
+//! adversarial products. The library runs only the bytecode; this suite is
+//! what keeps that single evaluator honest against the readable reference
+//! semantics.
+
+mod tree_walk;
 
 use rulekit_core::{
     CompareOp, Condition, Dictionary, ExecContext, PreparedProduct, Rule, RuleMeta, RuleParser,
@@ -106,7 +109,7 @@ fn bytecode_agrees_with_interpreter_on_every_condition() {
         for (cond, prog) in conditions.iter().zip(&programs) {
             assert_eq!(
                 prog.eval(&ctx),
-                cond.matches_prepared(&prepared),
+                tree_walk::matches(cond, &prepared),
                 "bytecode vs interpreter disagree for `{cond}` on {:?} {:?}",
                 p.title,
                 p.attributes,
@@ -210,7 +213,7 @@ fn bytecode_agrees_with_interpreter_on_parsed_dsl() {
         for rule in &rules {
             assert_eq!(
                 rule.condition.compile().eval(&ctx),
-                rule.condition.matches_prepared(&prepared),
+                tree_walk::matches(&rule.condition, &prepared),
                 "disagreement for {:?} on {:?}",
                 rule.source,
                 p.title,

@@ -12,10 +12,21 @@
 //!    rule graphs included, and never panics.
 //! 3. **Monotonicity** — a fact name is written at most once, and names
 //!    already present as product attributes are never rewritten.
+//!
+//! A differential half holds the engine, which runs fact rules on the
+//! literal-scan executor, to [`reference`]: the chaining loop as it was
+//! before, evaluating every fact rule with the tree-walk in every round.
+
+mod tree_walk;
 
 use proptest::prelude::*;
-use rulekit_core::{InferenceEngine, Rule, RuleId, RuleMeta, RuleParser, DEFAULT_MAX_ROUNDS};
+use rulekit_core::{
+    AggregateStore, InferFact, InferenceEngine, PreparedProduct, Rule, RuleAction, RuleId,
+    RuleMeta, RuleParser, DEFAULT_MAX_ROUNDS,
+};
 use rulekit_data::{Product, Taxonomy, VendorId};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::Arc;
 
 /// Fact-name vocabulary: small so generated rules collide and chain.
 const NAMES: [&str; 6] = ["fa", "fb", "fc", "fd", "fe", "ff"];
@@ -86,15 +97,107 @@ fn shuffle<T>(v: &mut [T], mut s: u64) {
     }
 }
 
-/// One derived fact as (name, value, rule id, round).
-type FactKey = (String, String, u64, usize);
+/// One derived fact as (name, value, confidence, rule id, round).
+type FactKey = (String, String, u32, u64, usize);
 
-/// The comparable fingerprint of one chaining run.
-fn fingerprint(engine: &InferenceEngine, product: &Product) -> (Vec<FactKey>, usize, bool) {
-    let out = engine.infer(product, &[], None);
-    let facts =
-        out.facts.iter().map(|f| (f.name.clone(), f.value.clone(), f.rule.0, f.round)).collect();
+/// The comparable fingerprint of one chaining run: facts, rounds, bound hit.
+type Fingerprint = (Vec<FactKey>, usize, bool);
+
+fn fingerprint(engine: &InferenceEngine, product: &Product) -> Fingerprint {
+    fingerprint_with(engine, product, &[], None)
+}
+
+fn fingerprint_with(
+    engine: &InferenceEngine,
+    product: &Product,
+    seeds: &[(String, String)],
+    aggregates: Option<Arc<AggregateStore>>,
+) -> Fingerprint {
+    let out = engine.infer(product, seeds, aggregates);
+    let facts = out
+        .facts
+        .iter()
+        .map(|f| (f.name.clone(), f.value.clone(), f.confidence_ppm, f.rule.0, f.round))
+        .collect();
     (facts, out.rounds, out.hit_bound)
+}
+
+/// Folds an attribute name the way `PreparedProduct` does.
+fn fold(name: &str) -> String {
+    let p = Product { attributes: vec![(name.to_string(), String::new())], ..product(&[]) };
+    let prepared = PreparedProduct::new(&p);
+    let (folded, _) = prepared.attrs_lower().next().expect("one attribute");
+    folded.to_string()
+}
+
+/// The chaining loop before fact rules ran on the engine, kept as the
+/// oracle: every fact rule, evaluated by the tree-walk, in every round, with
+/// the same occupied-name filter, conflict order and round bound.
+fn reference(
+    rules: &[Rule],
+    max_rounds: usize,
+    product: &Product,
+    seeds: &[(String, String)],
+    aggregates: Option<Arc<AggregateStore>>,
+) -> Fingerprint {
+    let facts: Vec<(&Rule, &InferFact)> = rules
+        .iter()
+        .filter_map(|r| match &r.action {
+            RuleAction::Infer(fact) => Some((r, fact)),
+            _ => None,
+        })
+        .collect();
+    let mut out: Fingerprint = (Vec::new(), 0, false);
+    if facts.is_empty() {
+        return out;
+    }
+    let mut occupied: HashSet<String> = product.attributes.iter().map(|(k, _)| fold(k)).collect();
+    let mut wm = product.clone();
+    for (name, value) in seeds {
+        let folded = fold(name);
+        if occupied.insert(folded.clone()) {
+            wm.attributes.push((folded, value.clone()));
+        }
+    }
+    let beats = |(ra, a): (&Rule, &InferFact), (rb, b): (&Rule, &InferFact)| {
+        (b.priority, b.confidence_ppm)
+            .cmp(&(a.priority, a.confidence_ppm))
+            .then_with(|| a.value.cmp(&b.value))
+            .then_with(|| ra.id.cmp(&rb.id))
+            .is_lt()
+    };
+    let round_winners = |wm: &Product, occupied: &HashSet<String>| {
+        let prepared = PreparedProduct::with_aggregates(wm, aggregates.clone());
+        let mut winners: BTreeMap<String, (&Rule, &InferFact)> = BTreeMap::new();
+        for &(rule, fact) in &facts {
+            if occupied.contains(&fact.name) || !tree_walk::matches(&rule.condition, &prepared) {
+                continue;
+            }
+            winners
+                .entry(fact.name.clone())
+                .and_modify(|incumbent| {
+                    if beats((rule, fact), *incumbent) {
+                        *incumbent = (rule, fact);
+                    }
+                })
+                .or_insert((rule, fact));
+        }
+        winners
+    };
+    for round in 1..=max_rounds.min(facts.len()).max(1) {
+        let winners = round_winners(&wm, &occupied);
+        if winners.is_empty() {
+            return out;
+        }
+        out.1 = round;
+        for (name, (rule, fact)) in winners {
+            occupied.insert(name.clone());
+            wm.attributes.push((name.clone(), fact.value.clone()));
+            out.0.push((name, fact.value.clone(), fact.confidence_ppm, rule.id.0, round));
+        }
+    }
+    out.2 = !round_winners(&wm, &occupied).is_empty();
+    out
 }
 
 fn panel() -> Vec<Product> {
@@ -195,6 +298,85 @@ proptest! {
             prop_assert!(!out.hit_bound, "write-once chaining cannot exhaust the default bound");
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The engine derives what the reference loop derives — the same facts
+    /// from the same winning rules in the same rounds, the same round count
+    /// and the same bound flag — under every round bound.
+    #[test]
+    fn engine_agrees_with_the_reference_loop(
+        tuples in prop::collection::vec(rule_tuple(), 1..16),
+        max_rounds in 1usize..6,
+    ) {
+        let lines: Vec<String> = tuples.into_iter().map(render_rule).collect();
+        let rules = parse_rules(&lines);
+        let engine = InferenceEngine::from_rules(&rules).with_max_rounds(max_rounds);
+        for p in panel() {
+            prop_assert_eq!(
+                fingerprint(&engine, &p),
+                reference(&rules, max_rounds, &p, &[], None),
+                "on {:?}", p.attributes
+            );
+        }
+    }
+}
+
+/// The feed workload's shape: the benchmark's 4-line chaining pack (an ISBN
+/// chain, a price guard, a fact gated on `agg("vendor_mismatch_rate") >
+/// 0.25`) plus rules over `ie_*` seeds and the title, with the aggregate
+/// below, above and absent.
+#[test]
+fn engine_agrees_with_the_reference_on_the_feed_pack() {
+    let lines: Vec<String> = [
+        "infer: has(isbn) => fact media = book",
+        "infer: media == \"book\" => fact shelved = yes",
+        "infer: price < 5 => fact bargain = yes",
+        "infer: agg(\"vendor_mismatch_rate\") > 0.25 => fact risky_vendor = yes",
+        "infer: ie_brand == \"lego\" => fact kind = toy @0.9",
+        "infer: kind == \"toy\" && title ~ /sets?/ => fact aisle = 7 ^1",
+        "infer: has(ie_color) && !has(isbn) => fact colored = yes",
+    ]
+    .map(String::from)
+    .to_vec();
+    let rules = parse_rules(&lines);
+    let engine = InferenceEngine::from_rules(&rules);
+    let item =
+        |title: &str, attrs: &[(&str, &str)]| Product { title: title.into(), ..product(attrs) };
+    let products = [
+        item("hardcover novel", &[("ISBN", "9781111111111"), ("Price", "12")]),
+        item("LEGO City set 60215", &[("Price", "3.99")]),
+        item("bulk lot", &[("Price", "n/a")]),
+        item("plain item", &[]),
+    ];
+    let seeds: [&[(&str, &str)]; 3] =
+        [&[], &[("ie_brand", "LEGO")], &[("ie_brand", "lego"), ("IE_Color", "red")]];
+    let mut risky = [0, 0];
+    for rate in [None, Some(10), Some(90)] {
+        let aggregates = rate.map(|percent| {
+            let aggs = Arc::new(AggregateStore::new());
+            let series = aggs.ratio("vendor_mismatch_rate");
+            for i in 0..100 {
+                series.record(i < percent);
+            }
+            aggs
+        });
+        for p in &products {
+            for s in seeds {
+                let s: Vec<(String, String)> =
+                    s.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
+                let got = fingerprint_with(&engine, p, &s, aggregates.clone());
+                let want = reference(&rules, DEFAULT_MAX_ROUNDS, p, &s, aggregates.clone());
+                assert_eq!(got, want, "{:?} with seeds {s:?}, mismatch rate {rate:?}", p.title);
+                if got.0.iter().any(|f| f.0 == "risky_vendor") {
+                    risky[usize::from(rate == Some(90))] += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(risky, [0, products.len() * seeds.len()], "only a rate above 0.25 derives it");
 }
 
 /// A self-referential negation (`!has(x) ⇒ x`) fires exactly once: the

@@ -131,7 +131,7 @@ fn concurrent_mutation_keeps_snapshots_consistent() {
 fn change_signal_fires_under_concurrent_churn() {
     let repo = RuleRepository::new();
     let specs = specs();
-    let seen = repo.revision();
+    let seen = repo.changes();
 
     let writer = {
         let repo = repo.clone();
@@ -144,13 +144,13 @@ fn change_signal_fires_under_concurrent_churn() {
         })
     };
 
-    // The watcher must observe a strictly increasing sequence of published
-    // revisions without ever blocking past its timeout budget.
+    // The watcher must observe a strictly increasing change signal without
+    // ever blocking past its timeout budget.
     let mut last = seen;
     let mut wakes = 0;
     while wakes < 10 {
         let now = repo.wait_for_change(last, Duration::from_secs(5));
-        assert!(now > last, "wait_for_change returned a stale revision");
+        assert!(now > last, "wait_for_change returned a stale change count");
         last = now;
         wakes += 1;
     }

@@ -17,6 +17,6 @@ pub use drift::{DriftAlarm, DriftMonitor};
 pub use lifecycle::{
     find_imprecise, find_inapplicable, quarantine_imprecise, ImpreciseRule, InapplicableRule,
 };
-pub use optimize::{optimize, OptimizeMetrics, OptimizeOptions, OptimizeReport};
+pub use optimize::{optimize, OptimizeOptions, OptimizeReport};
 pub use overlap::{blame_branches, consolidate, find_overlaps, OverlapPair};
 pub use subsume::{find_subsumptions, Evidence, Subsumption};

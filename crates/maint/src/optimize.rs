@@ -34,14 +34,14 @@
 //!    measured fire counts so the hot rules' metadata stays cache-resident.
 //!
 //! The differential guarantee — identical [`RuleClassifier`] decisions on
-//! every product — is what lets a serving tier enable this at snapshot
-//! build time (see `ChimeraConfig::optimize_rules`) without a review cycle.
+//! every product — is what makes its output safe to accept as an edit to
+//! the rule store.
 
 use rulekit_core::{
-    Condition, Dictionary, ExecutorKind, Rule, RuleAction, RuleClassifier, RuleVerdict,
+    Condition, Dictionary, ExecContext, ExecutorKind, PreparedProduct, Program, Rule, RuleAction,
+    RuleClassifier, RuleVerdict,
 };
 use rulekit_data::{Product, TypeId};
-use rulekit_obs::{Counter, Gauge, Registry};
 use rulekit_regex::Containment;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -98,43 +98,6 @@ pub struct OptimizeReport {
     pub restored: usize,
     /// Rules whose conjunct order changed in the reorder pass.
     pub reordered: usize,
-}
-
-/// Prometheus handles for optimizer outcomes, one set per registry.
-///
-/// Counters accumulate across re-optimizations (each snapshot rebuild adds
-/// its report); the gauge tracks the most recent post-optimization size so
-/// dashboards can plot effective rule count against the repository's raw
-/// count.
-pub struct OptimizeMetrics {
-    /// Rules dropped as subsumed, cumulative.
-    pub dropped: Counter,
-    /// Rules absorbed by merging, cumulative.
-    pub merged: Counter,
-    /// Rules whose confirmation order was rewritten, cumulative.
-    pub reordered: Counter,
-    /// Rule count of the most recent optimized snapshot.
-    pub active_rules: Gauge,
-}
-
-impl OptimizeMetrics {
-    /// Registers the optimizer metric family in `registry`.
-    pub fn register(registry: &Registry) -> OptimizeMetrics {
-        OptimizeMetrics {
-            dropped: registry.counter("rulekit_maint_opt_rules_dropped_total"),
-            merged: registry.counter("rulekit_maint_opt_rules_merged_total"),
-            reordered: registry.counter("rulekit_maint_opt_rules_reordered_total"),
-            active_rules: registry.gauge("rulekit_maint_opt_active_rules"),
-        }
-    }
-
-    /// Folds one optimization outcome into the metric family.
-    pub fn record(&self, report: &OptimizeReport) {
-        self.dropped.add(report.dropped as u64);
-        self.merged.add(report.merged as u64);
-        self.reordered.add(report.reordered as u64);
-        self.active_rules.set(report.rules_after as i64);
-    }
 }
 
 /// Optimizes a rule snapshot. Returns the new snapshot and a report.
@@ -381,7 +344,9 @@ fn drop_subsumed(
     }
 
     if let Some((corpus, baseline)) = baseline {
-        let mut pending: Vec<usize> = drop_white.clone();
+        // Each pending drop is compiled once, for every round that tests it.
+        let mut pending: Vec<(usize, Arc<Program>)> =
+            drop_white.iter().map(|&i| (i, rules[i].condition.compile())).collect();
         for round in 0..=opts.max_restore_rounds {
             if pending.is_empty() {
                 break;
@@ -393,11 +358,11 @@ fn drop_subsumed(
                 .map(|(_, r)| r.clone())
                 .collect();
             let after = decisions_for(&current, corpus);
-            let mismatched: Vec<&Product> = corpus
+            let mismatched: Vec<PreparedProduct> = corpus
                 .iter()
                 .zip(baseline.iter().zip(&after))
                 .filter(|(_, (b, a))| b != a)
-                .map(|(p, _)| p)
+                .map(|(p, _)| PreparedProduct::new(p))
                 .collect();
             if mismatched.is_empty() {
                 break;
@@ -405,21 +370,23 @@ fn drop_subsumed(
             // Last round (or no progress): restore every remaining drop —
             // that provably returns the whitelist phase to its pre-drop
             // state, so decisions match again.
+            let all: Vec<usize> = pending.iter().map(|&(i, _)| i).collect();
             let restore: Vec<usize> = if round == opts.max_restore_rounds {
-                pending.clone()
+                all.clone()
             } else {
+                let contexts: Vec<ExecContext> = mismatched.iter().map(ExecContext::new).collect();
                 pending
                     .iter()
-                    .copied()
-                    .filter(|&i| mismatched.iter().any(|p| rules[i].matches(p)))
+                    .filter(|(_, program)| contexts.iter().any(|ctx| program.eval(ctx)))
+                    .map(|&(i, _)| i)
                     .collect()
             };
-            let restore = if restore.is_empty() { pending.clone() } else { restore };
+            let restore = if restore.is_empty() { all } else { restore };
             for &i in &restore {
                 removed[i] = false;
             }
             report.restored += restore.len();
-            pending.retain(|i| !restore.contains(i));
+            pending.retain(|(i, _)| !restore.contains(i));
         }
     }
 
@@ -626,28 +593,6 @@ mod tests {
         let corpus = [product("blue jeans"), product("skinny jeans"), product("rare gem")];
         let (out, _) = optimize(rs, &OptimizeOptions::default(), Some(&corpus));
         assert_eq!(out[0].source, "jeans? -> jeans", "hot rule sorted first");
-    }
-
-    #[test]
-    fn metrics_record_report() {
-        let registry = Registry::new();
-        let metrics = OptimizeMetrics::register(&registry);
-        let report = OptimizeReport {
-            rules_before: 10,
-            rules_after: 7,
-            merged: 2,
-            dropped: 1,
-            restored: 0,
-            reordered: 3,
-        };
-        metrics.record(&report);
-        assert_eq!(metrics.dropped.value(), 1);
-        assert_eq!(metrics.merged.value(), 2);
-        assert_eq!(metrics.reordered.value(), 3);
-        assert_eq!(metrics.active_rules.value(), 7);
-        let text = registry.render_text();
-        assert!(text.contains("rulekit_maint_opt_rules_dropped_total"));
-        assert!(text.contains("rulekit_maint_opt_active_rules"));
     }
 
     #[test]

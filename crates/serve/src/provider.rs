@@ -13,7 +13,8 @@ pub trait SnapshotProvider: Send + Sync {
     /// Compiles the current state into an immutable classifier.
     fn build(&self) -> Arc<dyn RequestClassifier>;
 
-    /// A monotone revision of the underlying state.
+    /// A monotone revision of the underlying state: it moves on every
+    /// change a rebuild would see.
     fn revision(&self) -> u64;
 
     /// Blocks until `revision()` may exceed `last_seen`, or `timeout`
@@ -45,18 +46,23 @@ impl SnapshotProvider for ChimeraProvider {
         Arc::new(self.chimera.snapshot())
     }
 
+    /// The sum of both stores' change signals: it moves on every edit and
+    /// every restore (a follower installing a snapshot at the same or a
+    /// lower revision included) and never moves backwards.
     fn revision(&self) -> u64 {
-        self.chimera.gate_rules.revision() + self.chimera.rules.revision()
+        self.chimera.gate_rules.changes() + self.chimera.rules.changes()
     }
 
     fn wait_for_change(&self, last_seen: u64, timeout: Duration) -> u64 {
-        let current = self.revision();
+        // The main store's signal is read first, so a change landing after
+        // it either shows in `current` or ends the wait at once.
+        let main_seen = self.chimera.rules.changes();
+        let current = self.chimera.gate_rules.changes() + main_seen;
         if current != last_seen {
             return current;
         }
         // Block on the main store's change signal (the gate store churns
         // rarely; its edits are picked up on the next wakeup at the latest).
-        let main_seen = self.chimera.rules.revision();
         self.chimera.rules.wait_for_change(main_seen, timeout);
         self.revision()
     }

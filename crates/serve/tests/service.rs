@@ -390,6 +390,104 @@ fn edit_during_initial_build_is_not_lost() {
     }
 }
 
+/// The type the service answers for `title`, polled until it is `want` or
+/// five seconds pass.
+fn served_within_five_seconds(service: &RuleService, title: &str, want: TypeId) -> Option<TypeId> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let outcome = service.submit(product(title)).expect_enqueued().wait().expect("served");
+        let got = outcome.decision.type_id();
+        if got == Some(want) || Instant::now() >= deadline {
+            return got;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A follower installing a restarted leader's snapshot restores different
+/// rules at the revision it already had. The running service must serve
+/// them, though no revision moved.
+#[test]
+fn a_restore_at_the_same_revision_reaches_the_service() {
+    let chimera = ruled_chimera();
+    let sofas = chimera.taxonomy().id_of("sofas").unwrap();
+    let leader = Chimera::new(Taxonomy::builtin(), ChimeraConfig::default());
+    leader.add_rules("rings? -> sofas\n").unwrap();
+    let service = RuleService::start(
+        Arc::new(ChimeraProvider::new(chimera.clone())),
+        ServeConfig {
+            shards: 1,
+            refresh_interval: Duration::from_millis(10),
+            ..Default::default()
+        },
+    );
+    let rings = chimera.taxonomy().id_of("rings").unwrap();
+    assert_eq!(served_within_five_seconds(&service, "diamond ring", rings), Some(rings));
+
+    let revision = chimera.rules.revision();
+    chimera.rules.restore(leader.rules.full_snapshot(), leader.rules.next_rule_id(), revision);
+    assert_eq!(chimera.rules.revision(), revision);
+    assert_eq!(chimera.classify(&product("diamond ring")).type_id(), Some(sofas));
+    assert_eq!(
+        served_within_five_seconds(&service, "diamond ring", sofas),
+        Some(sofas),
+        "the service still serves the rules from before the restore ({} swaps)",
+        service.swap_count()
+    );
+}
+
+/// After a restore to a lower revision the refresher serves the restored
+/// rules and then sleeps on the change signal, as before the restore: it
+/// must not wake at once on every call until the revision climbs back.
+#[test]
+fn a_restore_to_a_lower_revision_leaves_the_refresher_idle() {
+    struct CountingWaits {
+        waits: AtomicU64,
+        inner: ChimeraProvider,
+    }
+    impl SnapshotProvider for CountingWaits {
+        fn build(&self) -> Arc<dyn RequestClassifier> {
+            self.inner.build()
+        }
+        fn revision(&self) -> u64 {
+            self.inner.revision()
+        }
+        fn wait_for_change(&self, last_seen: u64, timeout: Duration) -> u64 {
+            self.waits.fetch_add(1, Ordering::Relaxed);
+            self.inner.wait_for_change(last_seen, timeout)
+        }
+    }
+
+    let chimera = ruled_chimera();
+    chimera.add_rules("rugs? -> area rugs\nsofas? -> sofas\n").unwrap();
+    let sofas = chimera.taxonomy().id_of("sofas").unwrap();
+    let leader = Chimera::new(Taxonomy::builtin(), ChimeraConfig::default());
+    leader.add_rules("rings? -> sofas\n").unwrap();
+    let provider = Arc::new(CountingWaits {
+        waits: AtomicU64::new(0),
+        inner: ChimeraProvider::new(chimera.clone()),
+    });
+    let service = RuleService::start(
+        provider.clone(),
+        ServeConfig {
+            shards: 1,
+            refresh_interval: Duration::from_millis(50),
+            ..Default::default()
+        },
+    );
+
+    let (revision, restored) = (chimera.rules.revision(), leader.rules.revision());
+    assert!(restored < revision);
+    chimera.rules.restore(leader.rules.full_snapshot(), leader.rules.next_rule_id(), restored);
+    assert_eq!(served_within_five_seconds(&service, "diamond ring", sofas), Some(sofas));
+
+    // Idle for 300 ms: one wait per 50 ms refresh interval, give or take.
+    let before = provider.waits.load(Ordering::Relaxed);
+    std::thread::sleep(Duration::from_millis(300));
+    let waits = provider.waits.load(Ordering::Relaxed) - before;
+    assert!(waits <= 20, "the refresher waited {waits} times in 300 ms with nothing changing");
+}
+
 #[test]
 fn metrics_track_load_shape() {
     struct CountingProvider {
