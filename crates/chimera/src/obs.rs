@@ -10,7 +10,7 @@
 //! snapshots pays a few atomic adds per product.
 
 use rulekit_core::{ExecMetrics, ExecutorKind};
-use rulekit_obs::{Counter, Histogram, MetricsSnapshot, Registry};
+use rulekit_obs::{Counter, Histogram, Registry};
 use std::sync::Arc;
 
 /// Stage timers and counters for one [`crate::Chimera`] pipeline. All
@@ -106,10 +106,5 @@ impl PipelineMetrics {
     /// The registry every handle points into.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
-    }
-
-    /// Point-in-time snapshot of every pipeline metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
     }
 }

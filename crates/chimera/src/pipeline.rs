@@ -7,7 +7,7 @@ use crate::analysis::SimulatedAnalysis;
 use crate::metrics::OracleMetrics;
 use crate::obs::PipelineMetrics;
 use crate::stages::{CompiledRules, Stages};
-use crate::voting::{Decision, VotingConfig};
+use crate::voting::Decision;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -21,31 +21,26 @@ use rulekit_data::{Batch, GeneratedItem, Product, Taxonomy, TypeId};
 use rulekit_ie::IePipeline;
 use rulekit_learn::{default_ensemble, Ensemble, Featurizer, TrainingSet};
 use rulekit_maint::DriftMonitor;
-use rulekit_obs::{MetricsSnapshot, Registry, SpanTimer};
+use rulekit_obs::{Registry, SpanTimer};
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// The business precision gate (the paper's 92%).
+const PRECISION_THRESHOLD: f64 = 0.92;
+/// Result-sample size per batch for crowd QA.
+const QA_SAMPLE_SIZE: usize = 100;
+/// Abstention threshold inside the learning ensemble.
+const ENSEMBLE_CONFIDENCE: f64 = 0.45;
+/// Maximum rerun rounds after analyst patching per batch.
+const MAX_REDOS: usize = 2;
+/// Drift monitor sliding-window size.
+const MONITOR_WINDOW: usize = 60;
+/// Drift monitor minimum samples before alarming.
+const MONITOR_MIN_SAMPLES: usize = 12;
 
 /// Chimera configuration.
 #[derive(Debug, Clone)]
 pub struct ChimeraConfig {
-    /// The business precision gate (the paper's 92%).
-    pub precision_threshold: f64,
-    /// Result-sample size per batch for crowd QA.
-    pub qa_sample_size: usize,
-    /// Abstention threshold inside the learning ensemble.
-    pub ensemble_confidence: f64,
-    /// Voting Master weights/threshold.
-    pub voting: VotingConfig,
-    /// Maximum rerun rounds after analyst patching per batch.
-    pub max_redos: usize,
-    /// Retrain the ensemble when the Analysis stage relabels pairs.
-    pub retrain_on_patch: bool,
-    /// Scale a type down automatically when its drift alarm fires.
-    pub auto_scale_down: bool,
-    /// Whether the Analysis stage is staffed: when false, flagged and
-    /// declined items are NOT turned into rules/training data (the §2.2
-    /// scenario where first responders are unavailable).
-    pub analysis_enabled: bool,
     /// Worker threads for batch classification.
     pub threads: usize,
     /// Run the fact-inference tier (`core::infer`) before classification:
@@ -60,29 +55,11 @@ pub struct ChimeraConfig {
     pub infer_enabled: bool,
     /// Seed for QA sampling.
     pub seed: u64,
-    /// Drift monitor sliding-window size.
-    pub monitor_window: usize,
-    /// Drift monitor minimum samples before alarming.
-    pub monitor_min_samples: usize,
 }
 
 impl Default for ChimeraConfig {
     fn default() -> Self {
-        ChimeraConfig {
-            precision_threshold: 0.92,
-            qa_sample_size: 100,
-            ensemble_confidence: 0.45,
-            voting: VotingConfig::default(),
-            max_redos: 2,
-            retrain_on_patch: true,
-            auto_scale_down: false,
-            analysis_enabled: true,
-            threads: 4,
-            infer_enabled: true,
-            seed: 0,
-            monitor_window: 60,
-            monitor_min_samples: 12,
-        }
+        ChimeraConfig { threads: 4, infer_enabled: true, seed: 0 }
     }
 }
 
@@ -94,7 +71,7 @@ pub struct BatchReport {
     /// QA rounds run (1 = accepted first try).
     pub rounds: usize,
     /// Whether the batch was accepted (estimate met the gate) or shipped at
-    /// `max_redos` with the gate still unmet.
+    /// `MAX_REDOS` reruns with the gate still unmet.
     pub accepted: bool,
     /// The crowd's final precision estimate.
     pub estimate: PrecisionEstimate,
@@ -120,6 +97,12 @@ pub struct Chimera {
     training: TrainingSet,
     suppressed: HashSet<TypeId>,
     monitor: DriftMonitor,
+    /// Scale a type down automatically when its drift alarm fires.
+    auto_scale_down: bool,
+    /// Whether the Analysis stage is staffed: when false, flagged and
+    /// declined items are NOT turned into rules/training data (the §2.2
+    /// scenario where first responders are unavailable).
+    analysis_enabled: bool,
     analysis: SimulatedAnalysis,
     cache: Mutex<Option<CompiledRules>>,
     obs: Arc<PipelineMetrics>,
@@ -149,8 +132,7 @@ impl Chimera {
         registry: Arc<Registry>,
     ) -> Chimera {
         let rng = StdRng::seed_from_u64(cfg.seed);
-        let monitor =
-            DriftMonitor::new(cfg.monitor_window, cfg.monitor_min_samples, cfg.precision_threshold);
+        let monitor = DriftMonitor::new(MONITOR_WINDOW, MONITOR_MIN_SAMPLES, PRECISION_THRESHOLD);
         let obs = PipelineMetrics::register(registry);
         Chimera {
             parser: RuleParser::new(taxonomy.clone()),
@@ -164,6 +146,8 @@ impl Chimera {
             training: TrainingSet::default(),
             suppressed: HashSet::new(),
             monitor,
+            auto_scale_down: false,
+            analysis_enabled: true,
             cache: Mutex::new(None),
             obs,
             aggregates: Arc::new(AggregateStore::new()),
@@ -181,16 +165,9 @@ impl Chimera {
     }
 
     /// The pipeline's metric handles (stage latencies, decision counters,
-    /// the engine's candidate accounting).
+    /// the engine's candidate accounting) and the registry they live in.
     pub fn metrics(&self) -> &Arc<PipelineMetrics> {
         &self.obs
-    }
-
-    /// A point-in-time snapshot of every metric the pipeline's registry
-    /// holds — per-stage latency histograms, decision/declined counters,
-    /// and the engine's candidate/automaton-hit counts.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.obs.snapshot()
     }
 
     /// The taxonomy.
@@ -243,8 +220,7 @@ impl Chimera {
         if self.training.is_empty() {
             self.ensemble = None;
         } else {
-            self.ensemble =
-                Some(Arc::new(default_ensemble(&self.training, self.cfg.ensemble_confidence)));
+            self.ensemble = Some(Arc::new(default_ensemble(&self.training, ENSEMBLE_CONFIDENCE)));
         }
     }
 
@@ -255,12 +231,12 @@ impl Chimera {
 
     /// Toggles automatic scale-down on drift alarms.
     pub fn set_auto_scale_down(&mut self, on: bool) {
-        self.cfg.auto_scale_down = on;
+        self.auto_scale_down = on;
     }
 
     /// Toggles the Analysis stage (analyst availability, §2.2).
     pub fn set_analysis_enabled(&mut self, on: bool) {
-        self.cfg.analysis_enabled = on;
+        self.analysis_enabled = on;
     }
 
     /// Types currently suppressed (scaled down).
@@ -348,14 +324,13 @@ impl Chimera {
             ensemble: self.ensemble.as_deref(),
             featurizer: &self.featurizer,
             suppressed: &self.suppressed,
-            voting: self.cfg.voting,
             obs: &self.obs,
         }
     }
 
     /// Captures an immutable, `Send + Sync` snapshot of the current
     /// classification state (compiled gate + rule classifiers, ensemble,
-    /// suppression set, voting config, metric handles) for lock-free
+    /// suppression set, metric handles) for lock-free
     /// serving. See [`crate::snapshot::PipelineSnapshot`].
     pub fn snapshot(&self) -> crate::snapshot::PipelineSnapshot {
         crate::snapshot::PipelineSnapshot {
@@ -364,7 +339,6 @@ impl Chimera {
             ensemble: self.ensemble.clone(),
             featurizer: self.featurizer.clone(),
             suppressed: Arc::new(self.suppressed.clone()),
-            voting: self.cfg.voting,
             obs: self.obs.clone(),
         }
     }
@@ -398,7 +372,7 @@ impl Chimera {
         let mut decisions: Vec<Decision> = Vec::new();
         let mut accepted = false;
 
-        while rounds <= self.cfg.max_redos {
+        while rounds <= MAX_REDOS {
             rounds += 1;
             decisions = self.classify_batch(&products);
 
@@ -410,7 +384,7 @@ impl Chimera {
                 .map(|(i, _)| i)
                 .collect();
             classified_idx.shuffle(&mut self.rng);
-            classified_idx.truncate(self.cfg.qa_sample_size);
+            classified_idx.truncate(QA_SAMPLE_SIZE);
 
             estimate = PrecisionEstimate::new();
             let mut flagged: Vec<(GeneratedItem, Option<TypeId>)> = Vec::new();
@@ -426,7 +400,7 @@ impl Chimera {
                 self.aggregates.ratio("vendor_mismatch_rate").record(!verdict.accepted);
                 if let Some(alarm) = self.monitor.record(predicted, verdict.accepted) {
                     alarms.push(alarm.ty);
-                    if self.cfg.auto_scale_down {
+                    if self.auto_scale_down {
                         self.scale_down(alarm.ty, "drift alarm");
                     }
                 }
@@ -446,7 +420,7 @@ impl Chimera {
                 .map(|(i, _)| i)
                 .collect();
             declined_idx.shuffle(&mut self.rng);
-            declined_idx.truncate(self.cfg.qa_sample_size / 2);
+            declined_idx.truncate(QA_SAMPLE_SIZE / 2);
             for &i in &declined_idx {
                 flagged.push((batch.items[i].clone(), None));
             }
@@ -454,25 +428,25 @@ impl Chimera {
             // Analysis stage: rules + relabeled training data. This runs
             // even for accepted batches (declined items are worked
             // continuously); reruns happen only when the gate was missed.
-            if !self.cfg.analysis_enabled {
+            if !self.analysis_enabled {
                 flagged.clear();
             }
             let span = SpanTimer::start(&self.obs.stage_analysis);
             let outcome = self.analysis.patch(&flagged, &self.rules);
             span.finish();
             rules_added += outcome.rules_added.len();
-            if !outcome.relabeled.is_empty() && self.cfg.retrain_on_patch {
+            if !outcome.relabeled.is_empty() {
                 for (item, ty) in &outcome.relabeled {
                     self.remember(&item.product, *ty);
                 }
                 self.retrain();
             }
 
-            if estimate.meets(self.cfg.precision_threshold) {
+            if estimate.meets(PRECISION_THRESHOLD) {
                 accepted = true;
                 break;
             }
-            if rounds > self.cfg.max_redos {
+            if rounds > MAX_REDOS {
                 break;
             }
             if outcome.rules_added.is_empty() && outcome.relabeled.is_empty() {
@@ -595,7 +569,7 @@ mod tests {
         let products: Vec<Product> = g.generate(80).into_iter().map(|i| i.product).collect();
         let decisions = chimera.classify_batch(&products);
 
-        let snap = chimera.metrics_snapshot();
+        let snap = chimera.metrics().registry().snapshot();
         let stage = |s: &str| {
             snap.histogram(&format!("rulekit_chimera_stage_nanos{{stage=\"{s}\"}}"))
                 .unwrap_or_else(|| panic!("stage {s} registered"))

@@ -6,7 +6,7 @@
 
 use crate::obs::PipelineMetrics;
 use crate::stages::{CompiledRules, Stages};
-use crate::voting::{Decision, VotingConfig};
+use crate::voting::Decision;
 use rulekit_core::{AggregateStore, RuleTable};
 use rulekit_data::{Product, TypeId};
 use rulekit_learn::{Ensemble, Featurizer};
@@ -29,8 +29,8 @@ pub struct SnapshotDecision {
 }
 
 /// A point-in-time, lock-free classification pipeline: compiled gate and
-/// main-store classifiers, the (optional) learning ensemble, and the voting
-/// configuration, all captured at known repository revisions.
+/// main-store classifiers and the (optional) learning ensemble, captured at
+/// known repository revisions.
 ///
 /// Cloning is cheap (a handful of `Arc` bumps) and the snapshot is
 /// `Send + Sync`, so a worker pool can hand every shard its own copy and
@@ -45,7 +45,6 @@ pub struct PipelineSnapshot {
     pub(crate) ensemble: Option<Arc<Ensemble>>,
     pub(crate) featurizer: Featurizer,
     pub(crate) suppressed: Arc<HashSet<TypeId>>,
-    pub(crate) voting: VotingConfig,
     /// The pipeline's metric handles: served traffic records into the same
     /// stage histograms and decision counters as the live pipeline.
     pub(crate) obs: Arc<PipelineMetrics>,
@@ -102,7 +101,6 @@ impl PipelineSnapshot {
             ensemble: if rules_only { None } else { self.ensemble.as_deref() },
             featurizer: &self.featurizer,
             suppressed: &self.suppressed,
-            voting: self.voting,
             obs: &self.obs,
         };
         let (decision, candidates) = stages.classify(product);
@@ -160,7 +158,7 @@ mod tests {
     fn served_classifies_feed_the_pipeline_metrics() {
         let (chimera, mut g) = trained();
         let snap = chimera.snapshot();
-        let before = chimera.metrics_snapshot();
+        let before = chimera.metrics().registry().snapshot();
         let gate = "rulekit_chimera_stage_nanos{stage=\"gate\"}";
         let decisions = "rulekit_chimera_decisions_total";
         assert_eq!(before.histogram(gate).unwrap().count(), 0);
@@ -173,7 +171,7 @@ mod tests {
                 snap.classify_rules_only(&item.product);
             }
         }
-        let after = chimera.metrics_snapshot();
+        let after = chimera.metrics().registry().snapshot();
         assert_eq!(after.histogram(gate).unwrap().count(), 40);
         assert_eq!(after.counter(decisions), Some(before.counter(decisions).unwrap() + 40));
     }
@@ -232,7 +230,9 @@ mod tests {
     fn learn_stage_histogram_counts_only_requests_that_ran_the_ensemble() {
         let stage_count = |chimera: &Chimera, stage: &str| {
             chimera
-                .metrics_snapshot()
+                .metrics()
+                .registry()
+                .snapshot()
                 .histogram(&format!("rulekit_chimera_stage_nanos{{stage=\"{stage}\"}}"))
                 .expect("stage registered")
                 .count()

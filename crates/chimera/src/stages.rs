@@ -45,7 +45,6 @@ pub(crate) struct Stages<'a> {
     pub ensemble: Option<&'a Ensemble>,
     pub featurizer: &'a Featurizer,
     pub suppressed: &'a HashSet<TypeId>,
-    pub voting: VotingConfig,
     pub obs: &'a PipelineMetrics,
 }
 
@@ -119,7 +118,7 @@ impl Stages<'_> {
             None => Prediction::empty(),
         };
         let span = SpanTimer::start(&obs.stage_vote);
-        let decision = vote(&verdict, &learned, self.suppressed, self.voting);
+        let decision = vote(&verdict, &learned, self.suppressed, VotingConfig::default());
         span.finish();
         obs.decisions.inc();
         if decision.is_declined() {

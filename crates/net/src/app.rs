@@ -7,7 +7,7 @@
 //! * **No side door for traffic**: a single `POST /classify` goes through
 //!   the blocking [`RuleService::classify`] (run on the handler's thread
 //!   when a shard is idle, queued otherwise) and the `{"items": […]}` form
-//!   through [`RuleService::submit_with_deadline`] — admission, deadlines,
+//!   through [`RuleService::submit`] — admission, deadlines,
 //!   and rules-only degradation all apply to network traffic exactly as to
 //!   in-process callers.
 //! * **No side door for edits**: when the app is durable, rule CRUD goes
@@ -20,8 +20,8 @@ use rulekit_chimera::Chimera;
 use rulekit_core::{RuleId, RuleMeta, RuleParser, RuleRepository};
 use rulekit_data::Taxonomy;
 use rulekit_obs::Registry;
-use rulekit_serve::{ChimeraProvider, DurableProvider, RuleService, ServeConfig};
-use rulekit_store::{DurableConfig, DurableRepository, Storage, StoreError};
+use rulekit_serve::{ChimeraProvider, RuleService, ServeConfig};
+use rulekit_store::{DurableConfig, DurableRepository, Storage, StoreError, StoreMetrics};
 use std::sync::Arc;
 
 /// What a replication role exposes to the HTTP surface: `/health` renders
@@ -75,6 +75,12 @@ pub struct RuleApp {
 impl RuleApp {
     /// A durable app: recovers rules from `storage` before serving, then
     /// WAL-logs every subsequent edit before acknowledging it.
+    ///
+    /// Construction order is the durability contract: the store opens
+    /// *into* `chimera.rules` (recovery replaces its contents) before
+    /// [`RuleService`] builds its first snapshot, so traffic never sees an
+    /// empty post-restart rule set. Recovery re-parses with the pipeline's
+    /// own parser, so register dictionaries before calling.
     pub fn durable(
         chimera: Arc<Chimera>,
         storage: Arc<dyn Storage>,
@@ -87,8 +93,14 @@ impl RuleApp {
         let taxonomy = chimera.taxonomy().clone();
         let parser = chimera.parser().clone();
         let rules = chimera.rules.clone();
-        let provider = Arc::new(DurableProvider::open(chimera, storage, store_cfg)?);
-        let store = provider.store().clone();
+        let store = Arc::new(DurableRepository::open_into_observed(
+            rules.clone(),
+            storage,
+            parser.clone(),
+            store_cfg,
+            Some(StoreMetrics::register(&registry)),
+        )?);
+        let provider = Arc::new(ChimeraProvider::new(chimera));
         let service = RuleService::start_with_registry(provider, serve_cfg, registry.clone());
         Ok(RuleApp {
             service,

@@ -5,12 +5,12 @@
 use crate::http::{Request, Response};
 use crate::json::{obj, Json};
 use crate::router::{route, Route};
-use crate::server::ServerState;
+use crate::server::{ServerState, MAX_BATCH};
 use crate::wire::{error_json, outcome_to_json, product_from_json, rule_to_json};
 use rulekit_core::{RuleId, RuleMeta};
 use rulekit_serve::{Admission, ServeError};
 use rulekit_store::StoreError;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The canned answer while the server drains.
 pub(crate) fn draining_response() -> Response {
@@ -64,12 +64,6 @@ fn classify(state: &ServerState, req: &Request) -> Response {
     }
 }
 
-/// The deadline a classify request carries: the front-end's, else the
-/// service's default.
-fn classify_deadline(state: &ServerState) -> Option<Duration> {
-    state.cfg.classify_deadline.or(state.app.service.default_deadline())
-}
-
 /// One product: this thread classifies it on an idle shard, or queues it and
 /// waits when every shard is busy — the service decides.
 fn classify_one(state: &ServerState, doc: &Json) -> Response {
@@ -77,7 +71,8 @@ fn classify_one(state: &ServerState, doc: &Json) -> Response {
         Ok(p) => p,
         Err(e) => return Response::json(422, error_json(&e)),
     };
-    match state.app.service.classify(product, classify_deadline(state)) {
+    let service = &state.app.service;
+    match service.classify(product, service.default_deadline()) {
         Ok(outcome) => Response::json(200, outcome_to_json(&outcome, &state.app.taxonomy).render()),
         Err(e) => serve_error_response(state, &e),
     }
@@ -101,10 +96,10 @@ fn serve_error_response(state: &ServerState, e: &ServeError) -> Response {
 }
 
 fn classify_batch(state: &ServerState, items: &[Json]) -> Response {
-    if items.len() > state.cfg.max_batch {
+    if items.len() > MAX_BATCH {
         return Response::json(
             422,
-            error_json(&format!("batch of {} exceeds max {}", items.len(), state.cfg.max_batch)),
+            error_json(&format!("batch of {} exceeds max {MAX_BATCH}", items.len())),
         );
     }
     let mut products = Vec::with_capacity(items.len());
@@ -116,9 +111,8 @@ fn classify_batch(state: &ServerState, items: &[Json]) -> Response {
     }
     // Admit everything first (the pipelined half of "single + pipelined
     // batch"), then wait in order.
-    let deadline = classify_deadline(state);
     let admissions: Vec<Admission> =
-        products.into_iter().map(|p| state.app.service.submit_with_deadline(p, deadline)).collect();
+        products.into_iter().map(|p| state.app.service.submit(p)).collect();
     let mut results = Vec::with_capacity(admissions.len());
     for admission in admissions {
         results.push(match admission {

@@ -58,4 +58,4 @@ pub use http::{
 pub use json::Json;
 pub use metrics::NetMetrics;
 pub use router::{route, Route, RouteError};
-pub use server::{NetConfig, NetServer};
+pub use server::{NetConfig, NetServer, MAX_BATCH, PENDING_CONNECTIONS};

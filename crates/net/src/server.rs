@@ -29,54 +29,45 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Front-end tuning knobs.
+/// Accepted connections waiting for a free handler; beyond this the
+/// acceptor answers a canned 503 and closes.
+pub const PENDING_CONNECTIONS: usize = 64;
+/// Maximum products in one batch classify request; a larger batch is 422.
+pub const MAX_BATCH: usize = 256;
+/// Per-connection read timeout (also bounds idle keep-alive lifetime and
+/// how long drain waits for a handler to notice shutdown).
+const READ_TIMEOUT: Duration = Duration::from_secs(5);
+/// Per-connection write timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Front-end tuning knobs. Every other limit is a constant: the HTTP
+/// parser's [`HttpLimits::default`], [`PENDING_CONNECTIONS`],
+/// [`MAX_BATCH`] and 5 s socket timeouts; classify requests carry the
+/// service's default deadline.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// Bind address; use port 0 for an ephemeral port.
     pub addr: String,
     /// Connection-handler threads (each serves one connection at a time).
     pub handler_threads: usize,
-    /// Accepted connections waiting for a free handler; beyond this the
-    /// acceptor answers a canned 503 and closes.
-    pub pending_connections: usize,
-    /// HTTP parser limits.
-    pub limits: HttpLimits,
-    /// Per-connection read timeout (also bounds idle keep-alive lifetime
-    /// and how long drain waits for a handler to notice shutdown).
-    pub read_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
-    /// Deadline attached to classify submissions (`None`: the service
-    /// config's default deadline).
-    pub classify_deadline: Option<Duration>,
-    /// Maximum products in one batch classify request.
-    pub max_batch: usize,
 }
 
 impl Default for NetConfig {
     fn default() -> Self {
-        NetConfig {
-            addr: "127.0.0.1:0".to_string(),
-            handler_threads: 8,
-            pending_connections: 64,
-            limits: HttpLimits::default(),
-            read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
-            classify_deadline: None,
-            max_batch: 256,
-        }
+        NetConfig { addr: "127.0.0.1:0".to_string(), handler_threads: 8 }
     }
 }
 
-/// Shared server state (app + config + telemetry + shutdown flag).
+/// Shared server state (app + telemetry + shutdown flag).
 pub(crate) struct ServerState {
     pub(crate) app: RuleApp,
-    pub(crate) cfg: NetConfig,
     pub(crate) metrics: NetMetrics,
     pub(crate) shutdown: AtomicBool,
-    /// `(revision, hash)` of the last catalog hash computed for `/health`.
-    /// The hash walks every rule, so recompute only when the revision moves
-    /// — health is polled by load balancers and the front tier.
+    /// `(changes, hash)` of the last catalog hash computed for `/health`.
+    /// The hash walks every rule, so recompute only when the repository's
+    /// change signal moves — health is polled by load balancers and the
+    /// front tier. Not the revision: a restore may install another catalog
+    /// at the revision already cached.
     catalog_hash_cache: Mutex<Option<(u64, u64)>>,
     conns: BoundedQueue<TcpStream>,
 }
@@ -86,22 +77,20 @@ impl ServerState {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    /// The catalog hash at the current revision, as `/health` renders it,
-    /// cached by revision.
+    /// The catalog hash of the current rules, as `/health` renders it,
+    /// cached until the next change.
     pub(crate) fn catalog_hash_hex(&self) -> String {
         let mut cache = self.catalog_hash_cache.lock().unwrap_or_else(|e| e.into_inner());
-        let revision = self.app.rules.revision();
-        if let Some((rev, hash)) = *cache {
-            if rev == revision {
+        // Read before the walk: a change in between leaves the hash keyed
+        // to the older count, so the next call recomputes.
+        let changes = self.app.rules.changes();
+        if let Some((seen, hash)) = *cache {
+            if seen == changes {
                 return format!("{hash:016x}");
             }
         }
         let hash = rulekit_store::catalog_hash(&self.app.rules);
-        // Only cache if the catalog didn't move underneath the walk; a
-        // racing mutation would otherwise pin a stale hash at its revision.
-        if self.app.rules.revision() == revision {
-            *cache = Some((revision, hash));
-        }
+        *cache = Some((changes, hash));
         format!("{hash:016x}")
     }
 }
@@ -125,15 +114,14 @@ impl NetServer {
         let local_addr = listener.local_addr()?;
         let metrics = NetMetrics::new(app.registry.clone());
         let state = Arc::new(ServerState {
-            conns: BoundedQueue::new(cfg.pending_connections.max(1)),
+            conns: BoundedQueue::new(PENDING_CONNECTIONS),
             app,
-            cfg,
             metrics,
             shutdown: AtomicBool::new(false),
             catalog_hash_cache: Mutex::new(None),
         });
 
-        let handlers = (0..state.cfg.handler_threads.max(1))
+        let handlers = (0..cfg.handler_threads.max(1))
             .map(|i| {
                 let state = state.clone();
                 std::thread::Builder::new()
@@ -159,14 +147,9 @@ impl NetServer {
         self.local_addr
     }
 
-    /// The shared metrics registry.
+    /// The shared metrics registry (`GET /metrics` renders it).
     pub fn registry(&self) -> &Arc<Registry> {
         &self.state.app.registry
-    }
-
-    /// The full Prometheus-style exposition `GET /metrics` serves.
-    pub fn render_metrics(&self) -> String {
-        self.state.app.registry.render_text()
     }
 
     /// The serving tier behind the socket.
@@ -221,7 +204,7 @@ fn acceptor_loop(state: &ServerState, listener: TcpListener) {
                 state.metrics.accepted.inc();
                 if let Err(stream) = state.conns.try_push(stream) {
                     state.metrics.accept_rejected.inc();
-                    reject_connection(stream, state);
+                    reject_connection(stream);
                 }
             }
             Err(_) => {
@@ -235,8 +218,8 @@ fn acceptor_loop(state: &ServerState, listener: TcpListener) {
 
 /// Answers a connection the handler pool has no room for: one canned 503,
 /// then close. Best-effort — the peer may already be gone.
-fn reject_connection(stream: TcpStream, state: &ServerState) {
-    let _ = stream.set_write_timeout(Some(state.cfg.write_timeout));
+fn reject_connection(stream: TcpStream) {
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let mut resp = Response::json(503, error_json("server at connection capacity"));
     resp.close = true;
     let mut stream = stream;
@@ -265,19 +248,19 @@ fn handler_loop(state: &Arc<ServerState>) {
 /// repeat until the peer closes, an error ends the session, or drain
 /// begins.
 fn handle_connection(state: &ServerState, stream: TcpStream) {
-    let cfg = &state.cfg;
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(cfg.read_timeout)).is_err()
-        || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
     {
         return;
     }
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
     let mut stream = stream;
+    let limits = HttpLimits::default();
 
     loop {
-        match parse_request(&mut reader, &cfg.limits) {
+        match parse_request(&mut reader, &limits) {
             Ok(ParseOutcome::Closed) => return,
             Ok(ParseOutcome::Request(req)) => {
                 let draining = state.is_draining();

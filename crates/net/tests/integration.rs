@@ -5,14 +5,20 @@
 //! `/metrics`.
 
 use rulekit_chimera::{Chimera, ChimeraConfig, Decision, PipelineSnapshot, SnapshotDecision};
+use rulekit_core::{RuleMeta, RuleParser};
 use rulekit_data::{Product, Taxonomy, TypeId, VendorId};
 use rulekit_net::wire::decision_to_json;
-use rulekit_net::{HttpClient, Json, Method, NetConfig, NetServer, RuleApp};
+use rulekit_net::{
+    HttpClient, HttpLimits, Json, Method, NetConfig, NetServer, RuleApp, MAX_BATCH,
+    PENDING_CONNECTIONS,
+};
 use rulekit_obs::Registry;
 use rulekit_serve::{
     ChimeraProvider, RequestClassifier, RuleService, ServeConfig, SnapshotProvider, StaticProvider,
 };
-use rulekit_store::{DurableConfig, MemStorage, Storage};
+use rulekit_store::{catalog_hash, DurableConfig, DurableRepository, MemStorage, Storage};
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -32,6 +38,17 @@ fn client(server: &NetServer) -> HttpClient {
 
 fn classify_body(title: &str) -> String {
     format!("{{\"title\": \"{title}\"}}")
+}
+
+/// The product `classify_body(title)` decodes to.
+fn product(title: &str) -> Product {
+    Product {
+        id: 0,
+        title: title.into(),
+        description: String::new(),
+        attributes: vec![],
+        vendor: VendorId(0),
+    }
 }
 
 /// The acceptance-path test: concurrent clients classify over real sockets
@@ -400,14 +417,7 @@ fn eight_connections_on_two_shards_use_both_paths() {
         ["diamond wedding ring", "leather sofa", "braided area rug", "garden hose"]
             .into_iter()
             .map(|title| {
-                let product = Product {
-                    id: 0,
-                    title: title.into(),
-                    description: String::new(),
-                    attributes: vec![],
-                    vendor: VendorId(0),
-                };
-                let decision = oracle.classify(&product).decision;
+                let decision = oracle.classify(&product(title)).decision;
                 (title, decision_to_json(&decision, chimera.taxonomy()))
             })
             .collect();
@@ -504,6 +514,127 @@ fn durable_server_metrics_include_store_and_pipeline_stages() {
     assert!(count("rulekit_chimera_decisions_total ") >= 1);
 }
 
+/// The batch limit holds with the constant: `MAX_BATCH + 1` items answer
+/// 422, and `MAX_BATCH` items answer 200 with every result in request order.
+#[test]
+fn batch_of_max_batch_is_served_in_order_and_one_more_is_422() {
+    let chimera = ruled_chimera();
+    let app = RuleApp::in_memory(chimera.clone(), serve_cfg());
+    let server = NetServer::start(app, NetConfig::default()).unwrap();
+    let mut c = client(&server);
+    let titles = ["diamond ring", "garden hose", "wedding rings"];
+    let batch = |n: usize| {
+        let items: Vec<String> = (0..n).map(|i| classify_body(titles[i % titles.len()])).collect();
+        format!("{{\"items\": [{}]}}", items.join(","))
+    };
+
+    let over = c.post_json("/classify", &batch(MAX_BATCH + 1)).unwrap();
+    assert_eq!(over.status, 422, "{}", over.text());
+
+    let full = c.post_json("/classify", &batch(MAX_BATCH)).unwrap();
+    assert_eq!(full.status, 200, "{}", full.text());
+    let reply = Json::parse(&full.body).expect("json reply");
+    let results = reply.get("results").and_then(Json::as_arr).expect("results array");
+    assert_eq!(results.len(), MAX_BATCH);
+    let oracle = chimera.snapshot();
+    let expected: Vec<Json> = titles
+        .iter()
+        .map(|t| decision_to_json(&oracle.classify(&product(t)).decision, chimera.taxonomy()))
+        .collect();
+    for (i, result) in results.iter().enumerate() {
+        assert_eq!(result.get("decision"), Some(&expected[i % titles.len()]), "item {i}");
+    }
+}
+
+/// Reads a raw reply to `request` on a fresh connection the server closes.
+fn raw_exchange(addr: std::net::SocketAddr, request: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    stream.write_all(request).expect("send");
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).expect("reply, then close");
+    String::from_utf8_lossy(&reply).into_owned()
+}
+
+/// The HTTP parser's limits hold at the socket with the server's constant
+/// limits: a long request line is 414, one header too many 431, a body
+/// over the limit 413 — each answered, then the connection closed.
+#[test]
+fn http_limits_answer_414_431_413_over_the_socket() {
+    let app = RuleApp::in_memory(ruled_chimera(), serve_cfg());
+    let server = NetServer::start(app, NetConfig::default()).unwrap();
+    let limits = HttpLimits::default();
+    // Unterminated, so the server has read every byte when it answers.
+    let long_line = format!("GET /{}", "a".repeat(limits.max_request_line));
+    let many_headers =
+        format!("GET /health HTTP/1.1\r\n{}\r\n", "x-filler: 1\r\n".repeat(limits.max_headers + 1));
+    let big_body =
+        format!("POST /classify HTTP/1.1\r\ncontent-length: {}\r\n\r\n", limits.max_body + 1);
+    for (request, status) in [(long_line, 414), (many_headers, 431), (big_body, 413)] {
+        let reply = raw_exchange(server.local_addr(), request.as_bytes());
+        assert!(reply.starts_with(&format!("HTTP/1.1 {status} ")), "want {status}: {reply}");
+        assert!(reply.contains("connection: close"), "{reply}");
+    }
+    let errors = server.registry().counter("rulekit_net_http_errors_total").value();
+    assert_eq!(errors, 3);
+}
+
+/// With every handler busy and `PENDING_CONNECTIONS` accepted connections
+/// waiting, the next connection gets the canned 503 and is closed.
+#[test]
+fn full_accept_queue_answers_503() {
+    let app = RuleApp::in_memory(ruled_chimera(), serve_cfg());
+    let server = NetServer::start(app, NetConfig { handler_threads: 1, ..Default::default() })
+        .expect("bind");
+    // The only handler holds this keep-alive session, waiting for its next
+    // request.
+    let mut busy = client(&server);
+    assert_eq!(busy.get("/health").unwrap().status, 200);
+    let waiting: Vec<TcpStream> = (0..PENDING_CONNECTIONS)
+        .map(|_| TcpStream::connect(server.local_addr()).expect("connect"))
+        .collect();
+    let reply = raw_exchange(server.local_addr(), b"");
+    assert!(reply.starts_with("HTTP/1.1 503 "), "{reply}");
+    assert!(reply.contains("connection capacity"), "{reply}");
+    let rejected = server.registry().counter("rulekit_net_accept_rejected_total").value();
+    assert_eq!(rejected, 1);
+    drop(waiting);
+}
+
+/// A follower that installs another catalog at the revision it already had
+/// reports that catalog's hash on `/health`, not the one cached before.
+#[test]
+fn health_catalog_hash_follows_a_restore_at_the_same_revision() {
+    let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
+    let app =
+        RuleApp::durable(ruled_chimera(), storage, DurableConfig::default(), serve_cfg()).unwrap();
+    let (rules, store) = (app.rules.clone(), app.store.clone().expect("durable app"));
+    let server = NetServer::start(app, NetConfig::default()).unwrap();
+    let mut c = client(&server);
+    let health_hash = |c: &mut HttpClient| {
+        let health = Json::parse(&c.get("/health").unwrap().body).expect("json health");
+        health.get("catalog_hash").and_then(Json::as_str).expect("catalog_hash").to_string()
+    };
+    store.add_rules("rings? -> rings\n", &RuleMeta::default()).unwrap();
+    assert_eq!(health_hash(&mut c), format!("{:016x}", catalog_hash(&rules)));
+
+    // Another history, same revision: what a restarted leader ships.
+    let leader = DurableRepository::open(
+        Arc::new(MemStorage::new()),
+        RuleParser::new(Taxonomy::builtin()),
+        DurableConfig::default(),
+    )
+    .unwrap();
+    leader.add_rules("sofas? -> sofas\n", &RuleMeta::default()).unwrap();
+    let snapshot = leader.snapshot_data();
+    let revision = rules.revision();
+    assert_eq!(snapshot.revision, revision);
+    store.install_snapshot(&snapshot).unwrap();
+    assert_eq!(rules.revision(), revision);
+    assert_eq!(health_hash(&mut c), format!("{:016x}", catalog_hash(leader.repository())));
+    assert_eq!(health_hash(&mut c), format!("{:016x}", catalog_hash(&rules)));
+}
+
 /// `/health` reports status, snapshot version, and per-shard queue depths.
 #[test]
 fn health_reports_shard_depths_and_status() {
@@ -553,13 +684,7 @@ fn graceful_drain_stops_accepting_and_flushes() {
 
     // The serving tier itself still runs until the app drops: direct
     // submissions keep working (the three-phase drain's middle state).
-    let outcome = server.service().submit(Product {
-        id: 1,
-        title: "diamond ring".into(),
-        description: String::new(),
-        attributes: vec![],
-        vendor: VendorId(0),
-    });
+    let outcome = server.service().submit(product("diamond ring"));
     assert!(matches!(outcome, rulekit_serve::Admission::Enqueued(_)));
 }
 

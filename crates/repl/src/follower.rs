@@ -53,8 +53,6 @@ pub struct FollowerConfig {
     /// presumed dead: state drops to Stale and the session reconnects.
     /// Must comfortably exceed the leader's heartbeat interval.
     pub heartbeat_deadline: Duration,
-    /// TCP connect timeout per attempt.
-    pub connect_timeout: Duration,
     /// First rung of the reconnect backoff.
     pub backoff_base: Duration,
     /// Reconnect backoff ceiling.
@@ -69,13 +67,15 @@ impl FollowerConfig {
         FollowerConfig {
             leader_addr,
             heartbeat_deadline: Duration::from_secs(1),
-            connect_timeout: Duration::from_secs(1),
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
             seed: 0xf011_0e5e,
         }
     }
 }
+
+/// TCP connect timeout per attempt, also the session's write timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// The follower's position in the state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,14 +321,13 @@ fn follower_loop(shared: &Arc<FollowerShared>) {
     let mut force_snapshot = false;
     let mut ever_connected = false;
     while !shared.shutdown.load(Ordering::Acquire) {
-        let stream =
-            match TcpStream::connect_timeout(&shared.cfg.leader_addr, shared.cfg.connect_timeout) {
-                Ok(s) => s,
-                Err(_) => {
-                    sleep_interruptible(shared, backoff.next_delay());
-                    continue;
-                }
-            };
+        let stream = match TcpStream::connect_timeout(&shared.cfg.leader_addr, CONNECT_TIMEOUT) {
+            Ok(s) => s,
+            Err(_) => {
+                sleep_interruptible(shared, backoff.next_delay());
+                continue;
+            }
+        };
         if ever_connected {
             shared.metrics.reconnects.inc();
         }
@@ -367,7 +366,7 @@ fn run_session(
 ) -> SessionEnd {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(shared.cfg.heartbeat_deadline)).is_err()
-        || stream.set_write_timeout(Some(shared.cfg.connect_timeout)).is_err()
+        || stream.set_write_timeout(Some(CONNECT_TIMEOUT)).is_err()
     {
         return SessionEnd::Disconnect;
     }

@@ -45,11 +45,6 @@ pub struct LeaderConfig {
     /// Shipping-ring capacity in records. A follower partitioned for more
     /// records than this catches up by snapshot instead of replay.
     pub ring_capacity: usize,
-    /// How long a session waits for the follower's `Hello`.
-    pub hello_timeout: Duration,
-    /// Per-frame write timeout (bounds how long a dead follower can pin a
-    /// session thread).
-    pub write_timeout: Duration,
 }
 
 impl Default for LeaderConfig {
@@ -58,11 +53,15 @@ impl Default for LeaderConfig {
             addr: "127.0.0.1:0".to_string(),
             heartbeat: Duration::from_millis(200),
             ring_capacity: 4096,
-            hello_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
         }
     }
 }
+
+/// How long a session waits for the follower's `Hello`.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+/// Per-frame write timeout (bounds how long a dead follower can pin a
+/// session thread).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
 struct LeaderMetrics {
     leader_seq: Gauge,
@@ -256,8 +255,8 @@ fn acceptor_loop(shared: &Arc<LeaderShared>, listener: TcpListener) {
 /// errors just end the session — the follower reconnects and resumes.
 fn session(shared: &LeaderShared, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    if stream.set_read_timeout(Some(shared.cfg.hello_timeout)).is_err()
-        || stream.set_write_timeout(Some(shared.cfg.write_timeout)).is_err()
+    if stream.set_read_timeout(Some(HELLO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
     {
         return;
     }

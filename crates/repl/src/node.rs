@@ -22,7 +22,7 @@ use std::sync::Arc;
 /// durable store.
 #[derive(Debug, Clone, Default)]
 pub struct NodeConfig {
-    /// HTTP front-end tuning (bind address, handler pool, timeouts).
+    /// HTTP front-end tuning (bind address, handler pool).
     pub net: NetConfig,
     /// Serving-tier tuning (shards, refresh interval, admission).
     pub serve: ServeConfig,

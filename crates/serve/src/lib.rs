@@ -34,11 +34,13 @@
 //! - **Built-in metrics** ([`ServiceMetrics`]): lock-free counters and a
 //!   log-bucketed latency histogram — p50/p99, throughput inputs, queue
 //!   depth, swap counts, candidates considered.
-//! - **Durability** ([`DurableProvider`]): the main rule store can run on
-//!   `rulekit-store`'s write-ahead log + checkpoints. A restarted service
-//!   recovers its full rule set and rebuilds a compiled snapshot *before*
-//!   admitting traffic; rule churn through the durable handle is persisted
-//!   before it is acknowledged.
+//! - **Durability**: the main rule store can run on `rulekit-store`'s
+//!   write-ahead log + checkpoints, opened into the pipeline's repository
+//!   before [`RuleService::start`] (see [`ChimeraProvider`];
+//!   `rulekit_net::RuleApp::durable` is the assembled form). A restarted
+//!   service recovers its full rule set and rebuilds a compiled snapshot
+//!   *before* admitting traffic; rule churn through the durable handle is
+//!   persisted before it is acknowledged.
 //! - **Explicit shutdown**: stopping the service completes every queued
 //!   request with [`ServeError::ShuttingDown`] (counted in
 //!   `shutdown_shed`) — callers blocked on a [`ResponseHandle`] never
@@ -55,7 +57,7 @@ pub mod service;
 
 pub use classifier::RequestClassifier;
 pub use metrics::{MetricsReport, ServiceMetrics};
-pub use provider::{ChimeraProvider, DurableProvider, SnapshotProvider, StaticProvider};
+pub use provider::{ChimeraProvider, SnapshotProvider, StaticProvider};
 pub use queue::BoundedQueue;
 pub use response::{Admission, ClassifyOutcome, ResponseHandle, ServeError};
 pub use service::{RuleService, ServeConfig};

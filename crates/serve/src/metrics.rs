@@ -3,11 +3,11 @@
 //! histograms, so the hot path never takes a lock to record.
 //!
 //! [`ServiceMetrics::report`] folds everything into the immutable
-//! [`MetricsReport`] the experiments print; [`ServiceMetrics::render_text`]
-//! emits the full Prometheus-style exposition (queue depths, shed counts,
-//! latency quantiles) for scraping.
+//! [`MetricsReport`] the experiments print; the registry
+//! ([`ServiceMetrics::registry`]) renders the full Prometheus-style
+//! exposition (queue depths, shed counts, latency quantiles) for scraping.
 
-use rulekit_obs::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+use rulekit_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -111,18 +111,6 @@ impl ServiceMetrics {
         self.max_queue_depth.set_max(depth.min(i64::MAX as u64) as i64);
     }
 
-    /// A point-in-time snapshot of every registered serving metric.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
-    }
-
-    /// Prometheus-style text exposition of the full serving metric family:
-    /// per-shard queue depths, admission/shed/deadline counters, and the
-    /// end-to-end latency summary.
-    pub fn render_text(&self) -> String {
-        self.registry.render_text()
-    }
-
     /// An immutable snapshot of every counter plus derived quantities.
     pub fn report(&self) -> MetricsReport {
         let completed = self.completed.value();
@@ -217,7 +205,7 @@ mod tests {
         m.shard_depth(0).inc();
         m.shard_depth(2).add(4);
         m.overloaded.inc();
-        let text = m.render_text();
+        let text = m.registry().render_text();
         assert!(text.contains("rulekit_serve_queue_depth{shard=\"0\"} 1"), "text:\n{text}");
         assert!(text.contains("rulekit_serve_queue_depth{shard=\"2\"} 4"), "text:\n{text}");
         assert!(text.contains("rulekit_serve_overloaded_total 1"), "text:\n{text}");

@@ -26,6 +26,13 @@ pub trait SnapshotProvider: Send + Sync {
 /// Serves snapshots of a [`Chimera`] pipeline. Rule churn goes through the
 /// pipeline's `Arc<RuleRepository>` handles (shared-reference APIs), so
 /// analysts can keep editing while the service runs.
+///
+/// For a durable rule store, open it *into* `chimera.rules` first
+/// (`rulekit_store::DurableRepository::open_into_observed`) and then start
+/// the service on this provider: recovery runs before
+/// [`crate::RuleService::start`] builds the initial snapshot, so traffic
+/// never sees an empty post-restart rule set, and edits made through the
+/// durable handle reach the refresher like any other.
 pub struct ChimeraProvider {
     chimera: Arc<Chimera>,
 }
@@ -65,80 +72,6 @@ impl SnapshotProvider for ChimeraProvider {
         // rarely; its edits are picked up on the next wakeup at the latest).
         self.chimera.rules.wait_for_change(main_seen, timeout);
         self.revision()
-    }
-}
-
-/// A [`ChimeraProvider`] whose main rule store is durable: rules recover
-/// from checkpoint + write-ahead log *before* the first snapshot is built,
-/// so a restarted service re-admits traffic with its full pre-crash rule
-/// set, and every subsequent mutation made through
-/// [`DurableProvider::store`] is persisted before it is acknowledged.
-///
-/// Construction order is the durability contract: [`DurableProvider::open`]
-/// runs recovery into `chimera.rules` first; [`crate::RuleService::start`]
-/// then builds the initial [`PipelineSnapshot`] synchronously — traffic can
-/// never observe an empty post-restart rule set.
-///
-/// [`PipelineSnapshot`]: rulekit_chimera::PipelineSnapshot
-pub struct DurableProvider {
-    inner: ChimeraProvider,
-    store: Arc<rulekit_store::DurableRepository>,
-}
-
-impl DurableProvider {
-    /// Recovers durable state from `storage` into `chimera`'s main rule
-    /// store, then wraps the pipeline as a snapshot provider. Uses the
-    /// pipeline's own parser, so dictionary-based rules resolve exactly as
-    /// they did when first added (register dictionaries before calling).
-    pub fn open(
-        chimera: Arc<Chimera>,
-        storage: Arc<dyn rulekit_store::Storage>,
-        config: rulekit_store::DurableConfig,
-    ) -> Result<DurableProvider, rulekit_store::StoreError> {
-        let parser = chimera.parser().clone();
-        // Observed on the pipeline's registry, so the one `/metrics` scrape
-        // carries the `rulekit_store_*` family too.
-        let metrics = rulekit_store::StoreMetrics::register(chimera.metrics().registry());
-        let store = Arc::new(rulekit_store::DurableRepository::open_into_observed(
-            chimera.rules.clone(),
-            storage,
-            parser,
-            config,
-            Some(metrics),
-        )?);
-        Ok(DurableProvider { inner: ChimeraProvider::new(chimera), store })
-    }
-
-    /// The durable mutation handle. Rule churn during serving must go
-    /// through this (not the raw repository) to be crash-safe; the
-    /// refresher picks up changes exactly as with a plain
-    /// [`ChimeraProvider`].
-    pub fn store(&self) -> &Arc<rulekit_store::DurableRepository> {
-        &self.store
-    }
-
-    /// The wrapped pipeline.
-    pub fn chimera(&self) -> &Arc<Chimera> {
-        self.inner.chimera()
-    }
-
-    /// What recovery found when the provider opened.
-    pub fn recovery(&self) -> &rulekit_store::RecoveryReport {
-        self.store.recovery()
-    }
-}
-
-impl SnapshotProvider for DurableProvider {
-    fn build(&self) -> Arc<dyn RequestClassifier> {
-        self.inner.build()
-    }
-
-    fn revision(&self) -> u64 {
-        self.inner.revision()
-    }
-
-    fn wait_for_change(&self, last_seen: u64, timeout: Duration) -> u64 {
-        self.inner.wait_for_change(last_seen, timeout)
     }
 }
 

@@ -360,16 +360,10 @@ impl RuleService {
         self.inner.metrics.report()
     }
 
-    /// The live metric handles (per-shard gauges, histograms, registry).
+    /// The live metric handles (per-shard gauges, histograms) and the
+    /// registry whose exposition covers them.
     pub fn service_metrics(&self) -> &Arc<ServiceMetrics> {
         &self.inner.metrics
-    }
-
-    /// Prometheus-style text exposition of the serving tier: per-shard
-    /// queue depths, admission/shed/deadline outcome counters, snapshot
-    /// build timings, and the end-to-end latency summary.
-    pub fn render_metrics(&self) -> String {
-        self.inner.metrics.render_text()
     }
 
     /// Stops admission and completes every queued request with an explicit

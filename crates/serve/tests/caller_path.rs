@@ -385,9 +385,13 @@ fn caller_path_panic_leaves_the_shard_usable() {
 fn both_paths_serve_degraded_while_the_flag_is_set() {
     let controls = gate(1, None);
     // Two queued requests set the flag; it clears only when a pop leaves
-    // the queues empty.
+    // the queues empty. One slot per queue: while the gated shard's probe
+    // waits, its queue is full, so a call that finds the freed shard still
+    // taken can only queue there — never behind the gated shard, which is
+    // released only after the loop below.
     let service = controls.service(ServeConfig {
         shards: 2,
+        queue_capacity: 1,
         batch_size: 1,
         high_water: 2,
         low_water: 0,

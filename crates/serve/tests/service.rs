@@ -6,10 +6,10 @@
 use rulekit_chimera::{Chimera, ChimeraConfig, Decision, SnapshotDecision};
 use rulekit_data::{Product, Taxonomy, TypeId, VendorId};
 use rulekit_serve::{
-    Admission, ChimeraProvider, DurableProvider, RequestClassifier, RuleService, ServeConfig,
-    ServeError, SnapshotProvider, StaticProvider,
+    Admission, ChimeraProvider, RequestClassifier, RuleService, ServeConfig, ServeError,
+    SnapshotProvider, StaticProvider,
 };
-use rulekit_store::{DurableConfig, MemStorage, Storage};
+use rulekit_store::{DurableConfig, DurableRepository, MemStorage, Storage};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -282,7 +282,26 @@ fn shutdown_completes_every_queued_request_with_explicit_outcome() {
     assert!(service.submit(product("late")).is_overloaded());
 }
 
-/// The durability tentpole, end to end: rules added through the durable
+/// Opens `storage` into `chimera`'s main rule store (recovery replaces its
+/// contents), then starts a service on the pipeline — the construction
+/// order `RuleApp::durable` uses.
+fn durable_service(
+    chimera: &Arc<Chimera>,
+    storage: &Arc<MemStorage>,
+) -> (DurableRepository, RuleService) {
+    let store = DurableRepository::open_into_observed(
+        chimera.rules.clone(),
+        Arc::clone(storage) as Arc<dyn Storage>,
+        chimera.parser().clone(),
+        DurableConfig::default(),
+        None,
+    )
+    .expect("open durable store");
+    let provider = Arc::new(ChimeraProvider::new(chimera.clone()));
+    (store, RuleService::start(provider, ServeConfig { shards: 2, ..Default::default() }))
+}
+
+/// The durability contract, end to end: rules added through the durable
 /// handle survive a full service restart — a fresh pipeline over the same
 /// storage recovers them and serves traffic with the pre-crash rule set
 /// from its very first snapshot.
@@ -293,19 +312,9 @@ fn restarted_service_recovers_rules_before_admitting_traffic() {
     // First life: empty pipeline, durable rules added while serving.
     {
         let chimera = Arc::new(Chimera::new(Taxonomy::builtin(), ChimeraConfig::default()));
-        let provider = Arc::new(
-            DurableProvider::open(
-                chimera,
-                Arc::clone(&storage) as Arc<dyn Storage>,
-                DurableConfig::default(),
-            )
-            .expect("open durable provider"),
-        );
-        assert_eq!(provider.recovery().recovered_rules, 0, "nothing durable yet");
-        let service =
-            RuleService::start(provider.clone(), ServeConfig { shards: 2, ..Default::default() });
-        provider
-            .store()
+        let (store, service) = durable_service(&chimera, &storage);
+        assert_eq!(store.recovery().recovered_rules, 0, "nothing durable yet");
+        store
             .add_rules("rings? -> rings\nsofas? -> sofas\n", &Default::default())
             .expect("durable add");
         service.refresh_now();
@@ -316,23 +325,14 @@ fn restarted_service_recovers_rules_before_admitting_traffic() {
     }
 
     // Second life: a brand-new pipeline over the same storage. Recovery
-    // happens inside DurableProvider::open — before RuleService::start
-    // builds the initial snapshot — so the first request already sees the
-    // recovered rules.
+    // happens when the store opens — before RuleService::start builds the
+    // initial snapshot — so the first request already sees the recovered
+    // rules.
     let chimera = Arc::new(Chimera::new(Taxonomy::builtin(), ChimeraConfig::default()));
     let rings = chimera.taxonomy().id_of("rings").unwrap();
-    let provider = Arc::new(
-        DurableProvider::open(
-            chimera,
-            Arc::clone(&storage) as Arc<dyn Storage>,
-            DurableConfig::default(),
-        )
-        .expect("reopen durable provider"),
-    );
-    let report = provider.recovery();
+    let (store, service) = durable_service(&chimera, &storage);
+    let report = store.recovery();
     assert_eq!(report.recovered_rules, 2, "both rules recovered: {report:?}");
-    let service =
-        RuleService::start(provider.clone(), ServeConfig { shards: 2, ..Default::default() });
     let outcome =
         service.submit(product("diamond wedding ring")).expect_enqueued().wait().expect("served");
     assert_eq!(outcome.decision.type_id(), Some(rings), "recovered rule classified the request");
@@ -533,7 +533,7 @@ fn metrics_track_load_shape() {
 fn text_exposition_covers_queue_shed_and_latency() {
     // The scrape surface the tier promises: per-shard queue depth, every
     // admission/shed outcome, snapshot-build timing, and the end-to-end
-    // latency summary — all from one render_metrics() call.
+    // latency summary — all from one scrape of the service's registry.
     let service = slow_service(
         Duration::from_millis(5),
         ServeConfig {
@@ -564,7 +564,7 @@ fn text_exposition_covers_queue_shed_and_latency() {
         h.wait().expect("served");
     }
 
-    let text = service.render_metrics();
+    let text = service.service_metrics().registry().render_text();
     for required in [
         "# TYPE rulekit_serve_queue_depth gauge",
         "rulekit_serve_queue_depth{shard=\"0\"}",
@@ -586,7 +586,7 @@ fn text_exposition_covers_queue_shed_and_latency() {
     // structured snapshot agrees with the report counters.
     let m = service.service_metrics();
     assert_eq!(m.shard_depth(0).value() + m.shard_depth(1).value(), 0);
-    let snap = m.snapshot();
+    let snap = m.registry().snapshot();
     let report = service.metrics();
     assert_eq!(snap.counter("rulekit_serve_submitted_total"), Some(report.submitted));
     assert_eq!(snap.counter("rulekit_serve_overloaded_total"), Some(report.overloaded));
@@ -627,7 +627,7 @@ fn exposition_covers_the_inference_tier() {
     let outcome = service.submit(p).expect_enqueued().wait().expect("classified");
     assert_eq!(outcome.decision.type_id(), Some(books), "derived fact must carry the decision");
 
-    let text = service.render_metrics();
+    let text = service.service_metrics().registry().render_text();
     for required in [
         "# TYPE rulekit_infer_products_total counter",
         "rulekit_infer_products_total 1",

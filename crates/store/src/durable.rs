@@ -194,7 +194,7 @@ impl DurableRepository {
         parser: RuleParser,
         config: DurableConfig,
     ) -> Result<DurableRepository, StoreError> {
-        DurableRepository::open_into(RuleRepository::new(), storage, parser, config)
+        DurableRepository::open_into_observed(RuleRepository::new(), storage, parser, config, None)
     }
 
     /// [`DurableRepository::open`] with durability telemetry (WAL append/
@@ -216,18 +216,9 @@ impl DurableRepository {
     }
 
     /// Opens over a caller-supplied repository (e.g. one already wired into
-    /// a pipeline). Its previous contents are replaced by the recovered
-    /// state; watchers see one change notification.
-    pub fn open_into(
-        repo: Arc<RuleRepository>,
-        storage: Arc<dyn Storage>,
-        parser: RuleParser,
-        config: DurableConfig,
-    ) -> Result<DurableRepository, StoreError> {
-        DurableRepository::open_into_observed(repo, storage, parser, config, None)
-    }
-
-    /// [`DurableRepository::open_into`] with optional telemetry handles.
+    /// a pipeline), with optional telemetry handles. The repository's
+    /// previous contents are replaced by the recovered state; watchers see
+    /// one change notification.
     ///
     /// Recovery treats persisted-entry metrics as *levels*: it **sets**
     /// `rulekit_store_persisted_rules` / `_revision` from the recovered

@@ -30,8 +30,10 @@
 //!   the recovery fuzz can crash-and-reopen the repository thousands of
 //!   times and assert that no acknowledged mutation is ever lost.
 //!
-//! The serving tier consumes this through `rulekit_serve::DurableProvider`:
-//! a restarted service recovers its rules and rebuilds a compiled snapshot
+//! The serving tier consumes this through `rulekit_net::RuleApp::durable`,
+//! which opens the store into the pipeline's rule repository
+//! ([`DurableRepository::open_into_observed`]) before the service starts: a
+//! restarted service recovers its rules and rebuilds a compiled snapshot
 //! before admitting traffic.
 
 pub mod checkpoint;

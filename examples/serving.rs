@@ -104,7 +104,9 @@ fn main() {
     // The same numbers as a Prometheus-style scrape (a few of the ~40 lines).
     println!("\ntext exposition sample:");
     for line in service
-        .render_metrics()
+        .service_metrics()
+        .registry()
+        .render_text()
         .lines()
         .filter(|l| l.contains("queue_depth") || l.contains("quantile=\"0.99\""))
     {
