@@ -117,23 +117,13 @@ pub struct Chimera {
 }
 
 impl Chimera {
-    /// A fresh pipeline over `taxonomy`, with its own metrics registry.
+    /// A fresh pipeline over `taxonomy`, with its own metrics registry
+    /// ([`Chimera::metrics`]); a server shares that registry with the
+    /// serving tier and the store, so one scrape covers them all.
     pub fn new(taxonomy: Arc<Taxonomy>, cfg: ChimeraConfig) -> Chimera {
-        let registry = Arc::new(Registry::new());
-        Chimera::with_registry(taxonomy, cfg, registry)
-    }
-
-    /// A fresh pipeline recording its telemetry into a caller-supplied
-    /// `registry` (so one process-wide registry can aggregate pipeline,
-    /// store and serving metrics into a single exposition).
-    pub fn with_registry(
-        taxonomy: Arc<Taxonomy>,
-        cfg: ChimeraConfig,
-        registry: Arc<Registry>,
-    ) -> Chimera {
         let rng = StdRng::seed_from_u64(cfg.seed);
         let monitor = DriftMonitor::new(MONITOR_WINDOW, MONITOR_MIN_SAMPLES, PRECISION_THRESHOLD);
-        let obs = PipelineMetrics::register(registry);
+        let obs = PipelineMetrics::register(Arc::new(Registry::new()));
         Chimera {
             parser: RuleParser::new(taxonomy.clone()),
             analysis: SimulatedAnalysis::new(taxonomy.clone()),

@@ -363,16 +363,6 @@ impl ExecMetrics {
         })
     }
 
-    /// Metrics attached to no registry (tests, ad-hoc measurement).
-    pub fn detached() -> Arc<ExecMetrics> {
-        Arc::new(ExecMetrics {
-            candidates: Histogram::new(),
-            products: Counter::new(),
-            fired: Counter::new(),
-            automaton_hits: Counter::new(),
-        })
-    }
-
     #[inline]
     fn record(&self, considered: usize, fired: usize) {
         self.products.inc();

@@ -45,7 +45,7 @@ pub use expr::{
 pub use infer::{DerivedFact, InferenceEngine, InferenceOutcome, DEFAULT_MAX_ROUNDS};
 pub use prepared::PreparedProduct;
 pub use properties::{audit_order_independence, OrderAudit};
-pub use repository::{RepositoryStats, Revision, RuleEntry, RuleRepository, DEFAULT_LOG_CAPACITY};
+pub use repository::{RepositoryStats, RuleEntry, RuleRepository};
 pub use rule::{
     CompareOp, Condition, Dictionary, InferFact, Provenance, Rule, RuleAction, RuleId, RuleMeta,
     RuleStatus,

@@ -2,10 +2,11 @@
 //!
 //! §4 observes that "over time, many developers and analysts will modify,
 //! add, and remove rules … it is important that the system remain robust and
-//! predictable throughout such activities". The repository therefore keeps a
-//! monotonic revision log of every change, supports per-rule and per-type
+//! predictable throughout such activities". The repository therefore stamps
+//! every change with a monotonic revision, supports per-rule and per-type
 //! enable/disable (the §2.2 "scale down" lever), and hands out immutable
-//! snapshots to executors.
+//! snapshots to executors. The change history itself lives in
+//! `rulekit-store`'s write-ahead log (and the replication leader's log).
 //!
 //! Each rule is held as one shared, immutable [`RuleEntry`]: the [`Rule`]
 //! plus its [`CompiledRule`], filled in by the first executor build that
@@ -27,7 +28,7 @@ use crate::engine::CompiledRule;
 use crate::rule::{Rule, RuleAction, RuleId, RuleMeta, RuleStatus};
 use parking_lot::RwLock;
 use rulekit_data::TypeId;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// One rule as the repository holds it: the rule and its compiled form,
@@ -61,43 +62,7 @@ impl RuleEntry {
     }
 }
 
-/// Default bound on the in-memory revision ring. The ring is an
-/// operational convenience (recent-change introspection); the durable
-/// audit trail under rule churn is `rulekit-store`'s write-ahead log.
-pub const DEFAULT_LOG_CAPACITY: usize = 4096;
-
-/// One entry in the revision log.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Revision {
-    /// Rule added.
-    Added {
-        /// The rule.
-        rule_id: RuleId,
-        /// Source line or generator description.
-        source: String,
-    },
-    /// Rule disabled.
-    Disabled {
-        /// The rule.
-        rule_id: RuleId,
-        /// Why (free text: "scale-down clothes", …).
-        reason: String,
-    },
-    /// Rule re-enabled.
-    Enabled {
-        /// The rule.
-        rule_id: RuleId,
-    },
-    /// Rule permanently removed.
-    Removed {
-        /// The rule.
-        rule_id: RuleId,
-        /// Why.
-        reason: String,
-    },
-}
-
-/// Thread-safe rule store with a revision log.
+/// Thread-safe rule store.
 #[derive(Debug)]
 pub struct RuleRepository {
     inner: RwLock<Inner>,
@@ -117,8 +82,6 @@ impl Default for RuleRepository {
                 order: Vec::new(),
                 next_id: 0,
                 revision: 0,
-                log: VecDeque::new(),
-                log_capacity: DEFAULT_LOG_CAPACITY,
             }),
             changes: std::sync::Mutex::new(0),
             changed: std::sync::Condvar::new(),
@@ -133,47 +96,14 @@ struct Inner {
     /// The same entries in insertion order, so a snapshot is one scan.
     order: Vec<Arc<RuleEntry>>,
     next_id: u64,
-    /// Monotonic mutation counter. Decoupled from `log.len()`: the ring
-    /// below keeps only the most recent revisions in memory.
+    /// Monotonic mutation counter.
     revision: u64,
-    log: VecDeque<Revision>,
-    log_capacity: usize,
-}
-
-impl Inner {
-    /// Advances the revision counter and records the entry in the bounded
-    /// ring, evicting the oldest entry once the ring is full.
-    fn record(&mut self, rev: Revision) -> u64 {
-        self.revision += 1;
-        if self.log_capacity > 0 {
-            while self.log.len() >= self.log_capacity {
-                self.log.pop_front();
-            }
-            self.log.push_back(rev);
-        }
-        self.revision
-    }
 }
 
 impl RuleRepository {
-    /// An empty repository with the default revision-ring capacity.
+    /// An empty repository.
     pub fn new() -> Arc<RuleRepository> {
         Arc::new(RuleRepository::default())
-    }
-
-    /// An empty repository keeping at most `capacity` recent revisions in
-    /// memory (`0` disables in-memory history entirely). Under sustained
-    /// rule churn the ring stays bounded; long-term history lives in the
-    /// durable write-ahead log (`rulekit-store`).
-    pub fn with_log_capacity(capacity: usize) -> Arc<RuleRepository> {
-        let repo = RuleRepository::default();
-        repo.inner.write().log_capacity = capacity;
-        Arc::new(repo)
-    }
-
-    /// The configured revision-ring capacity.
-    pub fn log_capacity(&self) -> usize {
-        self.inner.read().log_capacity
     }
 
     fn lock_changes(&self) -> std::sync::MutexGuard<'_, u64> {
@@ -226,7 +156,7 @@ impl RuleRepository {
             let id = RuleId(inner.next_id);
             inner.next_id += 1;
             meta.added_at = inner.revision;
-            inner.record(Revision::Added { rule_id: id, source: spec.source.clone() });
+            inner.revision += 1;
             let rule = Rule {
                 id,
                 condition: spec.condition,
@@ -253,15 +183,10 @@ impl RuleRepository {
         self.inner.read().rules.get(&id).map(|e| e.rule.clone())
     }
 
-    /// Sets one rule's status, recording `revision` when it changed. Entries
-    /// are immutable once shared, so the rule gets a new entry that keeps
-    /// the old one's compiled form: the condition did not change.
-    fn set_status(
-        &self,
-        id: RuleId,
-        status: RuleStatus,
-        revision: impl FnOnce() -> Revision,
-    ) -> bool {
+    /// Sets one rule's status, advancing the revision when it changed.
+    /// Entries are immutable once shared, so the rule gets a new entry that
+    /// keeps the old one's compiled form: the condition did not change.
+    fn set_status(&self, id: RuleId, status: RuleStatus) -> bool {
         {
             let mut inner = self.inner.write();
             let Some(old) = inner.rules.get(&id) else { return false };
@@ -275,7 +200,7 @@ impl RuleRepository {
             let slot =
                 inner.order.iter_mut().find(|e| Arc::ptr_eq(e, &old)).expect("rule in order");
             *slot = entry;
-            inner.record(revision());
+            inner.revision += 1;
         }
         self.notify_change();
         true
@@ -283,25 +208,25 @@ impl RuleRepository {
 
     /// Disables one rule ("if that rule misclassifies widely, we can simply
     /// disable it, with minimal impacts on the rest of the system", §3.2).
-    pub fn disable(&self, id: RuleId, reason: impl Into<String>) -> bool {
-        self.set_status(id, RuleStatus::Disabled, || Revision::Disabled {
-            rule_id: id,
-            reason: reason.into(),
-        })
+    /// The reason is not kept here: `rulekit-store` logs it in the WAL
+    /// record of a durable disable.
+    pub fn disable(&self, id: RuleId, _reason: impl Into<String>) -> bool {
+        self.set_status(id, RuleStatus::Disabled)
     }
 
     /// Re-enables one rule.
     pub fn enable(&self, id: RuleId) -> bool {
-        self.set_status(id, RuleStatus::Enabled, || Revision::Enabled { rule_id: id })
+        self.set_status(id, RuleStatus::Enabled)
     }
 
     /// Permanently removes a rule (maintenance: subsumed/imprecise rules).
-    pub fn remove(&self, id: RuleId, reason: impl Into<String>) -> bool {
+    /// As with [`RuleRepository::disable`], the reason is the WAL's to keep.
+    pub fn remove(&self, id: RuleId, _reason: impl Into<String>) -> bool {
         let changed = {
             let mut inner = self.inner.write();
             let Some(old) = inner.rules.remove(&id) else { return false };
             inner.order.retain(|e| !Arc::ptr_eq(e, &old));
-            inner.record(Revision::Removed { rule_id: id, reason: reason.into() });
+            inner.revision += 1;
             true
         };
         self.notify_change();
@@ -310,8 +235,7 @@ impl RuleRepository {
 
     /// Disables every rule that assigns or forbids `ty` — the per-type
     /// scale-down of §2.2. Returns the affected rule ids.
-    pub fn disable_type(&self, ty: TypeId, reason: impl Into<String>) -> Vec<RuleId> {
-        let reason = reason.into();
+    pub fn disable_type(&self, ty: TypeId, _reason: impl Into<String>) -> Vec<RuleId> {
         let ids: Vec<RuleId> = {
             let inner = self.inner.read();
             inner
@@ -322,7 +246,7 @@ impl RuleRepository {
                 .collect()
         };
         for &id in &ids {
-            self.disable(id, reason.clone());
+            self.set_status(id, RuleStatus::Disabled);
         }
         ids
     }
@@ -396,14 +320,6 @@ impl RuleRepository {
         stats
     }
 
-    /// The most recent revisions, oldest first — at most
-    /// [`RuleRepository::log_capacity`] entries. Older history is evicted
-    /// from memory; the durable WAL (when the repository is wrapped by
-    /// `rulekit-store`) retains the complete audit trail.
-    pub fn history(&self) -> Vec<Revision> {
-        self.inner.read().log.iter().cloned().collect()
-    }
-
     /// Renders the repository back to DSL text, one rule per line, with
     /// disabled rules commented out — the format analysts edit and check
     /// into version control.
@@ -438,10 +354,8 @@ impl RuleRepository {
 
     /// Replaces the repository's entire contents with recovered durable
     /// state: `rules` (in order, with their original ids and metadata), the
-    /// id counter, and the revision counter as of the recovered state. The
-    /// in-memory revision ring restarts empty — pre-crash history lives in
-    /// the WAL. Watchers blocked in [`RuleRepository::wait_for_change`] are
-    /// woken.
+    /// id counter, and the revision counter as of the recovered state.
+    /// Watchers blocked in [`RuleRepository::wait_for_change`] are woken.
     pub fn restore(&self, rules: Vec<Rule>, next_id: u64, revision: u64) {
         {
             let mut inner = self.inner.write();
@@ -449,7 +363,6 @@ impl RuleRepository {
             inner.rules = inner.order.iter().map(|e| (e.rule.id, e.clone())).collect();
             inner.next_id = next_id;
             inner.revision = revision;
-            inner.log.clear();
         }
         self.notify_change();
     }
@@ -513,6 +426,11 @@ mod tests {
         assert!(!repo.disable(ids[0], "again"), "double disable is a no-op");
         assert!(repo.enable(ids[0]));
         assert!(repo.get(ids[0]).unwrap().is_enabled());
+        for _ in 0..5 {
+            repo.disable(ids[0], "churn");
+            repo.enable(ids[0]);
+        }
+        assert_eq!(repo.revision(), 13, "1 add + 12 toggles; the no-op disable is not one");
     }
 
     #[test]
@@ -547,44 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn history_records_everything() {
-        let (repo, ids, _) = repo_with(&["rings? -> rings"]);
-        repo.disable(ids[0], "drift");
-        repo.enable(ids[0]);
-        repo.remove(ids[0], "cleanup");
-        let log = repo.history();
-        assert_eq!(log.len(), 4);
-        assert!(matches!(log[0], Revision::Added { .. }));
-        assert!(matches!(log[1], Revision::Disabled { .. }));
-        assert!(matches!(log[2], Revision::Enabled { .. }));
-        assert!(matches!(log[3], Revision::Removed { .. }));
-    }
-
-    #[test]
-    fn revision_ring_is_bounded_but_revision_is_monotonic() {
-        let tax = Taxonomy::builtin();
-        let parser = RuleParser::new(tax);
-        let repo = RuleRepository::with_log_capacity(4);
-        assert_eq!(repo.log_capacity(), 4);
-        let id = repo.add(parser.parse_rule("rings? -> rings").unwrap(), RuleMeta::default());
-        for _ in 0..6 {
-            repo.disable(id, "churn");
-            repo.enable(id);
-        }
-        assert_eq!(repo.revision(), 13, "1 add + 12 toggles");
-        let log = repo.history();
-        assert_eq!(log.len(), 4, "ring keeps only the most recent entries");
-        // The ring holds the *latest* entries: …, Disabled, Enabled.
-        assert!(matches!(log.last(), Some(Revision::Enabled { .. })));
-        // Zero capacity disables in-memory history without touching revisions.
-        let bare = RuleRepository::with_log_capacity(0);
-        let parser2 = RuleParser::new(Taxonomy::builtin());
-        bare.add(parser2.parse_rule("rings? -> rings").unwrap(), RuleMeta::default());
-        assert_eq!(bare.revision(), 1);
-        assert!(bare.history().is_empty());
-    }
-
-    #[test]
     fn restore_reinstates_ids_revision_and_contents() {
         let (repo, ids, _) = repo_with(&["rings? -> rings", "rugs? -> area rugs"]);
         repo.disable(ids[1], "drift");
@@ -598,7 +478,6 @@ mod tests {
         assert_eq!(fresh.next_rule_id(), next_id);
         assert_eq!(fresh.len(), 2);
         assert!(!fresh.get(ids[1]).unwrap().is_enabled());
-        assert!(fresh.history().is_empty(), "restored history starts empty");
         // Ids keep advancing from the restored counter.
         let parser = RuleParser::new(Taxonomy::builtin());
         let new_id = fresh.add(parser.parse_rule("sofas? -> sofas").unwrap(), RuleMeta::default());

@@ -21,7 +21,7 @@ use rulekit_core::{RuleId, RuleMeta, RuleParser, RuleRepository};
 use rulekit_data::Taxonomy;
 use rulekit_obs::Registry;
 use rulekit_serve::{ChimeraProvider, RuleService, ServeConfig};
-use rulekit_store::{DurableConfig, DurableRepository, Storage, StoreError, StoreMetrics};
+use rulekit_store::{DurableConfig, DurableRepository, Storage, StoreError};
 use std::sync::Arc;
 
 /// What a replication role exposes to the HTTP surface: `/health` renders
@@ -98,7 +98,7 @@ impl RuleApp {
             storage,
             parser.clone(),
             store_cfg,
-            Some(StoreMetrics::register(&registry)),
+            &registry,
         )?);
         let provider = Arc::new(ChimeraProvider::new(chimera));
         let service = RuleService::start_with_registry(provider, serve_cfg, registry.clone());

@@ -206,7 +206,7 @@ struct FrontMetrics {
 }
 
 impl FrontMetrics {
-    fn new(registry: &Registry, replicas: usize) -> FrontMetrics {
+    fn register(registry: &Registry, replicas: usize) -> FrontMetrics {
         FrontMetrics {
             classify: registry.counter("rulekit_front_classify_total"),
             failovers: registry.counter("rulekit_front_failovers_total"),
@@ -233,22 +233,13 @@ pub struct FrontTier {
     slots: Vec<Slot>,
     rr: AtomicUsize,
     leader: Mutex<Option<HttpClient>>,
-    metrics: Option<FrontMetrics>,
+    metrics: FrontMetrics,
 }
 
 impl FrontTier {
-    /// A front tier without metrics.
-    pub fn new(cfg: FrontConfig) -> FrontTier {
-        FrontTier::build(cfg, None)
-    }
-
     /// A front tier recording breaker and routing telemetry in `registry`.
     pub fn with_registry(cfg: FrontConfig, registry: &Registry) -> FrontTier {
-        let metrics = FrontMetrics::new(registry, cfg.replicas.len());
-        FrontTier::build(cfg, Some(metrics))
-    }
-
-    fn build(cfg: FrontConfig, metrics: Option<FrontMetrics>) -> FrontTier {
+        let metrics = FrontMetrics::register(registry, cfg.replicas.len());
         let slots = cfg
             .replicas
             .iter()
@@ -268,19 +259,15 @@ impl FrontTier {
     }
 
     fn note_breaker_gauges(&self) {
-        if let Some(m) = &self.metrics {
-            for (slot, gauge) in self.slots.iter().zip(&m.breaker_states) {
-                gauge.set(slot.breaker.state_code());
-            }
+        for (slot, gauge) in self.slots.iter().zip(&self.metrics.breaker_states) {
+            gauge.set(slot.breaker.state_code());
         }
     }
 
     /// Classifies via the replica set: round-robin over admitting breakers,
     /// failing over on error until every replica was tried once.
     pub fn classify(&self, body: &str) -> Result<ClientResponse, FrontError> {
-        if let Some(m) = &self.metrics {
-            m.classify.inc();
-        }
+        self.metrics.classify.inc();
         let n = self.slots.len();
         if n == 0 {
             return Err(FrontError { message: "front tier has no replicas".into() });
@@ -296,9 +283,7 @@ impl FrontTier {
             match self.request_slot(slot, Method::Post, "/classify", body.as_bytes()) {
                 Ok(resp) if resp.status < 500 => {
                     if slot.breaker.on_success() {
-                        if let Some(m) = &self.metrics {
-                            m.recoveries.inc();
-                        }
+                        self.metrics.recoveries.inc();
                     }
                     self.note_breaker_gauges();
                     return Ok(resp);
@@ -312,13 +297,9 @@ impl FrontTier {
                     self.note_failure(slot);
                 }
             }
-            if let Some(m) = &self.metrics {
-                m.failovers.inc();
-            }
+            self.metrics.failovers.inc();
         }
-        if let Some(m) = &self.metrics {
-            m.shed.inc();
-        }
+        self.metrics.shed.inc();
         self.note_breaker_gauges();
         let detail =
             if failures.is_empty() { "all breakers open".to_string() } else { failures.join("; ") };
@@ -329,9 +310,7 @@ impl FrontTier {
         // A failed request may leave the connection mid-stream; drop it.
         *slot.conn.lock().unwrap_or_else(|e| e.into_inner()) = None;
         if slot.breaker.on_failure() {
-            if let Some(m) = &self.metrics {
-                m.trips.inc();
-            }
+            self.metrics.trips.inc();
         }
         self.note_breaker_gauges();
     }
@@ -453,6 +432,6 @@ mod tests {
             breaker: BreakerConfig::default(),
             retry: RetryPolicy::default(),
         };
-        assert!(FrontTier::new(cfg).classify("{}").is_err());
+        assert!(FrontTier::with_registry(cfg, &Registry::new()).classify("{}").is_err());
     }
 }

@@ -5,13 +5,11 @@
 
 use crate::router::Route;
 use rulekit_obs::{Counter, Gauge, Histogram, Registry};
-use std::sync::Arc;
 
 /// All metric handles the server records into. One instance per server,
 /// registered into a caller-supplied registry so `/metrics` serves the
 /// serving tier, the store, and the front-end in one exposition.
 pub struct NetMetrics {
-    registry: Arc<Registry>,
     /// Connections currently open (acceptor gauge).
     pub connections: Gauge,
     /// Connections accepted since start.
@@ -32,7 +30,7 @@ pub struct NetMetrics {
 
 impl NetMetrics {
     /// Registers the front-end metric families in `registry`.
-    pub fn new(registry: Arc<Registry>) -> NetMetrics {
+    pub fn register(registry: &Registry) -> NetMetrics {
         let labels = Route::labels();
         NetMetrics {
             connections: registry.gauge("rulekit_net_connections"),
@@ -51,7 +49,6 @@ impl NetMetrics {
                     registry.histogram(&format!("rulekit_net_route_latency_nanos{{route=\"{l}\"}}"))
                 })
                 .collect(),
-            registry,
         }
     }
 
@@ -69,11 +66,6 @@ impl NetMetrics {
     pub fn route_latency(&self, route: Route) -> &Histogram {
         &self.route_latency[Self::index(route)]
     }
-
-    /// The registry everything is registered in.
-    pub fn registry(&self) -> &Arc<Registry> {
-        &self.registry
-    }
 }
 
 #[cfg(test)]
@@ -83,12 +75,13 @@ mod tests {
 
     #[test]
     fn route_metrics_render_with_labels() {
-        let m = NetMetrics::new(Arc::new(Registry::new()));
+        let registry = Registry::new();
+        let m = NetMetrics::register(&registry);
         m.route_requests(Route::Classify).inc();
         m.route_latency(Route::Classify).record_duration(Duration::from_micros(250));
         m.route_requests(Route::GetRule(9)).inc();
         m.connections.set(3);
-        let text = m.registry().render_text();
+        let text = registry.render_text();
         assert!(text.contains("rulekit_net_requests_total{route=\"classify\"} 1"), "{text}");
         assert!(text.contains("rulekit_net_requests_total{route=\"rulesets_get\"} 1"), "{text}");
         assert!(

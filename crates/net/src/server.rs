@@ -112,7 +112,7 @@ impl NetServer {
     pub fn start(app: RuleApp, cfg: NetConfig) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
-        let metrics = NetMetrics::new(app.registry.clone());
+        let metrics = NetMetrics::register(&app.registry);
         let state = Arc::new(ServerState {
             conns: BoundedQueue::new(PENDING_CONNECTIONS),
             app,

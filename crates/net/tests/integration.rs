@@ -487,9 +487,9 @@ fn metrics_route_exposes_per_route_histograms() {
     assert!(text.ends_with('\n'), "exposition must end with a newline");
 }
 
-/// One scrape covers every tier: a durable server's `/metrics` carries the
-/// store's WAL series, and served classifies feed the pipeline's stage
-/// histograms.
+/// One scrape covers every tier: a durable server's `/metrics` carries a
+/// moving series from each family it wires — edge, serving, pipeline,
+/// engine, fact inference and store.
 #[test]
 fn durable_server_metrics_include_store_and_pipeline_stages() {
     let storage: Arc<dyn Storage> = Arc::new(MemStorage::new());
@@ -497,9 +497,18 @@ fn durable_server_metrics_include_store_and_pipeline_stages() {
         RuleApp::durable(ruled_chimera(), storage, DurableConfig::default(), serve_cfg()).unwrap();
     let server = NetServer::start(app, NetConfig::default()).unwrap();
     let mut c = client(&server);
-    let created = c.post_json("/rulesets", "{\"rules\": \"sofas? -> sofas\\n\"}").unwrap();
-    assert_eq!(created.status, 201, "{}", created.text());
-    assert_eq!(c.post_json("/classify", &classify_body("ring")).unwrap().status, 200);
+    // A fact rule, then a rule whose visibility implies the fact rule's.
+    for body in
+        ["{\"infer\": \"has(isbn) => fact media = book\"}", "{\"rules\": \"sofas? -> sofas\"}"]
+    {
+        let created = c.post_json("/rulesets", body).unwrap();
+        assert_eq!(created.status, 201, "{}", created.text());
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !c.post_json("/classify", &classify_body("sofa")).unwrap().text().contains("sofas") {
+        assert!(Instant::now() < deadline, "rule edit never became visible");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     let text = c.get("/metrics").unwrap().text();
     let count = |series: &str| -> u64 {
@@ -509,9 +518,18 @@ fn durable_server_metrics_include_store_and_pipeline_stages() {
             .unwrap_or_else(|| panic!("{series} missing from scrape:\n{text}"));
         line.rsplit(' ').next().unwrap().parse().unwrap()
     };
-    assert!(count("rulekit_store_wal_fsync_nanos_count ") >= 1);
-    assert!(count("rulekit_chimera_stage_nanos_count{stage=\"gate\"} ") >= 1);
-    assert!(count("rulekit_chimera_decisions_total ") >= 1);
+    for series in [
+        "rulekit_net_requests_total{route=\"classify\"} ",
+        "rulekit_serve_completed_total ",
+        "rulekit_chimera_stage_nanos_count{stage=\"gate\"} ",
+        "rulekit_chimera_decisions_total ",
+        "rulekit_exec_products_total{executor=\"literal-scan\"} ",
+        "rulekit_infer_products_total ",
+        "rulekit_store_wal_appends_total ",
+        "rulekit_store_wal_fsync_nanos_count ",
+    ] {
+        assert!(count(series) >= 1, "{series}did not move:\n{text}");
+    }
 }
 
 /// The batch limit holds with the constant: `MAX_BATCH + 1` items answer

@@ -129,7 +129,7 @@ struct FollowerMetrics {
 }
 
 impl FollowerMetrics {
-    fn new(registry: &Registry) -> FollowerMetrics {
+    fn register(registry: &Registry) -> FollowerMetrics {
         FollowerMetrics {
             last_applied: registry.gauge("rulekit_repl_last_applied_seq"),
             leader_seq_seen: registry.gauge("rulekit_repl_leader_seq_seen"),
@@ -210,7 +210,7 @@ impl ReplFollower {
         cfg: FollowerConfig,
         registry: &Registry,
     ) -> ReplFollower {
-        let metrics = FollowerMetrics::new(registry);
+        let metrics = FollowerMetrics::register(registry);
         let shared = Arc::new(FollowerShared {
             last_applied: AtomicU64::new(store.repository().revision()),
             leader_seq_seen: AtomicU64::new(0),

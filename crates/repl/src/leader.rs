@@ -72,7 +72,7 @@ struct LeaderMetrics {
 }
 
 impl LeaderMetrics {
-    fn new(registry: &Registry) -> LeaderMetrics {
+    fn register(registry: &Registry) -> LeaderMetrics {
         LeaderMetrics {
             leader_seq: registry.gauge("rulekit_repl_leader_seq"),
             followers: registry.gauge("rulekit_repl_connected_followers"),
@@ -116,7 +116,7 @@ impl ReplLeader {
         let local_addr = listener.local_addr()?;
         let epoch = store.bump_epoch().map_err(|e| std::io::Error::other(e.to_string()))?;
         let log = Arc::new(ReplLog::new(cfg.ring_capacity, 0));
-        let metrics = LeaderMetrics::new(registry);
+        let metrics = LeaderMetrics::register(registry);
         let shared = Arc::new(LeaderShared {
             store: store.clone(),
             log: log.clone(),

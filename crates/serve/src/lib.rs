@@ -33,7 +33,10 @@
 //!   requests spend their pipeline time.
 //! - **Built-in metrics** ([`ServiceMetrics`]): lock-free counters and a
 //!   log-bucketed latency histogram — p50/p99, throughput inputs, queue
-//!   depth, swap counts, candidates considered.
+//!   depth, swap counts, candidates considered. Every service registers
+//!   them, into the caller's registry ([`RuleService::start_with_registry`])
+//!   or a fresh one ([`RuleService::start`]); read them through
+//!   [`RuleService::service_metrics`].
 //! - **Durability**: the main rule store can run on `rulekit-store`'s
 //!   write-ahead log + checkpoints, opened into the pipeline's repository
 //!   before [`RuleService::start`] (see [`ChimeraProvider`];
@@ -56,7 +59,7 @@ pub mod response;
 pub mod service;
 
 pub use classifier::RequestClassifier;
-pub use metrics::{MetricsReport, ServiceMetrics};
+pub use metrics::ServiceMetrics;
 pub use provider::{ChimeraProvider, SnapshotProvider, StaticProvider};
 pub use queue::BoundedQueue;
 pub use response::{Admission, ClassifyOutcome, ResponseHandle, ServeError};

@@ -2,18 +2,16 @@
 //! counters, per-shard queue-depth gauges, and log-linear latency
 //! histograms, so the hot path never takes a lock to record.
 //!
-//! [`ServiceMetrics::report`] folds everything into the immutable
-//! [`MetricsReport`] the experiments print; the registry
-//! ([`ServiceMetrics::registry`]) renders the full Prometheus-style
+//! Callers read the handles directly (`completed.value()`) or the registry
+//! ([`ServiceMetrics::registry`]), which renders the full Prometheus-style
 //! exposition (queue depths, shed counts, latency quantiles) for scraping.
 
 use rulekit_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// All counters the service maintains. Shared (`Arc`) between the service,
-/// its workers, and whoever wants to read a [`MetricsReport`]. Every handle
-/// lives in the registry, so one text exposition covers the whole tier.
+/// its workers, and its readers. Every handle lives in the registry, so one
+/// text exposition covers the whole tier.
 pub struct ServiceMetrics {
     registry: Arc<Registry>,
     /// Requests admitted: queued for a shard worker, or started on the
@@ -56,15 +54,11 @@ pub struct ServiceMetrics {
 }
 
 impl ServiceMetrics {
-    /// Metrics for a `shards`-wide service, in a registry of their own.
-    pub fn new(shards: usize) -> Self {
-        ServiceMetrics::with_registry(Arc::new(Registry::new()), shards)
-    }
-
-    /// Metrics registered in a caller-supplied `registry` (so serving,
-    /// pipeline and store telemetry can share one exposition).
-    pub fn with_registry(registry: Arc<Registry>, shards: usize) -> Self {
-        ServiceMetrics {
+    /// Registers the serving metric family for a `shards`-wide service in
+    /// `registry` (so serving, pipeline and store telemetry can share one
+    /// exposition).
+    pub fn register(registry: Arc<Registry>, shards: usize) -> Arc<ServiceMetrics> {
+        Arc::new(ServiceMetrics {
             submitted: registry.counter("rulekit_serve_submitted_total"),
             completed: registry.counter("rulekit_serve_completed_total"),
             ran_on_caller: registry.counter("rulekit_serve_ran_on_caller_total"),
@@ -83,7 +77,7 @@ impl ServiceMetrics {
                 .map(|i| registry.gauge(&format!("rulekit_serve_queue_depth{{shard=\"{i}\"}}")))
                 .collect(),
             registry,
-        }
+        })
     }
 
     /// The registry the handles live in.
@@ -96,11 +90,6 @@ impl ServiceMetrics {
         &self.shard_depth[i]
     }
 
-    /// How many shards this service was built with.
-    pub fn shard_count(&self) -> usize {
-        self.shard_depth.len()
-    }
-
     /// Live queue depth of every shard, in shard order (the `/health`
     /// endpoint's per-shard view).
     pub fn shard_depths(&self) -> Vec<i64> {
@@ -110,55 +99,6 @@ impl ServiceMetrics {
     pub(crate) fn note_queue_depth(&self, depth: u64) {
         self.max_queue_depth.set_max(depth.min(i64::MAX as u64) as i64);
     }
-
-    /// An immutable snapshot of every counter plus derived quantities.
-    pub fn report(&self) -> MetricsReport {
-        let completed = self.completed.value();
-        let latency = self.latency.snapshot();
-        MetricsReport {
-            submitted: self.submitted.value(),
-            completed,
-            ran_on_caller: self.ran_on_caller.value(),
-            ran_on_worker: self.ran_on_worker.value(),
-            overloaded: self.overloaded.value(),
-            deadline_shed: self.deadline_shed.value(),
-            shutdown_shed: self.shutdown_shed.value(),
-            degraded_served: self.degraded_served.value(),
-            classifier_panics: self.classifier_panics.value(),
-            swaps: self.swaps.value(),
-            max_queue_depth: self.max_queue_depth.value().max(0) as u64,
-            avg_candidates: if completed == 0 {
-                0.0
-            } else {
-                self.candidates_total.value() as f64 / completed as f64
-            },
-            p50: Duration::from_nanos(latency.quantile(0.50)),
-            p90: Duration::from_nanos(latency.quantile(0.90)),
-            p99: Duration::from_nanos(latency.quantile(0.99)),
-            mean: Duration::from_nanos(latency.mean()),
-        }
-    }
-}
-
-/// Point-in-time counter snapshot with derived latency quantiles.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsReport {
-    pub submitted: u64,
-    pub completed: u64,
-    pub ran_on_caller: u64,
-    pub ran_on_worker: u64,
-    pub overloaded: u64,
-    pub deadline_shed: u64,
-    pub shutdown_shed: u64,
-    pub degraded_served: u64,
-    pub classifier_panics: u64,
-    pub swaps: u64,
-    pub max_queue_depth: u64,
-    pub avg_candidates: f64,
-    pub p50: Duration,
-    pub p90: Duration,
-    pub p99: Duration,
-    pub mean: Duration,
 }
 
 #[cfg(test)]
@@ -166,42 +106,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn report_derives_avg_candidates() {
-        let m = ServiceMetrics::new(2);
-        m.completed.add(4);
-        m.candidates_total.add(10);
+    fn queue_depth_max_keeps_the_high_water_mark() {
+        let m = ServiceMetrics::register(Arc::new(Registry::new()), 1);
         m.note_queue_depth(7);
         m.note_queue_depth(3);
-        let r = m.report();
-        assert_eq!(r.avg_candidates, 2.5);
-        assert_eq!(r.max_queue_depth, 7);
-    }
-
-    #[test]
-    fn latency_quantiles_are_conservative_and_ordered() {
-        let m = ServiceMetrics::new(1);
-        for micros in [10u64, 20, 40, 80, 5000, 100_000] {
-            m.latency.record_duration(Duration::from_micros(micros));
-        }
-        let r = m.report();
-        assert!(r.p50 >= Duration::from_micros(40), "p50 {:?}", r.p50);
-        assert!(r.p99 >= Duration::from_micros(100_000), "p99 {:?}", r.p99);
-        assert!(r.p50 <= r.p90 && r.p90 <= r.p99);
-        assert!(r.mean >= Duration::from_micros(17_000));
-    }
-
-    #[test]
-    fn empty_metrics_report_zero() {
-        let m = ServiceMetrics::new(1);
-        let r = m.report();
-        assert_eq!(r.p99, Duration::ZERO);
-        assert_eq!(r.mean, Duration::ZERO);
-        assert_eq!(r.avg_candidates, 0.0);
+        assert_eq!(m.max_queue_depth.value(), 7);
     }
 
     #[test]
     fn shard_depth_gauges_render_with_labels() {
-        let m = ServiceMetrics::new(3);
+        let m = ServiceMetrics::register(Arc::new(Registry::new()), 3);
         m.shard_depth(0).inc();
         m.shard_depth(2).add(4);
         m.overloaded.inc();

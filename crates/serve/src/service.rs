@@ -15,12 +15,12 @@
 //! is empty, so it never overtakes an admitted request.
 
 use crate::classifier::RequestClassifier;
-use crate::metrics::{MetricsReport, ServiceMetrics};
+use crate::metrics::ServiceMetrics;
 use crate::provider::SnapshotProvider;
 use crate::queue::BoundedQueue;
 use crate::response::{response_channel, Admission, ClassifyOutcome, ResponseSlot, ServeError};
 use rulekit_data::Product;
-use rulekit_obs::{Counter, SpanTimer};
+use rulekit_obs::{Counter, Registry, SpanTimer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
@@ -166,10 +166,10 @@ pub struct RuleService {
 
 impl RuleService {
     /// Builds the initial snapshot synchronously, then starts the shard
-    /// workers and the background refresher.
+    /// workers and the background refresher. The service's metrics live in
+    /// a registry of their own ([`RuleService::service_metrics`]).
     pub fn start(provider: Arc<dyn SnapshotProvider>, cfg: ServeConfig) -> RuleService {
-        let shards = cfg.shards;
-        RuleService::start_with_metrics(provider, cfg, Arc::new(ServiceMetrics::new(shards)))
+        RuleService::start_with_registry(provider, cfg, Arc::new(Registry::new()))
     }
 
     /// Like [`RuleService::start`] but registers the service's metrics in a
@@ -178,23 +178,14 @@ impl RuleService {
     pub fn start_with_registry(
         provider: Arc<dyn SnapshotProvider>,
         cfg: ServeConfig,
-        registry: Arc<rulekit_obs::Registry>,
-    ) -> RuleService {
-        let shards = cfg.shards;
-        let metrics = Arc::new(ServiceMetrics::with_registry(registry, shards));
-        RuleService::start_with_metrics(provider, cfg, metrics)
-    }
-
-    fn start_with_metrics(
-        provider: Arc<dyn SnapshotProvider>,
-        cfg: ServeConfig,
-        metrics: Arc<ServiceMetrics>,
+        registry: Arc<Registry>,
     ) -> RuleService {
         assert!(cfg.shards >= 1, "need at least one shard");
         assert!(cfg.low_water < cfg.high_water, "hysteresis requires low_water < high_water");
         // Read before the build: an edit landing any time after this line
         // moves the revision past what the refresher has seen.
         let initial_revision = provider.revision();
+        let metrics = ServiceMetrics::register(registry, cfg.shards);
         let initial = {
             let span = SpanTimer::start(&metrics.snapshot_build_nanos);
             let snapshot = provider.build();
@@ -353,11 +344,6 @@ impl RuleService {
     /// Total requests currently queued across shards.
     pub fn queue_depth(&self) -> usize {
         self.inner.queued.load(Ordering::Relaxed).max(0) as usize
-    }
-
-    /// Current metrics snapshot.
-    pub fn metrics(&self) -> MetricsReport {
-        self.inner.metrics.report()
     }
 
     /// The live metric handles (per-shard gauges, histograms) and the

@@ -10,8 +10,8 @@
 use rulekit_chimera::{Decision, SnapshotDecision};
 use rulekit_data::{Product, TypeId, VendorId};
 use rulekit_serve::{
-    Admission, ClassifyOutcome, MetricsReport, RequestClassifier, RuleService, ServeConfig,
-    ServeError, SnapshotProvider, StaticProvider,
+    Admission, ClassifyOutcome, RequestClassifier, RuleService, ServeConfig, ServeError,
+    SnapshotProvider, StaticProvider,
 };
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -161,7 +161,7 @@ fn idle_service_runs_the_request_on_the_caller() {
         let outcome = service.classify(product("ring"), None).expect("served");
         assert_eq!(outcome.decision.type_id(), Some(TypeId(7)));
     }
-    let report = service.metrics();
+    let report = counts(&service);
     assert_eq!((report.ran_on_caller, report.ran_on_worker), (10, 0));
     assert_eq!((report.submitted, report.completed), (10, 10));
     assert_eq!(service.queue_depth(), 0);
@@ -191,7 +191,7 @@ fn second_caller_queues_and_waits_for_the_first() {
     });
     assert_eq!(controls.entered(), ["hold", "second"]);
     assert_eq!(controls.gate.max_inside.load(Ordering::SeqCst), 1);
-    let report = service.metrics();
+    let report = counts(&service);
     assert_eq!((report.ran_on_caller, report.ran_on_worker), (1, 1));
 }
 
@@ -219,7 +219,7 @@ fn concurrency_inside_the_classifier_equals_shards() {
             }
         });
         assert_eq!(controls.gate.max_inside.load(Ordering::SeqCst), shards, "shards = {shards}");
-        let report = service.metrics();
+        let report = counts(&service);
         assert_eq!(report.completed, 200);
         assert_eq!(report.ran_on_caller + report.ran_on_worker, 200);
         assert!(report.ran_on_caller > 0);
@@ -280,6 +280,35 @@ fn caller_never_overtakes_a_request_the_worker_has_not_picked_up() {
     assert_eq!(controls.entered(), expected);
 }
 
+/// The service's counters at one instant.
+#[derive(Debug)]
+struct Counts {
+    submitted: u64,
+    completed: u64,
+    ran_on_caller: u64,
+    ran_on_worker: u64,
+    overloaded: u64,
+    deadline_shed: u64,
+    shutdown_shed: u64,
+    degraded_served: u64,
+    classifier_panics: u64,
+}
+
+fn counts(service: &RuleService) -> Counts {
+    let m = service.service_metrics();
+    Counts {
+        submitted: m.submitted.value(),
+        completed: m.completed.value(),
+        ran_on_caller: m.ran_on_caller.value(),
+        ran_on_worker: m.ran_on_worker.value(),
+        overloaded: m.overloaded.value(),
+        deadline_shed: m.deadline_shed.value(),
+        shutdown_shed: m.shutdown_shed.value(),
+        degraded_served: m.degraded_served.value(),
+        classifier_panics: m.classifier_panics.value(),
+    }
+}
+
 /// The counters a single request may move.
 #[derive(Debug, PartialEq, Default)]
 struct Moved {
@@ -292,7 +321,7 @@ struct Moved {
     classifier_panics: u64,
 }
 
-fn moved(before: &MetricsReport, after: &MetricsReport) -> Moved {
+fn moved(before: &Counts, after: &Counts) -> Moved {
     Moved {
         submitted: after.submitted - before.submitted,
         completed: after.completed - before.completed,
@@ -308,9 +337,9 @@ fn moved(before: &MetricsReport, after: &MetricsReport) -> Moved {
 fn on_caller(title: &str, deadline: Option<Duration>) -> (Answer, Moved) {
     let controls = gate(1, None);
     let service = controls.service(one_shard());
-    let before = service.metrics();
+    let before = counts(&service);
     let result = service.classify(product(title), deadline);
-    let after = service.metrics();
+    let after = counts(&service);
     assert_eq!(after.ran_on_worker, 0);
     assert_eq!(after.ran_on_caller, after.completed);
     (answer(result), moved(&before, &after))
@@ -324,14 +353,14 @@ fn on_worker(title: &str, deadline: Option<Duration>) -> (Answer, Moved) {
     let (result, before) = std::thread::scope(|s| {
         let holder = s.spawn(|| service.classify(product("hold"), None));
         controls.wait_entered();
-        let before = service.metrics();
+        let before = counts(&service);
         let call = s.spawn(|| service.classify(product(title), deadline));
         until("call queued", || service.queue_depth() == 1);
         controls.release_one();
         holder.join().unwrap().expect("holder served");
         (call.join().unwrap(), before)
     });
-    let after = service.metrics();
+    let after = counts(&service);
     assert_eq!(after.ran_on_caller, 1, "only the holder ran on its caller");
     let mut moved = moved(&before, &after);
     moved.completed -= 1; // the holder, admitted before `before` was read
@@ -375,7 +404,7 @@ fn caller_path_panic_leaves_the_shard_usable() {
     ));
     service.classify(product("ring"), None).expect("served after the panic");
     service.submit(product("ring")).expect_enqueued().wait().expect("worker serves too");
-    let report = service.metrics();
+    let report = counts(&service);
     assert_eq!((report.ran_on_caller, report.ran_on_worker, report.classifier_panics), (1, 1, 1));
 }
 
@@ -412,14 +441,14 @@ fn both_paths_serve_degraded_while_the_flag_is_set() {
             s.spawn(move || tx.send(handle.wait()).unwrap());
         }
         assert!(service.is_degraded());
-        let before = service.metrics();
+        let before = counts(&service);
 
         // Free one shard: its worker serves its probe, degraded, while the
         // other probe keeps the flag set.
         controls.release_one();
         let on_worker = worker_served.recv().unwrap();
         // The probe's outcome and one holder's, admitted before `before`.
-        let by_worker = moved(&before, &service.metrics());
+        let by_worker = moved(&before, &counts(&service));
         assert_eq!((by_worker.completed, by_worker.degraded_served), (2, 1));
         assert!(service.is_degraded());
 
@@ -428,9 +457,9 @@ fn both_paths_serve_degraded_while_the_flag_is_set() {
         let degraded = Moved { submitted: 1, completed: 1, degraded_served: 1, ..Moved::default() };
         let on_caller = (0..1000)
             .find_map(|_| {
-                let between = service.metrics();
+                let between = counts(&service);
                 let result = service.classify(product("probe"), None);
-                let after = service.metrics();
+                let after = counts(&service);
                 assert_eq!(moved(&between, &after), degraded);
                 (after.ran_on_caller == between.ran_on_caller + 1).then_some(result)
             })
@@ -454,11 +483,11 @@ fn both_paths_refuse_after_shutdown() {
     let mut service = controls.service(one_shard());
     service.classify(product("ring"), None).expect("served");
     service.shutdown();
-    let before = service.metrics();
+    let before = counts(&service);
     assert_eq!(service.classify(product("ring"), None), Err(ServeError::Overloaded));
-    let between = service.metrics();
+    let between = counts(&service);
     assert!(matches!(service.submit(product("ring")), Admission::Overloaded));
-    let after = service.metrics();
+    let after = counts(&service);
     let refused = Moved { overloaded: 1, ..Default::default() };
     assert_eq!(moved(&before, &between), refused);
     assert_eq!(moved(&between, &after), refused);
@@ -510,7 +539,7 @@ fn counters_balance_after_a_mixed_run() {
         }
         (answered, refused)
     });
-    let r = service.metrics();
+    let r = counts(&service);
     // The queues hold 256 each and the submitter keeps one request in
     // flight: nothing is refused.
     assert_eq!((r.overloaded, refused), (0, 0));
@@ -560,5 +589,5 @@ fn refresh_between_blocking_calls_is_visible_to_the_second() {
     }
     let queued = service.submit(product("ring")).expect_enqueued().wait().expect("served");
     assert_eq!(queued.snapshot_version, 2);
-    assert_eq!(service.metrics().ran_on_caller, 5);
+    assert_eq!(service.service_metrics().ran_on_caller.value(), 5);
 }

@@ -96,10 +96,10 @@ fn serves_real_pipeline_end_to_end() {
     assert!(outcome.candidates >= 1);
     assert!(!outcome.degraded);
 
-    let report = service.metrics();
-    assert_eq!(report.submitted, 1);
-    assert_eq!(report.completed, 1);
-    assert!(report.p50 > Duration::ZERO);
+    let m = service.service_metrics();
+    assert_eq!(m.submitted.value(), 1);
+    assert_eq!(m.completed.value(), 1);
+    assert!(m.latency.quantile(0.5) > 0);
 }
 
 /// The tentpole guarantee: a rule added while the service is running under
@@ -146,7 +146,7 @@ fn hot_swap_makes_rule_edits_visible_without_stopping() {
     let outcome = swapped_outcome.expect("rule edit never became visible");
     assert!(outcome.snapshot_version > version_before, "must be served by a newer snapshot");
     assert!(service.swap_count() >= 1);
-    assert!(service.metrics().swaps >= 1);
+    assert!(service.service_metrics().swaps.value() >= 1);
 }
 
 #[test]
@@ -171,11 +171,11 @@ fn saturation_yields_overloaded_admission() {
         }
     }
     assert!(overloaded > 0, "bounded queue must reject under saturation");
-    assert_eq!(service.metrics().overloaded, overloaded as u64);
+    assert_eq!(service.service_metrics().overloaded.value(), overloaded as u64);
     for h in handles {
         h.wait().expect("admitted requests still complete");
     }
-    assert_eq!(service.metrics().completed, (200 - overloaded) as u64);
+    assert_eq!(service.service_metrics().completed.value(), (200 - overloaded) as u64);
 }
 
 #[test]
@@ -198,7 +198,7 @@ fn expired_deadlines_are_shed_with_explicit_outcome() {
     let results: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
     let shed = results.iter().filter(|r| **r == Err(ServeError::DeadlineExceeded)).count();
     assert!(shed > 0, "queued requests past their deadline must be shed: {results:?}");
-    assert_eq!(service.metrics().deadline_shed, shed as u64);
+    assert_eq!(service.service_metrics().deadline_shed.value(), shed as u64);
 }
 
 #[test]
@@ -224,7 +224,7 @@ fn overload_degrades_to_rules_only_and_recovers() {
     let outcomes: Vec<_> = handles.into_iter().map(|h| h.wait().expect("served")).collect();
     let degraded = outcomes.iter().filter(|o| o.degraded).count();
     assert!(degraded > 0, "crossing the high-water mark must degrade some requests");
-    assert_eq!(service.metrics().degraded_served, degraded as u64);
+    assert_eq!(service.service_metrics().degraded_served.value(), degraded as u64);
 
     // After the backlog drains below the low-water mark, full fidelity
     // resumes and fresh requests are not degraded.
@@ -249,7 +249,7 @@ fn classifier_panic_is_contained_to_the_request() {
     // The shard worker survived and keeps serving.
     let ok = service.submit(product("healthy")).expect_enqueued().wait().expect("served");
     assert_eq!(ok.decision.type_id(), Some(TypeId(7)));
-    assert_eq!(service.metrics().classifier_panics, 1);
+    assert_eq!(service.service_metrics().classifier_panics.value(), 1);
 }
 
 #[test]
@@ -275,9 +275,9 @@ fn shutdown_completes_every_queued_request_with_explicit_outcome() {
         }
     }
     assert_eq!(served + shed, 50);
-    let report = service.metrics();
-    assert_eq!(report.completed, served);
-    assert_eq!(report.shutdown_shed, shed);
+    let m = service.service_metrics();
+    assert_eq!(m.completed.value(), served);
+    assert_eq!(m.shutdown_shed.value(), shed);
     // New work is rejected.
     assert!(service.submit(product("late")).is_overloaded());
 }
@@ -294,7 +294,7 @@ fn durable_service(
         Arc::clone(storage) as Arc<dyn Storage>,
         chimera.parser().clone(),
         DurableConfig::default(),
-        None,
+        chimera.metrics().registry(),
     )
     .expect("open durable store");
     let provider = Arc::new(ChimeraProvider::new(chimera.clone()));
@@ -519,14 +519,14 @@ fn metrics_track_load_shape() {
     for h in handles {
         h.wait().expect("served");
     }
-    let r = service.metrics();
-    assert_eq!(r.submitted, 64);
-    assert_eq!(r.completed, 64);
-    assert_eq!(r.overloaded, 0);
-    assert!(r.p50 <= r.p99);
-    assert!(r.p99 > Duration::ZERO);
-    assert!(r.avg_candidates > 0.0);
-    assert!(r.max_queue_depth >= 1);
+    let m = service.service_metrics();
+    assert_eq!(m.submitted.value(), 64);
+    assert_eq!(m.completed.value(), 64);
+    assert_eq!(m.overloaded.value(), 0);
+    assert!(m.latency.quantile(0.5) <= m.latency.quantile(0.99));
+    assert!(m.latency.quantile(0.99) > 0);
+    assert!(m.candidates_total.value() > 0);
+    assert!(m.max_queue_depth.value() >= 1);
 }
 
 #[test]
@@ -583,19 +583,18 @@ fn text_exposition_covers_queue_shed_and_latency() {
     }
 
     // The gauges drain back to zero once the queues are empty, and the
-    // structured snapshot agrees with the report counters.
+    // structured snapshot agrees with the handles.
     let m = service.service_metrics();
     assert_eq!(m.shard_depth(0).value() + m.shard_depth(1).value(), 0);
     let snap = m.registry().snapshot();
-    let report = service.metrics();
-    assert_eq!(snap.counter("rulekit_serve_submitted_total"), Some(report.submitted));
-    assert_eq!(snap.counter("rulekit_serve_overloaded_total"), Some(report.overloaded));
-    assert!(report.overloaded > 0, "tiny queues must have rejected something");
+    assert_eq!(snap.counter("rulekit_serve_submitted_total"), Some(m.submitted.value()));
+    assert_eq!(snap.counter("rulekit_serve_overloaded_total"), Some(m.overloaded.value()));
+    assert!(m.overloaded.value() > 0, "tiny queues must have rejected something");
     // The latency histogram records completions only — shed requests never
     // reach it.
     assert_eq!(
         snap.histogram("rulekit_serve_latency_nanos").map(|h| h.count()),
-        Some(report.completed),
+        Some(m.completed.value()),
     );
 }
 

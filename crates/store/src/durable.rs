@@ -183,18 +183,20 @@ pub struct DurableRepository {
     config: DurableConfig,
     state: Mutex<WriterState>,
     recovery: RecoveryReport,
-    metrics: Option<Arc<StoreMetrics>>,
+    metrics: Arc<StoreMetrics>,
     sink: Mutex<Option<RecordSink>>,
 }
 
 impl DurableRepository {
-    /// Opens (recovering if durable state exists) over a fresh repository.
+    /// Opens (recovering if durable state exists) over a fresh repository,
+    /// with its telemetry in a registry of its own
+    /// ([`DurableRepository::metrics`] reads it).
     pub fn open(
         storage: Arc<dyn Storage>,
         parser: RuleParser,
         config: DurableConfig,
     ) -> Result<DurableRepository, StoreError> {
-        DurableRepository::open_into_observed(RuleRepository::new(), storage, parser, config, None)
+        DurableRepository::open_observed(storage, parser, config, &Registry::new())
     }
 
     /// [`DurableRepository::open`] with durability telemetry (WAL append/
@@ -211,14 +213,14 @@ impl DurableRepository {
             storage,
             parser,
             config,
-            Some(StoreMetrics::register(registry)),
+            registry,
         )
     }
 
     /// Opens over a caller-supplied repository (e.g. one already wired into
-    /// a pipeline), with optional telemetry handles. The repository's
-    /// previous contents are replaced by the recovered state; watchers see
-    /// one change notification.
+    /// a pipeline), with its telemetry registered in `registry`. The
+    /// repository's previous contents are replaced by the recovered state;
+    /// watchers see one change notification.
     ///
     /// Recovery treats persisted-entry metrics as *levels*: it **sets**
     /// `rulekit_store_persisted_rules` / `_revision` from the recovered
@@ -232,7 +234,7 @@ impl DurableRepository {
         storage: Arc<dyn Storage>,
         parser: RuleParser,
         config: DurableConfig,
-        metrics: Option<Arc<StoreMetrics>>,
+        registry: &Registry,
     ) -> Result<DurableRepository, StoreError> {
         let mut report = RecoveryReport::default();
 
@@ -308,17 +310,21 @@ impl DurableRepository {
 
         report.recovered_revision = repo.revision();
         report.recovered_rules = repo.len();
-        if let Some(m) = &metrics {
-            m.recoveries.inc();
-            m.replay_applied.add(report.replayed);
-            m.replay_skipped.add(report.skipped);
-            m.persisted_rules.set(report.recovered_rules as i64);
-            m.persisted_revision.set(report.recovered_revision as i64);
-            m.wal_records.set(wal_records as i64);
-        }
-        let wal =
-            WalWriter::new(Arc::clone(&storage), WAL_NAME, config.fsync, wal_len, wal_records)
-                .with_metrics(metrics.clone());
+        let metrics = StoreMetrics::register(registry);
+        metrics.recoveries.inc();
+        metrics.replay_applied.add(report.replayed);
+        metrics.replay_skipped.add(report.skipped);
+        metrics.persisted_rules.set(report.recovered_rules as i64);
+        metrics.persisted_revision.set(report.recovered_revision as i64);
+        metrics.wal_records.set(wal_records as i64);
+        let wal = WalWriter::new(
+            Arc::clone(&storage),
+            WAL_NAME,
+            config.fsync,
+            wal_len,
+            wal_records,
+            Arc::clone(&metrics),
+        );
         Ok(DurableRepository {
             repo,
             parser,
@@ -350,20 +356,17 @@ impl DurableRepository {
         }
     }
 
-    /// The durability telemetry handles, if this instance was opened
-    /// observed.
-    pub fn metrics(&self) -> Option<&Arc<StoreMetrics>> {
-        self.metrics.as_ref()
+    /// The durability telemetry handles.
+    pub fn metrics(&self) -> &Arc<StoreMetrics> {
+        &self.metrics
     }
 
     /// Re-points the persisted-state level gauges at the current repository
     /// state. Levels are set, never incremented (see
     /// [`DurableRepository::open_into_observed`]).
     fn note_persisted_levels(&self) {
-        if let Some(m) = &self.metrics {
-            m.persisted_rules.set(self.repo.len() as i64);
-            m.persisted_revision.set(self.repo.revision() as i64);
-        }
+        self.metrics.persisted_rules.set(self.repo.len() as i64);
+        self.metrics.persisted_revision.set(self.repo.revision() as i64);
     }
 
     /// The underlying repository (shareable with executors/snapshots; do
@@ -589,9 +592,7 @@ impl DurableRepository {
         st.checkpoints_written += 1;
         st.last_checkpoint = stats;
         self.note_persisted_levels();
-        if let Some(m) = &self.metrics {
-            m.checkpoints.inc();
-        }
+        self.metrics.checkpoints.inc();
         Ok(())
     }
 
@@ -640,7 +641,7 @@ impl DurableRepository {
         &self,
         mut st: MutexGuard<'_, WriterState>,
     ) -> Result<CheckpointStats, StoreError> {
-        let span = self.metrics.as_ref().map(|m| SpanTimer::start(&m.checkpoint_nanos));
+        let span = SpanTimer::start(&self.metrics.checkpoint_nanos);
         let data = self.build_checkpoint_data();
         let bytes = data.encode().len() as u64;
         checkpoint::write(&*self.storage, &data)?;
@@ -652,12 +653,8 @@ impl DurableRepository {
         let stats = CheckpointStats { revision: data.revision, rules: data.rules.len(), bytes };
         st.checkpoints_written += 1;
         st.last_checkpoint = stats;
-        if let Some(m) = &self.metrics {
-            m.checkpoints.inc();
-        }
-        if let Some(span) = span {
-            span.finish();
-        }
+        self.metrics.checkpoints.inc();
+        span.finish();
         Ok(stats)
     }
 

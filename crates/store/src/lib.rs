@@ -25,6 +25,12 @@
 //!   checkpoint (corrupt candidates are skipped), replays the WAL tail,
 //!   and truncates at the first torn or checksum-corrupt record instead of
 //!   failing — a half-written tail can never be served.
+//! - **Telemetry** ([`StoreMetrics`]) — WAL append/fsync latency,
+//!   checkpoint timing, replay accounting and persisted-state levels. Every
+//!   open records them: [`DurableRepository::open`] into a registry of its
+//!   own, [`DurableRepository::open_observed`] and
+//!   [`DurableRepository::open_into_observed`] into the caller's;
+//!   [`DurableRepository::metrics`] reads the handles.
 //! - **Fault injection** ([`FaultyStorage`]) — a seeded wrapper that
 //!   injects partial writes, fsync failures, and transient I/O errors, so
 //!   the recovery fuzz can crash-and-reopen the repository thousands of

@@ -18,7 +18,7 @@
 use rulekit_obs::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 
-/// Metric handles for one durable repository (or one WAL writer).
+/// Metric handles for one durable repository and its WAL writer.
 pub struct StoreMetrics {
     /// `storage.append` latency per WAL record (nanoseconds).
     pub wal_append_nanos: Histogram,
@@ -60,23 +60,6 @@ impl StoreMetrics {
             persisted_rules: registry.gauge("rulekit_store_persisted_rules"),
             persisted_revision: registry.gauge("rulekit_store_persisted_revision"),
             wal_records: registry.gauge("rulekit_store_wal_records"),
-        })
-    }
-
-    /// Metrics attached to no registry (tests, ad-hoc measurement).
-    pub fn detached() -> Arc<StoreMetrics> {
-        Arc::new(StoreMetrics {
-            wal_append_nanos: Histogram::new(),
-            wal_fsync_nanos: Histogram::new(),
-            wal_appends: Counter::new(),
-            checkpoint_nanos: Histogram::new(),
-            checkpoints: Counter::new(),
-            replay_applied: Counter::new(),
-            replay_skipped: Counter::new(),
-            recoveries: Counter::new(),
-            persisted_rules: Gauge::new(),
-            persisted_revision: Gauge::new(),
-            wal_records: Gauge::new(),
         })
     }
 }

@@ -307,18 +307,20 @@ pub struct WalWriter {
     /// next append.
     dirty: bool,
     appends_since_sync: u32,
-    metrics: Option<Arc<StoreMetrics>>,
+    metrics: Arc<StoreMetrics>,
 }
 
 impl WalWriter {
     /// A writer positioned at the end of an existing (already validated)
-    /// log of `records` records and `acked_len` bytes.
+    /// log of `records` records and `acked_len` bytes, recording append and
+    /// fsync telemetry into `metrics`.
     pub fn new(
         storage: Arc<dyn Storage>,
         name: impl Into<String>,
         policy: FsyncPolicy,
         acked_len: u64,
         records: u64,
+        metrics: Arc<StoreMetrics>,
     ) -> WalWriter {
         WalWriter {
             storage,
@@ -328,14 +330,8 @@ impl WalWriter {
             records,
             dirty: false,
             appends_since_sync: 0,
-            metrics: None,
+            metrics,
         }
-    }
-
-    /// Attaches (or detaches) append/fsync instrumentation.
-    pub fn with_metrics(mut self, metrics: Option<Arc<StoreMetrics>>) -> WalWriter {
-        self.metrics = metrics;
-        self
     }
 
     /// Acknowledged log length in bytes.
@@ -400,38 +396,26 @@ impl WalWriter {
         }
         self.acked_len += frame.len() as u64;
         self.records += 1;
-        if let Some(m) = &self.metrics {
-            m.wal_appends.inc();
-            m.wal_records.set(self.records as i64);
-        }
+        self.metrics.wal_appends.inc();
+        self.metrics.wal_records.set(self.records as i64);
         Ok(())
     }
 
     /// `storage.append` with attempt latency recorded (failed attempts
     /// included: a stalling disk should show up in the histogram).
     fn timed_append(&self, frame: &[u8]) -> std::io::Result<()> {
-        match &self.metrics {
-            Some(m) => {
-                let span = SpanTimer::start(&m.wal_append_nanos);
-                let out = self.storage.append(&self.name, frame);
-                span.finish();
-                out
-            }
-            None => self.storage.append(&self.name, frame),
-        }
+        let span = SpanTimer::start(&self.metrics.wal_append_nanos);
+        let out = self.storage.append(&self.name, frame);
+        span.finish();
+        out
     }
 
     /// `storage.sync` with attempt latency recorded.
     fn timed_sync(&self) -> std::io::Result<()> {
-        match &self.metrics {
-            Some(m) => {
-                let span = SpanTimer::start(&m.wal_fsync_nanos);
-                let out = self.storage.sync(&self.name);
-                span.finish();
-                out
-            }
-            None => self.storage.sync(&self.name),
-        }
+        let span = SpanTimer::start(&self.metrics.wal_fsync_nanos);
+        let out = self.storage.sync(&self.name);
+        span.finish();
+        out
     }
 
     /// Empties the log after a successful checkpoint. Crash *before* this
@@ -446,9 +430,7 @@ impl WalWriter {
         self.records = 0;
         self.dirty = false;
         self.appends_since_sync = 0;
-        if let Some(m) = &self.metrics {
-            m.wal_records.set(0);
-        }
+        self.metrics.wal_records.set(0);
         Ok(())
     }
 }
@@ -537,13 +519,19 @@ mod tests {
         assert!(s.stop_reason.is_none());
     }
 
+    fn writer(storage: &Arc<MemStorage>) -> WalWriter {
+        let metrics = StoreMetrics::register(&rulekit_obs::Registry::new());
+        WalWriter::new(storage.clone(), "wal", FsyncPolicy::Always, 0, 0, metrics)
+    }
+
     #[test]
     fn writer_appends_and_resets() {
         let storage = Arc::new(MemStorage::new());
-        let mut w = WalWriter::new(storage.clone(), "wal", FsyncPolicy::Always, 0, 0);
+        let mut w = writer(&storage);
         w.append(&rec(1)).unwrap();
         w.append(&rec(2)).unwrap();
         assert_eq!(w.records(), 2);
+        assert_eq!(w.metrics.wal_appends.value(), 2);
         let s = scan(&storage.read("wal").unwrap());
         assert_eq!(s.records.len(), 2);
         w.reset().unwrap();
@@ -556,7 +544,7 @@ mod tests {
     #[test]
     fn writer_repairs_partial_append_before_next_record() {
         let storage = Arc::new(MemStorage::new());
-        let mut w = WalWriter::new(storage.clone(), "wal", FsyncPolicy::Always, 0, 0);
+        let mut w = writer(&storage);
         w.append(&rec(1)).unwrap();
         // Simulate a partial append that failed: garbage lands on the tail
         // and the writer is told the append failed.

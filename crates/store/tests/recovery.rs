@@ -212,7 +212,7 @@ fn recovery_metrics_are_idempotent_across_reopens() {
     durable
         .add_rules("rings? -> rings\nrugs? -> area rugs\nsofas? -> sofas", &RuleMeta::default())
         .unwrap();
-    let m = durable.metrics().expect("observed open attaches metrics").clone();
+    let m = durable.metrics().clone();
     assert_eq!(m.persisted_rules.value(), 3);
     assert_eq!(m.persisted_revision.value(), 3);
     assert_eq!(m.wal_appends.value(), 3);
@@ -229,7 +229,7 @@ fn recovery_metrics_are_idempotent_across_reopens() {
         let reopened =
             DurableRepository::open_observed(dyn_storage, parser(), manual_config(), &registry)
                 .expect("reopen");
-        let m = reopened.metrics().unwrap();
+        let m = reopened.metrics();
         assert_eq!(m.persisted_rules.value(), 3, "reopen {reopen} double-counted rules");
         assert_eq!(m.persisted_revision.value(), 3);
         assert_eq!(m.wal_appends.value(), 3, "replay must not count as appends");
@@ -246,7 +246,7 @@ fn recovery_metrics_are_idempotent_across_reopens() {
         DurableRepository::open_observed(dyn_storage, parser(), manual_config(), &registry)
             .expect("reopen for checkpoint");
     durable.checkpoint().unwrap();
-    let m = durable.metrics().unwrap().clone();
+    let m = durable.metrics().clone();
     assert_eq!(m.checkpoints.value(), 1);
     assert_eq!(m.checkpoint_nanos.count(), 1);
     assert_eq!(m.wal_records.value(), 0, "WAL reset after checkpoint");
@@ -256,8 +256,17 @@ fn recovery_metrics_are_idempotent_across_reopens() {
     let reopened =
         DurableRepository::open_observed(dyn_storage, parser(), manual_config(), &registry)
             .expect("reopen from checkpoint");
-    let m = reopened.metrics().unwrap();
+    let m = reopened.metrics();
     assert_eq!(m.persisted_rules.value(), 3);
     assert_eq!(m.persisted_revision.value(), 3);
     assert_eq!(reopened.recovery().replayed, 0, "checkpoint absorbed the log");
+
+    // A plain open records too, into a registry of its own.
+    let plain = DurableRepository::open(Arc::new(MemStorage::new()), parser(), manual_config())
+        .expect("plain open");
+    plain
+        .add_rules("rings? -> rings\nrugs? -> area rugs\nsofas? -> sofas", &RuleMeta::default())
+        .unwrap();
+    assert_eq!(plain.metrics().wal_appends.value(), 3);
+    assert_eq!(m.wal_appends.value(), 3, "the plain open must not record into `registry`");
 }

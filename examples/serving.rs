@@ -90,15 +90,16 @@ fn main() {
             Err(_) => shed += 1,
         }
     }
-    let m = service.metrics();
+    let m = service.service_metrics();
+    let degraded = m.degraded_served.value();
     println!("\nburst of 5000: served {served}, shed {shed}, rejected {overloaded}");
     println!(
         "metrics: p50 {:?}, p99 {:?}, degraded {} ({}% of completions), max queue depth {}",
-        m.p50,
-        m.p99,
-        m.degraded_served,
-        (100 * m.degraded_served).checked_div(m.completed).unwrap_or(0),
-        m.max_queue_depth
+        Duration::from_nanos(m.latency.quantile(0.50)),
+        Duration::from_nanos(m.latency.quantile(0.99)),
+        degraded,
+        (100 * degraded).checked_div(m.completed.value()).unwrap_or(0),
+        m.max_queue_depth.value()
     );
 
     // The same numbers as a Prometheus-style scrape (a few of the ~40 lines).
