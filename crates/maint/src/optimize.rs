@@ -16,8 +16,9 @@
 //!    `c₁` and `c₂` on two rules that always fire together).
 //! 2. **subsumption drop** — rules whose title pattern is formally contained
 //!    in a *pure* title rule with the same action are removed
-//!    ([`rulekit_regex::Regex::subsumed_by`], the same machinery as
-//!    [`crate::find_subsumptions`], here over both white- and blacklists).
+//!    ([`rulekit_regex::touch_subset`] over patterns parsed once per pass,
+//!    the same machinery as [`crate::find_subsumptions`], here over both
+//!    white- and blacklists).
 //!    Blacklist drops are unconditionally exact (the forbidden set is a
 //!    union; the subsumer fires whenever the subsumed did). Whitelist drops
 //!    change weight sums, so they run only when a guard corpus is supplied:
@@ -37,6 +38,7 @@
 //! every product — is what makes its output safe to accept as an edit to
 //! the rule store.
 
+use crate::subsume::ParsedPatterns;
 use rulekit_core::{
     Condition, Dictionary, ExecContext, ExecutorKind, PreparedProduct, Program, Rule, RuleAction,
     RuleClassifier, RuleVerdict,
@@ -274,6 +276,7 @@ fn drop_subsumed(
         groups.entry(key).or_default().push(i);
     }
 
+    let patterns = ParsedPatterns::new(rules.iter().map(|r| r.condition.title_regex()));
     let mut drop_black: Vec<usize> = Vec::new();
     let mut drop_white: Vec<usize> = Vec::new();
     for ((whitelist, _ty), members) in &groups {
@@ -312,12 +315,12 @@ fn drop_subsumed(
                     break;
                 }
                 tested += 1;
-                if re_b.subsumed_by(re_a) != Containment::Subset {
+                if patterns.subsumed(bi, ai) != Containment::Subset {
                     continue;
                 }
                 // Equivalent patterns: keep the older rule, never both ways.
                 let equivalent = re_a.pattern() == re_b.pattern()
-                    || re_a.subsumed_by(re_b) == Containment::Subset;
+                    || patterns.subsumed(ai, bi) == Containment::Subset;
                 if equivalent && rules[ai].id > rules[bi].id {
                     continue;
                 }

@@ -11,7 +11,8 @@
 //!   being corpus-relative.
 
 use rulekit_core::{Rule, RuleAction, RuleId, TitleIndex};
-use rulekit_regex::Containment;
+use rulekit_regex::{parser, touch_subset, Ast, Containment, Regex};
+use std::cell::OnceCell;
 
 /// How a subsumption was established.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,10 +49,11 @@ pub fn find_subsumptions(
     let mut out = Vec::new();
     let whitelist: Vec<&Rule> =
         rules.iter().filter(|r| matches!(r.action, RuleAction::Assign(_))).collect();
+    let patterns = ParsedPatterns::new(whitelist.iter().map(|r| r.condition.title_regex()));
 
-    for a in &whitelist {
+    for (ai, a) in whitelist.iter().enumerate() {
         let Some(re_a) = a.condition.title_regex() else { continue };
-        for b in &whitelist {
+        for (bi, b) in whitelist.iter().enumerate() {
             if a.id == b.id || a.target_type() != b.target_type() {
                 continue;
             }
@@ -61,11 +63,11 @@ pub fn find_subsumptions(
             if re_a.pattern() == re_b.pattern() && a.id < b.id {
                 continue;
             }
-            match re_a.subsumed_by(re_b) {
+            match patterns.subsumed(ai, bi) {
                 Containment::Subset => {
                     // Mutual containment (equivalent patterns): keep the
                     // older rule, flag the newer one.
-                    if re_b.subsumed_by(re_a) == Containment::Subset && a.id < b.id {
+                    if patterns.subsumed(bi, ai) == Containment::Subset && a.id < b.id {
                         continue;
                     }
                     out.push(Subsumption { subsumed: a.id, by: b.id, evidence: Evidence::Formal });
@@ -93,6 +95,36 @@ pub fn find_subsumptions(
     out.sort_by_key(|s| (s.subsumed, s.by));
     out.dedup();
     out
+}
+
+/// Title patterns for one maintenance pass, each parsed at most once: a
+/// compiled [`Regex`] keeps no AST, and the containment checks need one.
+pub(crate) struct ParsedPatterns<'r> {
+    regexes: Vec<Option<&'r Regex>>,
+    asts: Vec<OnceCell<Ast>>,
+}
+
+impl<'r> ParsedPatterns<'r> {
+    /// Patterns by position: `regexes` yields each rule's title regex, if any.
+    pub(crate) fn new(regexes: impl IntoIterator<Item = Option<&'r Regex>>) -> Self {
+        let regexes: Vec<_> = regexes.into_iter().collect();
+        let asts = regexes.iter().map(|_| OnceCell::new()).collect();
+        ParsedPatterns { regexes, asts }
+    }
+
+    /// Whether every text pattern `a` touches is also touched by pattern
+    /// `b` ([`touch_subset`], case-folded when either regex folds case).
+    pub(crate) fn subsumed(&self, a: usize, b: usize) -> Containment {
+        let (Some(re_a), Some(re_b)) = (self.regexes[a], self.regexes[b]) else {
+            return Containment::Unknown;
+        };
+        let case_insensitive = re_a.options().case_insensitive || re_b.options().case_insensitive;
+        touch_subset(self.ast(a, re_a), self.ast(b, re_b), case_insensitive)
+    }
+
+    fn ast(&self, i: usize, re: &Regex) -> &Ast {
+        self.asts[i].get_or_init(|| parser::parse(re.pattern()).expect("a compiled pattern parses"))
+    }
 }
 
 #[cfg(test)]

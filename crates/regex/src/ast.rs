@@ -218,10 +218,7 @@ impl Ast {
         match parts.len() {
             0 => Ast::Empty,
             1 => parts.pop().expect("len checked"),
-            _ => {
-                parts.shrink_to_fit();
-                Ast::Concat(parts)
-            }
+            _ => Ast::Concat(parts),
         }
     }
 
@@ -230,10 +227,7 @@ impl Ast {
         match arms.len() {
             0 => Ast::Empty,
             1 => arms.pop().expect("len checked"),
-            _ => {
-                arms.shrink_to_fit();
-                Ast::Alternate(arms)
-            }
+            _ => Ast::Alternate(arms),
         }
     }
 

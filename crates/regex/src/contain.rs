@@ -91,7 +91,7 @@ fn closure(program: &Program, pcs: impl IntoIterator<Item = u32>) -> Subset {
             Inst::Save(_) => stack.push(pc + 1),
             // Anchors rejected up front; treat defensively as dead ends.
             Inst::AssertStart | Inst::AssertEnd => {}
-            Inst::Ranges(..) | Inst::Any | Inst::Match => out.push(pc),
+            Inst::Ranges { .. } | Inst::Any | Inst::Match => out.push(pc),
         }
     }
     out.sort_unstable();
@@ -108,7 +108,7 @@ fn step(program: &Program, subset: &Subset, c: char) -> Subset {
     let mut next = Vec::new();
     for &pc in subset {
         match &program.insts[pc as usize] {
-            Inst::Ranges(ranges) if ranges.iter().any(|&(lo, hi)| lo <= c && c <= hi) => {
+            Inst::Ranges { start, len } if program.class_contains(*start, *len, c) => {
                 next.push(pc + 1);
             }
             Inst::Any if c != '\n' => {
@@ -129,8 +129,8 @@ fn representatives(pa: &Program, sa: &Subset, pb: &Program, sb: &Subset) -> Vec<
     bounds.insert('\n' as u32 + 1);
     let mut add = |program: &Program, subset: &Subset| {
         for &pc in subset {
-            if let Inst::Ranges(ranges) = &program.insts[pc as usize] {
-                for &(lo, hi) in ranges.iter() {
+            if let Inst::Ranges { start, len } = program.insts[pc as usize] {
+                for &(lo, hi) in program.class(start, len) {
                     bounds.insert(lo as u32);
                     bounds.insert(hi as u32 + 1);
                 }

@@ -115,7 +115,7 @@ impl Alphabet {
             .insts
             .iter()
             .filter_map(|inst| match inst {
-                Inst::Ranges(ranges) => Some(&ranges[..]),
+                Inst::Ranges { start, len } => Some(program.class(*start, *len)),
                 Inst::Any => Some(ANY_RANGES),
                 _ => None,
             })
@@ -585,7 +585,7 @@ impl LazyDfa {
             scratch.stack.clear();
             for &pc in cache.key(*sid) {
                 let accepts = match &self.program.insts[pc as usize] {
-                    Inst::Ranges(ranges) => ranges_contain(ranges, repr),
+                    Inst::Ranges { start, len } => self.program.class_contains(*start, *len, repr),
                     Inst::Any => repr != '\n',
                     _ => false,
                 };
@@ -646,7 +646,7 @@ impl LazyDfa {
                         scratch.stack.push(pc + 1);
                     }
                 }
-                Inst::AssertEnd | Inst::Ranges(_) | Inst::Any | Inst::Match => {
+                Inst::AssertEnd | Inst::Ranges { .. } | Inst::Any | Inst::Match => {
                     scratch.key_buf.push(pc as u16)
                 }
             }
@@ -701,7 +701,7 @@ impl LazyDfa {
                     }
                 }
                 // No input remains: consuming instructions are dead ends.
-                Inst::Ranges(_) | Inst::Any => {}
+                Inst::Ranges { .. } | Inst::Any => {}
             }
         }
         false
@@ -726,24 +726,6 @@ fn char_succ(c: char) -> Option<char> {
         u = 0xE000;
     }
     char::from_u32(u)
-}
-
-fn ranges_contain(ranges: &[(char, char)], c: char) -> bool {
-    // Rule classes are tiny (1–4 ranges); linear scan beats binary search.
-    if ranges.len() <= 4 {
-        return ranges.iter().any(|&(lo, hi)| lo <= c && c <= hi);
-    }
-    ranges
-        .binary_search_by(|&(lo, hi)| {
-            if c < lo {
-                std::cmp::Ordering::Greater
-            } else if c > hi {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        })
-        .is_ok()
 }
 
 #[cfg(test)]

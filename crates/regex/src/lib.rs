@@ -18,9 +18,11 @@
 //! layers need:
 //!
 //! * [`literal_cnf`] — required-literal extraction used by the rule index to
-//!   skip rules that cannot possibly match a given title;
+//!   skip rules that cannot possibly match a given title (a compiled
+//!   [`Regex`] keeps its own, [`Regex::required_literals`]);
 //! * [`touch_subset`] — language containment used by rule maintenance to
-//!   detect subsumed rules (`jeans?` subsumes `denim.*jeans?`).
+//!   detect subsumed rules (`jeans?` subsumes `denim.*jeans?`), over ASTs
+//!   the caller parses from [`Regex::pattern`].
 //!
 //! plus the [`AhoCorasick`] multi-pattern literal matcher the literal-scan
 //! rule executor uses to find every rule's required literals in one pass
@@ -96,11 +98,17 @@ pub struct Options {
 
 /// A compiled regular expression.
 ///
-/// Cheap to clone (the compiled program is shared).
+/// Cheap to clone (the compiled program is shared). A rule set holds tens of
+/// thousands of these, so a regex keeps only what matching and the rule
+/// index read: its text, one flat program and its DFA cell. The AST is
+/// dropped once compiled.
 #[derive(Clone)]
 pub struct Regex {
-    pattern: Arc<str>,
-    ast: Arc<Ast>,
+    /// The pattern, followed by its required-literal CNF as
+    /// [`literals::pack`] writes it.
+    text: Arc<str>,
+    /// Byte length of the pattern at the front of `text`.
+    pattern_len: u32,
     program: Arc<Program>,
     /// Lazy DFA for the boolean confirmation path, built by the first
     /// [`Regex::is_match`]: a regex that is parsed but never searched (a
@@ -126,12 +134,15 @@ impl Regex {
 
     /// Compiles `pattern` with explicit `options`.
     pub fn with_options(pattern: &str, options: Options) -> Result<Regex, Error> {
+        let pattern_len = u32::try_from(pattern.len()).map_err(|_| Error::TooLarge)?;
         let ast = parser::parse(pattern)?;
         let program =
             nfa::compile(&ast, CompileOptions { case_insensitive: options.case_insensitive })?;
+        let mut text = String::from(pattern);
+        literals::pack(&literal_cnf(&ast, options.case_insensitive), &mut text);
         Ok(Regex {
-            pattern: Arc::from(pattern),
-            ast: Arc::new(ast),
+            text: Arc::from(text),
+            pattern_len,
             program: Arc::new(program),
             dfa: Arc::default(),
             options,
@@ -144,12 +155,7 @@ impl Regex {
 
     /// The source pattern.
     pub fn pattern(&self) -> &str {
-        &self.pattern
-    }
-
-    /// The parsed AST (used by the analysis passes).
-    pub fn ast(&self) -> &Ast {
-        &self.ast
+        &self.text[..self.pattern_len as usize]
     }
 
     /// Build options this regex was compiled with.
@@ -234,25 +240,17 @@ impl Regex {
         Some(Captures { text, slots })
     }
 
-    /// Required-literal CNF for indexing (see [`literals`]).
+    /// Required-literal CNF for indexing (see [`literals`]), derived when
+    /// the regex was compiled.
     pub fn required_literals(&self) -> Vec<Disjunction> {
-        literal_cnf(&self.ast, self.options.case_insensitive)
-    }
-
-    /// Whether every text touched by `self` is also touched by `other`.
-    pub fn subsumed_by(&self, other: &Regex) -> Containment {
-        contain::touch_subset(
-            &self.ast,
-            &other.ast,
-            self.options.case_insensitive || other.options.case_insensitive,
-        )
+        literals::unpack(&self.text[self.pattern_len as usize..])
     }
 }
 
 impl fmt::Debug for Regex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Regex")
-            .field("pattern", &self.pattern)
+            .field("pattern", &self.pattern())
             .field("case_insensitive", &self.options.case_insensitive)
             .finish()
     }
@@ -260,7 +258,7 @@ impl fmt::Debug for Regex {
 
 impl fmt::Display for Regex {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.pattern)
+        f.write_str(self.pattern())
     }
 }
 
@@ -408,6 +406,22 @@ mod tests {
         let re = Regex::case_insensitive("rings?").unwrap();
         assert_eq!(re.to_string(), "rings?");
         assert!(format!("{re:?}").contains("rings?"));
+    }
+
+    #[test]
+    fn required_literals_survive_the_dropped_ast() {
+        for (pattern, ci) in [
+            ("(motor|engine) oils?", true),
+            ("Ring", false),
+            (r"\w+", true),
+            ("12:34;;(a|b)", false),
+            ("", true),
+        ] {
+            let re = Regex::with_options(pattern, Options { case_insensitive: ci }).unwrap();
+            let ast = parser::parse(pattern).unwrap();
+            assert_eq!(re.required_literals(), literal_cnf(&ast, ci), "{pattern:?}");
+            assert_eq!(re.pattern(), pattern);
+        }
     }
 
     #[test]

@@ -61,6 +61,38 @@ pub fn best_indexable_disjunction(cnf: &[Disjunction], min_len: usize) -> Option
         .copied()
 }
 
+/// Appends `cnf` to `out` as one string: each literal as `<byte length>:`
+/// then its text, each clause closed by `;`. What a compiled
+/// [`Regex`](crate::Regex) keeps of its literal analysis, in the allocation
+/// that holds its pattern.
+pub fn pack(cnf: &[Disjunction], out: &mut String) {
+    use std::fmt::Write;
+    for clause in cnf {
+        for literal in clause {
+            write!(out, "{}:{literal}", literal.len()).expect("writing to a String");
+        }
+        out.push(';');
+    }
+}
+
+/// The CNF [`pack`] wrote into `packed`.
+pub(crate) fn unpack(mut packed: &str) -> Vec<Disjunction> {
+    let mut cnf = Vec::new();
+    let mut clause = Vec::new();
+    while !packed.is_empty() {
+        if let Some(rest) = packed.strip_prefix(';') {
+            cnf.push(std::mem::take(&mut clause));
+            packed = rest;
+        } else {
+            let (len, rest) = packed.split_once(':').expect("packed literal length");
+            let (literal, rest) = rest.split_at(len.parse().expect("packed literal length"));
+            clause.push(literal.to_string());
+            packed = rest;
+        }
+    }
+    cnf
+}
+
 fn collect(ast: &Ast, ci: bool, out: &mut Vec<Disjunction>) {
     match ast {
         Ast::Concat(parts) => {
@@ -200,6 +232,15 @@ mod tests {
         // "motor"/"engine" min len is 5 > 4, so the alternation wins.
         let best = best_disjunction(&c).unwrap();
         assert_eq!(best, &vec!["engine".to_string(), "motor".to_string()]);
+    }
+
+    #[test]
+    fn pack_round_trips_separators_and_empty_literals() {
+        let cnf = vec![vec!["12:;".to_string(), String::new()], vec![]];
+        let mut packed = String::new();
+        pack(&cnf, &mut packed);
+        assert_eq!(packed, "4:12:;0:;;");
+        assert_eq!(unpack(&packed), cnf);
     }
 
     #[test]

@@ -8,12 +8,24 @@ use crate::Error;
 /// repetition blow-up (`(a{900}){900}` style).
 const MAX_PROGRAM: usize = 1 << 18;
 
-/// One NFA instruction.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Distinct range sets the compiler searches before storing a new one. Rule
+/// patterns test a few dozen at most; the cap keeps a pattern with
+/// thousands of distinct classes compiling in linear time (its later sets
+/// are stored without a search, possibly twice).
+const MAX_INTERNED_SETS: usize = 64;
+
+/// One NFA instruction (12 bytes: a program is one flat array of these).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Inst {
     /// Consume one character if it falls into one of the (sorted, merged)
-    /// inclusive ranges, then go to the next instruction.
-    Ranges(Box<[(char, char)]>),
+    /// inclusive ranges `Program::ranges[start..start + len]`, then go to
+    /// the next instruction.
+    Ranges {
+        /// Index of the set's first range in [`Program::ranges`].
+        start: u32,
+        /// Number of ranges in the set.
+        len: u32,
+    },
     /// Consume any character except `\n`.
     Any,
     /// Try `goto1` first (higher priority), then `goto2`.
@@ -35,6 +47,10 @@ pub enum Inst {
 pub struct Program {
     /// Instruction list; execution starts at instruction 0.
     pub insts: Vec<Inst>,
+    /// Every distinct range set the instructions test, back to back; an
+    /// [`Inst::Ranges`] names its set by position. Rule patterns repeat a
+    /// handful of sets (one per case-folded letter), so this stays short.
+    pub ranges: Vec<(char, char)>,
     /// Number of capture slots (2 × (capturing groups + 1)).
     pub slots: usize,
     /// Number of capturing groups, excluding the implicit group 0.
@@ -42,6 +58,33 @@ pub struct Program {
     /// Whether every match must begin at position 0 (pattern starts with `^`
     /// on every alternation path).
     pub anchored_start: bool,
+}
+
+impl Program {
+    /// The range set an [`Inst::Ranges`] with these fields tests.
+    pub fn class(&self, start: u32, len: u32) -> &[(char, char)] {
+        &self.ranges[start as usize..start as usize + len as usize]
+    }
+
+    /// Whether `c` falls into the range set at `start..start + len`.
+    pub(crate) fn class_contains(&self, start: u32, len: u32, c: char) -> bool {
+        let ranges = self.class(start, len);
+        // Rule classes are tiny (1–4 ranges); linear scan beats binary search.
+        if ranges.len() <= 4 {
+            return ranges.iter().any(|&(lo, hi)| lo <= c && c <= hi);
+        }
+        ranges
+            .binary_search_by(|&(lo, hi)| {
+                if c < lo {
+                    std::cmp::Ordering::Greater
+                } else if c > hi {
+                    std::cmp::Ordering::Less
+                } else {
+                    std::cmp::Ordering::Equal
+                }
+            })
+            .is_ok()
+    }
 }
 
 /// Compilation options.
@@ -54,7 +97,7 @@ pub struct CompileOptions {
 /// Compiles `ast` to a [`Program`].
 pub fn compile(ast: &Ast, opts: CompileOptions) -> Result<Program, Error> {
     let captures = ast.capture_count();
-    let mut c = Compiler { insts: Vec::new(), opts };
+    let mut c = Compiler { insts: Vec::new(), ranges: Vec::new(), sets: Vec::new(), opts };
     c.push(Inst::Save(0))?;
     c.emit(ast)?;
     c.push(Inst::Save(1))?;
@@ -62,7 +105,14 @@ pub fn compile(ast: &Ast, opts: CompileOptions) -> Result<Program, Error> {
     let anchored_start = starts_anchored(ast);
     // A rule set keeps one program per pattern: no doubling slack.
     c.insts.shrink_to_fit();
-    Ok(Program { insts: c.insts, slots: 2 * (captures as usize + 1), captures, anchored_start })
+    c.ranges.shrink_to_fit();
+    Ok(Program {
+        insts: c.insts,
+        ranges: c.ranges,
+        slots: 2 * (captures as usize + 1),
+        captures,
+        anchored_start,
+    })
 }
 
 /// Whether every path through `ast` begins with `^`.
@@ -79,6 +129,9 @@ fn starts_anchored(ast: &Ast) -> bool {
 
 struct Compiler {
     insts: Vec<Inst>,
+    ranges: Vec<(char, char)>,
+    /// `(start, len)` in `ranges` of the first distinct sets stored.
+    sets: Vec<(u32, u32)>,
     opts: CompileOptions,
 }
 
@@ -120,33 +173,52 @@ impl Compiler {
         }
     }
 
-    fn char_inst(&self, c: char) -> Inst {
+    /// A `Ranges` instruction over `set`, stored once per program however
+    /// many instructions test it.
+    fn ranges_inst(&mut self, set: &[(char, char)]) -> Result<Inst, Error> {
+        let len = u32::try_from(set.len()).map_err(|_| Error::TooLarge)?;
+        let found = self.sets.iter().find(|&&(start, l)| {
+            l == len && self.ranges[start as usize..start as usize + l as usize] == *set
+        });
+        let start = match found {
+            Some(&(start, _)) => start,
+            None => {
+                let start = u32::try_from(self.ranges.len()).map_err(|_| Error::TooLarge)?;
+                self.ranges.extend_from_slice(set);
+                if self.sets.len() < MAX_INTERNED_SETS {
+                    self.sets.push((start, len));
+                }
+                start
+            }
+        };
+        Ok(Inst::Ranges { start, len })
+    }
+
+    fn char_inst(&mut self, c: char) -> Result<Inst, Error> {
         if self.opts.case_insensitive && c.is_ascii_alphabetic() {
-            let lo = c.to_ascii_lowercase();
-            let up = c.to_ascii_uppercase();
-            let mut ranges = vec![(up, up), (lo, lo)];
-            ranges.sort_unstable();
-            Inst::Ranges(ranges.into_boxed_slice())
+            // Sorted: every ASCII capital precedes every small letter.
+            let (up, lo) = (c.to_ascii_uppercase(), c.to_ascii_lowercase());
+            self.ranges_inst(&[(up, up), (lo, lo)])
         } else {
-            Inst::Ranges(Box::new([(c, c)]))
+            self.ranges_inst(&[(c, c)])
         }
     }
 
-    fn class_inst(&self, set: &ClassSet) -> Inst {
+    fn class_inst(&mut self, set: &ClassSet) -> Result<Inst, Error> {
         let mut set = set.clone();
         if self.opts.case_insensitive {
             // Fold before resolving negation so `[^a]` also excludes `A`.
             set.case_fold();
         }
         set.canonicalize();
-        Inst::Ranges(set.ranges.into_boxed_slice())
+        self.ranges_inst(&set.ranges)
     }
 
     fn emit(&mut self, ast: &Ast) -> Result<(), Error> {
         match ast {
             Ast::Empty => Ok(()),
             Ast::Literal(c) => {
-                let inst = self.char_inst(*c);
+                let inst = self.char_inst(*c)?;
                 self.push(inst)?;
                 Ok(())
             }
@@ -155,7 +227,7 @@ impl Compiler {
                 Ok(())
             }
             Ast::Class(set) => {
-                let inst = self.class_inst(set);
+                let inst = self.class_inst(set)?;
                 self.push(inst)?;
                 Ok(())
             }
@@ -307,12 +379,13 @@ mod tests {
             p.insts,
             vec![
                 Inst::Save(0),
-                Inst::Ranges(Box::new([('a', 'a')])),
-                Inst::Ranges(Box::new([('b', 'b')])),
+                Inst::Ranges { start: 0, len: 1 },
+                Inst::Ranges { start: 1, len: 1 },
                 Inst::Save(1),
                 Inst::Match,
             ]
         );
+        assert_eq!(p.ranges, vec![('a', 'a'), ('b', 'b')]);
         assert_eq!(p.slots, 2);
     }
 
@@ -327,7 +400,22 @@ mod tests {
     fn case_insensitive_literal_ranges() {
         let ast = parse("a").unwrap();
         let p = compile(&ast, CompileOptions { case_insensitive: true }).unwrap();
-        assert_eq!(p.insts[1], Inst::Ranges(Box::new([('A', 'A'), ('a', 'a')])));
+        let Inst::Ranges { start, len } = p.insts[1] else { panic!("not a ranges inst") };
+        assert_eq!(p.class(start, len), [('A', 'A'), ('a', 'a')]);
+    }
+
+    #[test]
+    fn repeated_range_sets_are_stored_once() {
+        let ast = parse("[a-c]x[a-c]xX").unwrap();
+        let p = compile(&ast, CompileOptions { case_insensitive: true }).unwrap();
+        let sets: Vec<Inst> =
+            p.insts.iter().copied().filter(|i| matches!(i, Inst::Ranges { .. })).collect();
+        assert_eq!(sets.len(), 5);
+        assert_eq!(sets[0], sets[2]);
+        assert_eq!(sets[1], sets[3]);
+        assert_eq!(sets[1], sets[4]);
+        assert_eq!(p.ranges, vec![('A', 'C'), ('a', 'c'), ('X', 'X'), ('x', 'x')]);
+        assert_eq!(std::mem::size_of::<Inst>(), 12);
     }
 
     #[test]
@@ -343,17 +431,34 @@ mod tests {
     #[test]
     fn counted_repetition_expands() {
         let p = program("a{3}");
-        let chars = p.insts.iter().filter(|i| matches!(i, Inst::Ranges(_))).count();
+        let chars = p.insts.iter().filter(|i| matches!(i, Inst::Ranges { .. })).count();
         assert_eq!(chars, 3);
     }
 
     #[test]
     fn bounded_repetition_has_optional_tail() {
         let p = program("a{1,3}");
-        let chars = p.insts.iter().filter(|i| matches!(i, Inst::Ranges(_))).count();
+        let chars = p.insts.iter().filter(|i| matches!(i, Inst::Ranges { .. })).count();
         let splits = p.insts.iter().filter(|i| matches!(i, Inst::Split(_, _))).count();
         assert_eq!(chars, 3);
         assert_eq!(splits, 2);
+    }
+
+    #[test]
+    fn sets_past_the_search_cap_are_still_matched() {
+        // 200 distinct single-character sets, then the first and the last again.
+        let chars: String = (0..200u32).map(|i| char::from_u32(0x4e00 + i).unwrap()).collect();
+        let first = chars.chars().next().unwrap();
+        let last = chars.chars().last().unwrap();
+        let ast = parse(&format!("{chars}{first}{last}")).unwrap();
+        let p = compile(&ast, CompileOptions::default()).unwrap();
+        let sets: Vec<Inst> =
+            p.insts.iter().copied().filter(|i| matches!(i, Inst::Ranges { .. })).collect();
+        assert_eq!(sets[200], sets[0], "an early set is found again");
+        assert_ne!(sets[201], sets[199], "a late set is stored again, not searched for");
+        assert_eq!(p.ranges.len(), 201);
+        let text = format!("x{chars}{first}{last}");
+        assert!(crate::pikevm::exec(&p, &text, 0, true).is_some());
     }
 
     #[test]

@@ -106,9 +106,9 @@ pub fn exec(
         while i < clist.dense.len() {
             let (pc, slots) = clist.dense[i].clone();
             match &program.insts[pc as usize] {
-                Inst::Ranges(ranges) => {
+                Inst::Ranges { start, len } => {
                     if let Some(c) = cur_char {
-                        if ranges_contain(ranges, c) {
+                        if program.class_contains(*start, *len, c) {
                             add_thread(program, &mut nlist, pc + 1, next_pos, text_len, slots);
                         }
                     }
@@ -191,28 +191,10 @@ fn add_thread(
                 add_thread(program, list, pc + 1, pos, text_len, slots);
             }
         }
-        Inst::Ranges(..) | Inst::Any | Inst::Match => {
+        Inst::Ranges { .. } | Inst::Any | Inst::Match => {
             list.dense.push((pc, slots));
         }
     }
-}
-
-fn ranges_contain(ranges: &[(char, char)], c: char) -> bool {
-    // Rule classes are tiny (1–4 ranges); linear scan beats binary search.
-    if ranges.len() <= 4 {
-        return ranges.iter().any(|&(lo, hi)| lo <= c && c <= hi);
-    }
-    ranges
-        .binary_search_by(|&(lo, hi)| {
-            if c < lo {
-                std::cmp::Ordering::Greater
-            } else if c > hi {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        })
-        .is_ok()
 }
 
 #[cfg(test)]

@@ -9,70 +9,13 @@
 //! allocation into the DFA path (or silently diverts these patterns to the
 //! Pike VM) fails here, not in a profile.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
 use std::sync::Arc;
 
+use common::tally;
 use rulekit_regex::nfa::{self, CompileOptions};
-use rulekit_regex::{parser, Regex};
-
-/// What one thread allocated while counting was armed.
-#[derive(Clone, Copy, Default)]
-struct Tally {
-    /// Calls that obtained or moved a heap block.
-    allocs: u64,
-    /// Bytes allocated minus bytes freed.
-    live_bytes: i64,
-}
-
-thread_local! {
-    /// `Some` while counting on this thread; thread-local so the test
-    /// harness's own allocations never pollute the count.
-    static TALLY: Cell<Option<Tally>> = const { Cell::new(None) };
-}
-
-fn record(allocs: u64, bytes: i64) {
-    TALLY.with(|c| {
-        if let Some(t) = c.get() {
-            c.set(Some(Tally { allocs: t.allocs + allocs, live_bytes: t.live_bytes + bytes }));
-        }
-    });
-}
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        record(1, layout.size() as i64);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        record(0, -(layout.size() as i64));
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        record(1, new_size as i64 - layout.size() as i64);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        record(1, layout.size() as i64);
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with counting enabled and returns what it allocated on this
-/// thread (and whatever `f` built, so its heap stays live while counted).
-fn tally<T>(f: impl FnOnce() -> T) -> (Tally, T) {
-    TALLY.with(|c| c.set(Some(Tally::default())));
-    let out = f();
-    (TALLY.with(|c| c.replace(None)).expect("counter armed"), out)
-}
+use rulekit_regex::{literals, parser, Regex};
 
 /// Rule-shaped patterns: the qualifier.*head idiom, alternation groups,
 /// optional plurals, a dictionary-ish disjunction, and anchors.
@@ -158,15 +101,18 @@ fn dfa_footprint_stays_small_and_cold_regexes_have_none() {
     assert!(sizer.unwrap().is_match("closure scratch buffers sized"));
 
     let n = PATTERNS.len() as i64;
-    // What a regex needs anyway: pattern text, AST, NFA program.
+    // What a regex needs anyway: pattern text with its packed literal CNF,
+    // and NFA program (the AST is dropped once compiled).
+    let asts: Vec<_> = PATTERNS.iter().map(|p| parser::parse(p).unwrap()).collect();
     let (parts, _keep) = tally(|| {
         PATTERNS
             .iter()
-            .map(|p| {
-                let ast = parser::parse(p).unwrap();
-                let program =
-                    nfa::compile(&ast, CompileOptions { case_insensitive: true }).unwrap();
-                (Arc::<str>::from(*p), Arc::new(ast), Arc::new(program))
+            .zip(&asts)
+            .map(|(p, ast)| {
+                let program = nfa::compile(ast, CompileOptions { case_insensitive: true }).unwrap();
+                let mut text = p.to_string();
+                literals::pack(&literals::literal_cnf(ast, true), &mut text);
+                (Arc::<str>::from(text), Arc::new(program))
             })
             .collect::<Vec<_>>()
     });
@@ -174,7 +120,7 @@ fn dfa_footprint_stays_small_and_cold_regexes_have_none() {
     let cell = (cold.live_bytes - parts.live_bytes) / n;
     assert!(
         (0..=COLD_CELL_LIMIT).contains(&cell),
-        "a cold regex holds {cell} B beyond its text, AST and program"
+        "a cold regex holds {cell} B beyond its text and program"
     );
 
     let (warmed, ()) = tally(|| warm(&regexes));

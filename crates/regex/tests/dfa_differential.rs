@@ -95,8 +95,8 @@ fn probe_chars(program: &Program) -> Vec<char> {
     let mut out = vec!['\0', '\t', '\n', '\u{b}', ' ', 'A', 'a', 'z', '\u{7f}', '\u{80}', 'é', '☃'];
     out.extend(['\u{d7ff}', '\u{e000}', char::MAX]);
     for inst in &program.insts {
-        if let Inst::Ranges(ranges) = inst {
-            for &(lo, hi) in ranges.iter() {
+        if let Inst::Ranges { start, len } = *inst {
+            for &(lo, hi) in program.class(start, len) {
                 for c in [lo, hi] {
                     out.push(c);
                     out.extend(char::from_u32((c as u32).wrapping_sub(1)));
@@ -108,9 +108,11 @@ fn probe_chars(program: &Program) -> Vec<char> {
     out
 }
 
-fn accepts(inst: &Inst, c: char) -> Option<bool> {
-    match inst {
-        Inst::Ranges(ranges) => Some(ranges.iter().any(|&(lo, hi)| lo <= c && c <= hi)),
+fn accepts(program: &Program, inst: &Inst, c: char) -> Option<bool> {
+    match *inst {
+        Inst::Ranges { start, len } => {
+            Some(program.class(start, len).iter().any(|&(lo, hi)| lo <= c && c <= hi))
+        }
         Inst::Any => Some(c != '\n'),
         _ => None,
     }
@@ -130,8 +132,8 @@ fn check_classes(program: Program) -> Result<(), TestCaseError> {
         prop_assert_eq!(dfa.class_of(repr), class, "representative {:?} left its class", repr);
         for inst in &program.insts {
             prop_assert_eq!(
-                accepts(inst, c),
-                accepts(inst, repr),
+                accepts(&program, inst, c),
+                accepts(&program, inst, repr),
                 "{:?} tells {:?} from its representative {:?}",
                 inst,
                 c,

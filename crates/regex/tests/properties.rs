@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use rulekit_regex::ast::{Ast, ClassSet};
-use rulekit_regex::{escape, literal_cnf, Containment, Regex};
+use rulekit_regex::{escape, parser, touch_subset, Containment, Regex};
 use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
@@ -164,7 +164,7 @@ proptest! {
             // Display must always produce a parseable pattern.
             panic!("display produced unparseable pattern: {pattern:?}");
         };
-        let expected = oracle_is_match(re.ast(), &text);
+        let expected = oracle_is_match(&parser::parse(&pattern).unwrap(), &text);
         prop_assert_eq!(re.is_match(&text), expected, "pattern={:?} text={:?}", pattern, text);
     }
 
@@ -213,7 +213,7 @@ proptest! {
         let re = Regex::case_insensitive(&ast.to_string()).unwrap();
         if re.is_match(&text) {
             let lowered = text.to_lowercase();
-            for disjunction in literal_cnf(re.ast(), true) {
+            for disjunction in re.required_literals() {
                 prop_assert!(
                     disjunction.iter().any(|lit| lowered.contains(lit.as_str())),
                     "pattern {:?} matched {:?} but requirement {:?} unwitnessed",
@@ -229,7 +229,8 @@ proptest! {
     fn containment_is_sound(a in arb_ast(), b in arb_ast(), text in arb_text()) {
         let ra = Regex::new(&a.to_string()).unwrap();
         let rb = Regex::new(&b.to_string()).unwrap();
-        if ra.subsumed_by(&rb) == Containment::Subset && ra.is_match(&text) {
+        let (pa, pb) = (parser::parse(ra.pattern()).unwrap(), parser::parse(rb.pattern()).unwrap());
+        if touch_subset(&pa, &pb, false) == Containment::Subset && ra.is_match(&text) {
             prop_assert!(rb.is_match(&text), "a={:?} b={:?} text={:?}", ra.pattern(), rb.pattern(), text);
         }
     }
@@ -239,8 +240,8 @@ proptest! {
     #[test]
     fn empty_pattern_subsumes_all(a in arb_ast()) {
         let ra = Regex::new(&a.to_string()).unwrap();
-        let rb = Regex::new("").unwrap();
-        prop_assert_eq!(ra.subsumed_by(&rb), Containment::Subset);
+        let pa = parser::parse(ra.pattern()).unwrap();
+        prop_assert_eq!(touch_subset(&pa, &parser::parse("").unwrap(), false), Containment::Subset);
     }
 
     /// Case-insensitive matching equals matching the lowercased text with a
