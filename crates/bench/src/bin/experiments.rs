@@ -13,6 +13,8 @@
 //! Serving, network, recovery and replication performance is measured by
 //! `benchmark/` (see its README), not here.
 
+#![forbid(unsafe_code)]
+
 use rulekit_bench::exp;
 use rulekit_bench::Scale;
 

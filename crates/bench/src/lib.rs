@@ -10,6 +10,8 @@
 //! cargo run -p rulekit-bench --bin experiments --release -- all
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod exp;
 pub mod setup;
 pub mod table;

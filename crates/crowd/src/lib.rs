@@ -7,6 +7,8 @@
 //! interface — heterogeneous worker accuracy, plurality voting, and a cost
 //! ledger with optional budget — against the generator's hidden ground truth.
 
+#![forbid(unsafe_code)]
+
 pub mod estimate;
 pub mod sim;
 

@@ -11,6 +11,8 @@
 //! head noun + noise), Zipf head/tail type skew, attribute schemas (ISBN on
 //! books…), confusable type pairs, and ever-changing vendor vocabulary.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog_data;
 pub mod generator;
 pub mod labeled;

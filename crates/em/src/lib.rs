@@ -7,6 +7,8 @@
 //! a parallel matcher over candidate pairs, and duplicate synthesis for
 //! labeled evaluation corpora.
 
+#![forbid(unsafe_code)]
+
 pub mod blocking;
 pub mod dsl;
 pub mod matcher;

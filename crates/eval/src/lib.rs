@@ -6,6 +6,8 @@
 //! crowd-task cost accounting, oracle-based estimator scoring, and the §5.3
 //! impactful-rule tracker.
 
+#![forbid(unsafe_code)]
+
 pub mod methods;
 pub mod outcomes;
 pub mod tracker;

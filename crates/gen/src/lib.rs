@@ -13,6 +13,8 @@
 //!   score, and the `Greedy` / `Greedy-Biased` selection algorithms
 //!   (Algorithms 1 and 2) with the high/low-confidence split at α.
 
+#![forbid(unsafe_code)]
+
 pub mod analyst;
 pub mod mining;
 pub mod pipeline;

@@ -5,6 +5,8 @@
 //! extractors for weights/sizes/colors, value-normalization rules ("IBM
 //! Inc." → "IBM Corporation"), and an evaluated end-to-end pipeline.
 
+#![forbid(unsafe_code)]
+
 pub mod brand;
 pub mod extract;
 pub mod normalize;

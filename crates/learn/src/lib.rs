@@ -11,6 +11,8 @@
 //! response), which the rule layers in `rulekit-core`/`rulekit-chimera`
 //! address.
 
+#![forbid(unsafe_code)]
+
 pub mod centroid;
 pub mod classifier;
 pub mod ensemble;

@@ -7,6 +7,8 @@
 //! helpers with their debugging-cost trade-off, and the per-type drift
 //! monitor that drives the §2.2 scale-down workflow.
 
+#![forbid(unsafe_code)]
+
 pub mod drift;
 pub mod lifecycle;
 pub mod optimize;

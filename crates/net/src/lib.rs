@@ -36,6 +36,8 @@
 //!   request counters and latency histograms in the shared `rulekit-obs`
 //!   registry.
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod backoff;
 pub mod client;

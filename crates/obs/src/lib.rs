@@ -32,6 +32,8 @@
 //! * [`MetricsSnapshot`] — point-in-time view with a Prometheus-style
 //!   [`MetricsSnapshot::render_text`] exposition.
 
+#![forbid(unsafe_code)]
+
 pub mod histogram;
 pub mod metric;
 pub mod registry;

@@ -36,14 +36,15 @@
 //! Capture extraction always runs on the Pike VM — the DFA answers only the
 //! boolean confirmation query, which is all rule execution needs.
 //!
-//! Thread safety: the immutable construction (`LazyDfa`) is shared by cloned
-//! regexes; the memoized states (`Cache`) live in a pooled free-list guarded
-//! by a `Mutex` held only to pop/push, never during a search, so concurrent
-//! batch workers each warm their own cache without contending.
+//! Thread safety: cloned regexes share one `LazyDfa`. Its construction is
+//! immutable; everything a search learns (the `Cache`, the hostile latch
+//! and its streak, the fallback count) is one `Search` behind a `Mutex`
+//! that a search holds from start to finish. Two threads searching the same
+//! pattern at the same instant take turns for one sub-microsecond walk, and
+//! a pattern owns one cache however many threads search it.
 
 use crate::nfa::{Inst, Program};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Maximum distinct states cached per search cache before eviction.
@@ -63,8 +64,6 @@ const MAX_DFA_PROGRAM: usize = 2048;
 /// Alphabet-compression cap: more equivalence classes than this and the
 /// transition rows stop paying for themselves.
 const MAX_CLASSES: usize = 128;
-/// Caches kept in the per-regex free list.
-const MAX_POOL: usize = 8;
 
 /// Transition-table sentinel: not yet computed. Checked before
 /// [`MATCH_BIT`], so the overlap of the two encodings is harmless. The same
@@ -198,7 +197,8 @@ impl Alphabet {
     }
 }
 
-/// Shared, immutable part of a lazy DFA for one compiled program.
+/// Lazy DFA for one compiled program: the immutable construction plus the
+/// one search state its searches take turns on.
 pub struct LazyDfa {
     program: Arc<Program>,
     alphabet: Alphabet,
@@ -206,22 +206,21 @@ pub struct LazyDfa {
     /// and the dead state is terminal.
     anchored: bool,
     budget: usize,
-    /// Single-slot fast path for the pool: one atomic swap per checkout /
-    /// checkin in the common one-thread-per-regex case. Rule execution
-    /// calls `is_match` once per admitted candidate, so two mutex ops per
-    /// call were a measurable fraction of short-title searches.
-    stash: AtomicPtr<Cache>,
-    /// Boxed so caches move between `stash` (raw pointer) and the overflow
-    /// list without reallocating — the Box *is* the stashed allocation.
-    #[allow(clippy::vec_box)]
-    pool: Mutex<Vec<Box<Cache>>>,
+    /// Held for the whole of a search.
+    search: Mutex<Search>,
+}
+
+/// Everything searches of one pattern learn and count.
+#[derive(Default)]
+struct Search {
+    cache: Cache,
     /// Set after [`HOSTILE_FALLBACK_LIMIT`] searches in a row fell back: this
     /// pattern thrashes the cache, stop burning work before each PikeVM run.
-    hostile: AtomicBool,
+    hostile: bool,
     /// Fallbacks since the last search that completed.
-    streak: AtomicU32,
+    streak: u32,
     /// Fallbacks over the regex's lifetime (diagnostics only).
-    fallbacks: AtomicU64,
+    fallbacks: u64,
 }
 
 /// Memoized search state: discovered states and their transitions.
@@ -390,11 +389,7 @@ impl LazyDfa {
             alphabet,
             anchored,
             budget: budget.clamp(8, MAX_STATE_BUDGET),
-            stash: AtomicPtr::new(std::ptr::null_mut()),
-            pool: Mutex::new(Vec::new()),
-            hostile: AtomicBool::new(false),
-            streak: AtomicU32::new(0),
-            fallbacks: AtomicU64::new(0),
+            search: Mutex::default(),
         })
     }
 
@@ -403,33 +398,35 @@ impl LazyDfa {
     /// `None` means the DFA gave up (cache thrash) and the caller must run
     /// the Pike VM; the answer is never wrong, only occasionally absent.
     pub fn is_match(&self, text: &str) -> Option<bool> {
-        if self.hostile.load(Ordering::Relaxed) {
+        let mut state = self.search.lock().unwrap_or_else(|poisoned| {
+            // A search panicked mid-update, so the cache may be half-grown:
+            // start the next one from an empty cache.
+            let mut state = poisoned.into_inner();
+            state.cache = Cache::default();
+            self.search.clear_poison();
+            state
+        });
+        if state.hostile {
             return None;
         }
-        let mut cache = self.checkout();
-        let verdict = self.search(&mut cache, text);
+        let verdict = self.run(&mut state.cache, text);
         if verdict.is_some() {
-            // Load first: the common case must not dirty a shared line.
-            if self.streak.load(Ordering::Relaxed) != 0 {
-                self.streak.store(0, Ordering::Relaxed);
-            }
+            state.streak = 0;
         } else {
             // Leave a clean cache for the next search; a few more misses in
             // a row and the regex stops trying altogether.
-            *cache = Cache::default();
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-            if self.streak.fetch_add(1, Ordering::Relaxed) + 1 >= HOSTILE_FALLBACK_LIMIT {
-                self.hostile.store(true, Ordering::Relaxed);
-            }
+            state.cache = Cache::default();
+            state.fallbacks += 1;
+            state.streak += 1;
+            state.hostile = state.streak >= HOSTILE_FALLBACK_LIMIT;
         }
-        self.checkin(cache);
         verdict
     }
 
     /// Searches that fell back to the Pike VM over this regex's lifetime
     /// (diagnostics).
     pub fn fallback_count(&self) -> u64 {
-        self.fallbacks.load(Ordering::Relaxed)
+        self.search.lock().unwrap_or_else(|poisoned| poisoned.into_inner()).fallbacks
     }
 
     /// Number of character equivalence classes (transition-row width).
@@ -456,39 +453,7 @@ impl LazyDfa {
         self.budget
     }
 
-    fn checkout(&self) -> Box<Cache> {
-        // Fast path: claim the stashed cache with one atomic swap. Only when
-        // another thread holds it (or on the very first search) fall through
-        // to the mutex-guarded overflow list.
-        let p = self.stash.swap(std::ptr::null_mut(), Ordering::Acquire);
-        if !p.is_null() {
-            // SAFETY: a non-null stash pointer was produced by
-            // `Box::into_raw` in `checkin`, and the swap transferred sole
-            // ownership to this call.
-            return unsafe { Box::from_raw(p) };
-        }
-        self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop().unwrap_or_default()
-    }
-
-    fn checkin(&self, cache: Box<Cache>) {
-        let p = Box::into_raw(cache);
-        if self
-            .stash
-            .compare_exchange(std::ptr::null_mut(), p, Ordering::Release, Ordering::Relaxed)
-            .is_ok()
-        {
-            return;
-        }
-        // SAFETY: the exchange failed, so `p` was never published; this call
-        // still owns it.
-        let cache = unsafe { Box::from_raw(p) };
-        let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
-        if pool.len() < MAX_POOL {
-            pool.push(cache);
-        }
-    }
-
-    fn search(&self, cache: &mut Cache, text: &str) -> Option<bool> {
+    fn run(&self, cache: &mut Cache, text: &str) -> Option<bool> {
         if cache.states() == 0 {
             SCRATCH.with_borrow_mut(|scratch| self.reset(cache, scratch));
         }
@@ -514,13 +479,7 @@ impl LazyDfa {
                 i += c.len_utf8();
                 self.alphabet.class_of(c)
             };
-            debug_assert!(sid as usize * width + class < cache.trans.len());
-            // SAFETY: `Cache::insert` grows `trans` by exactly `width` per
-            // state, so every state id (including any re-seeded `sid` after
-            // a cache clear) indexes a full row; `class` is always < `width`
-            // because `ascii` and `interval_class` only hold ids handed out
-            // while `repr` (whose length is `width`) grew.
-            let mut next = unsafe { *cache.trans.get_unchecked(sid as usize * width + class) };
+            let mut next = cache.trans[sid as usize * width + class];
             if next == UNKNOWN {
                 next = SCRATCH.with_borrow_mut(|scratch| {
                     self.compute_transition(cache, scratch, &mut sid, class, &mut clears)
@@ -705,17 +664,6 @@ impl LazyDfa {
             }
         }
         false
-    }
-}
-
-impl Drop for LazyDfa {
-    fn drop(&mut self) {
-        let p = self.stash.swap(std::ptr::null_mut(), Ordering::Acquire);
-        if !p.is_null() {
-            // SAFETY: a non-null stash pointer came from `Box::into_raw` and
-            // nothing else can claim it after the swap.
-            drop(unsafe { Box::from_raw(p) });
-        }
     }
 }
 

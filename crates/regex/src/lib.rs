@@ -43,6 +43,8 @@
 //! assert_eq!(caps.get(1).unwrap().as_str(), "motor");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod aho;
 pub mod ast;
 pub mod contain;

@@ -11,7 +11,7 @@
 
 mod common;
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use common::tally;
 use rulekit_regex::nfa::{self, CompileOptions};
@@ -81,24 +81,34 @@ fn warm_dfa_searches_are_allocation_free() {
 /// * A regex that was never searched owns no DFA at all — only the empty
 ///   cell its clones share.
 /// * DFA static part + warm cache, averaged over this file's patterns warmed
-///   on its titles: **1,178 B** with the merged-class / 16-bit / one-arena
-///   layout. The layout it replaced (interval classes, 32-bit words, boxed
-///   keys plus a `HashMap` copy of each, closure scratch in every cache)
-///   measured **4,626 B** on the same set (901 B built with the regex +
-///   3,725 B on warming), and ≈ 11.5 KB per regex on the benchmark's
-///   50k-rule set, whose patterns are longer.
+///   on its titles: **1,133 B in 9 heap blocks** — the boxed `LazyDfa` with
+///   its one search state inline, three alphabet tables and five cache
+///   tables. The layout before the merged-class / 16-bit / one-arena one
+///   (interval classes, 32-bit words, boxed keys plus a `HashMap` copy of
+///   each, closure scratch in every cache) measured **4,626 B** on the same
+///   set (901 B built with the regex + 3,725 B on warming), and ≈ 11.5 KB
+///   per regex on the benchmark's 50k-rule set, whose patterns are longer.
+/// * However many threads search a pattern, it owns one cache.
+///
+/// ≤ the measured average above + 10%.
+const WARM_LIMIT: i64 = 1_250;
+/// Heap blocks per warm regex, as measured above.
+const WARM_BLOCKS: i64 = 9;
+
+/// The closure scratch is one per thread; let an unrelated (and longer)
+/// pattern size it so it is not billed to the patterns warmed after it.
+fn size_scratch() {
+    let sizer = Regex::case_insensitive("(closure|traversal) scratch.*(stacks?|buffers?) sized$");
+    assert!(sizer.unwrap().is_match("closure scratch buffers sized"));
+}
+
 #[test]
 fn dfa_footprint_stays_small_and_cold_regexes_have_none() {
-    /// ≤ 1.3 × the measured average above.
-    const WARM_LIMIT: i64 = 1_500;
     /// `Arc<OnceLock<Option<Box<LazyDfa>>>>` (two counts and the cell, 32 B)
     /// plus the handle's own extra fields in the vector that holds it.
     const COLD_CELL_LIMIT: i64 = 64;
 
-    // The closure scratch is one per thread; let an unrelated (and longer)
-    // pattern size it so it is not billed to the patterns below.
-    let sizer = Regex::case_insensitive("(closure|traversal) scratch.*(stacks?|buffers?) sized$");
-    assert!(sizer.unwrap().is_match("closure scratch buffers sized"));
+    size_scratch();
 
     let n = PATTERNS.len() as i64;
     // What a regex needs anyway: pattern text with its packed literal CNF,
@@ -129,4 +139,47 @@ fn dfa_footprint_stays_small_and_cold_regexes_have_none() {
         per_regex <= WARM_LIMIT,
         "DFA static part + warm cache average {per_regex} B per regex (limit {WARM_LIMIT})"
     );
+    assert!(
+        warmed.live_blocks <= WARM_BLOCKS * n,
+        "DFA static part + warm cache hold {} heap blocks for {n} regexes",
+        warmed.live_blocks
+    );
+}
+
+/// Four threads warming the same patterns at once leave each pattern with
+/// the footprint one thread leaves: one search state, not one per thread.
+#[test]
+fn concurrent_warming_keeps_one_cache_per_pattern() {
+    const THREADS: usize = 4;
+    let regexes = compile_all();
+    let barrier = Barrier::new(THREADS);
+    // Each thread counts what it allocates and frees; the sum is what the
+    // warming left behind, wherever it was allocated.
+    let (bytes, blocks) = std::thread::scope(|s| {
+        let threads: Vec<_> = (0..THREADS)
+            .map(|_| {
+                s.spawn(|| {
+                    size_scratch();
+                    let (tally, ()) = tally(|| {
+                        barrier.wait();
+                        for _ in 0..50 {
+                            warm(&regexes);
+                        }
+                    });
+                    tally
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .fold((0, 0), |(bytes, blocks), t| (bytes + t.live_bytes, blocks + t.live_blocks))
+    });
+    let n = PATTERNS.len() as i64;
+    assert!(
+        bytes / n <= WARM_LIMIT,
+        "{THREADS} threads warmed {} B per regex (limit {WARM_LIMIT})",
+        bytes / n
+    );
+    assert!(blocks <= WARM_BLOCKS * n, "{THREADS} threads left {blocks} heap blocks");
 }

@@ -17,7 +17,7 @@ use rulekit_regex::ast::{Ast, ClassSet};
 use rulekit_regex::dfa::LazyDfa;
 use rulekit_regex::nfa::{self, CompileOptions, Inst, Program};
 use rulekit_regex::{parser, Options, Regex};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// Random AST over a small alphabet salted with non-ASCII, rendered to a
 /// pattern via `Display` (the same contract the Pike VM property suite
@@ -301,4 +301,93 @@ fn oversized_budget_is_clamped_and_explosion_still_falls_back() {
     }
     assert!(fell_back, "a 2^17-subset pattern cannot fit a clamped budget");
     assert!(dfa.fallback_count() >= 1);
+}
+
+/// Cloned regexes share one lazy DFA, and so one search state: threads that
+/// search the same patterns at once must still each get the Pike VM's
+/// verdict. Beside the clones, the threads share one DFA with a floor-sized
+/// budget, so clears and fallbacks happen while others search it too.
+#[test]
+fn shared_dfa_agrees_across_threads() {
+    const ADVERSARIAL: [&str; 6] = [
+        "[ab]*a[ab][ab][ab][ab][ab][ab][ab][ab]$",
+        "(a|ab)*c",
+        "(?:a*b*)*c",
+        "[^x]*éß[^x]*",
+        "^(a|b|ab)*$",
+        "(ab|ba)*(a|b)?$",
+    ];
+    // The rule shapes `tests/dfa_alloc.rs` pins the footprint of.
+    let mut regexes: Vec<Regex> = [
+        "denim.*jeans?",
+        "(motor|engine) oils?",
+        "abrasive.*(wheels?|discs?)",
+        "^wedding bands?$",
+        "(gold|silver|platinum) ring",
+    ]
+    .iter()
+    .map(|p| Regex::case_insensitive(p).unwrap())
+    .collect();
+    regexes.extend(ADVERSARIAL.iter().map(|p| Regex::new(p).unwrap()));
+
+    let thrasher = Regex::new(ADVERSARIAL[0]).unwrap();
+    let program = nfa::compile(&parser::parse(ADVERSARIAL[0]).unwrap(), CompileOptions::default());
+    let tiny = LazyDfa::with_budget(Arc::new(program.unwrap()), 8).unwrap();
+
+    let tokens = [
+        "a",
+        "b",
+        "ab",
+        "ba",
+        "c",
+        "x",
+        "é",
+        "ß",
+        " ",
+        "Denim ",
+        "jeans",
+        "motor ",
+        "oil",
+        "wheels",
+        "abrasive ",
+        "Wedding bands",
+        "gold ",
+        "ring",
+    ];
+    let start = Barrier::new(4);
+    std::thread::scope(|s| {
+        for seed in 1..=4u64 {
+            let (regexes, thrasher, tiny, start) = (regexes.clone(), &thrasher, &tiny, &start);
+            s.spawn(move || {
+                start.wait();
+                let mut state = 0x2545f4914f6cdd1du64.wrapping_mul(seed);
+                for _ in 0..300 {
+                    let mut next = || {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        (state >> 33) as usize
+                    };
+                    let len = next() % 60;
+                    let text: String = (0..len).map(|_| tokens[next() % tokens.len()]).collect();
+                    for re in &regexes {
+                        let vm = re.find(&text).is_some();
+                        if let Some(dfa) = re.try_match_dfa(&text) {
+                            assert_eq!(dfa, vm, "pattern={:?} text={text:?}", re.pattern());
+                        }
+                        assert_eq!(
+                            re.is_match(&text),
+                            vm,
+                            "pattern={:?} text={text:?}",
+                            re.pattern()
+                        );
+                    }
+                    if let Some(dfa) = tiny.is_match(&text) {
+                        assert_eq!(dfa, thrasher.find(&text).is_some(), "budget 8, text={text:?}");
+                    }
+                }
+            });
+        }
+    });
+    assert!(tiny.fallback_count() >= 1, "budget 8 must thrash on these texts");
 }

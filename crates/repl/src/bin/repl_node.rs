@@ -10,6 +10,8 @@
 //! gracefully by closing the child's stdin, or simulates a crash by
 //! killing it.
 
+#![forbid(unsafe_code)]
+
 use rulekit_repl::{FollowerConfig, FollowerNode, LeaderConfig, LeaderNode, NodeConfig};
 use rulekit_store::{FileStorage, Storage};
 use std::io::{BufRead, Write};

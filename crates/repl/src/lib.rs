@@ -27,6 +27,8 @@
 //!
 //! [`DurableRepository`]: rulekit_store::DurableRepository
 
+#![forbid(unsafe_code)]
+
 pub mod follower;
 pub mod leader;
 pub mod log;

@@ -47,9 +47,12 @@
 //! - **Explicit shutdown**: stopping the service completes every queued
 //!   request with [`ServeError::ShuttingDown`] (counted in
 //!   `shutdown_shed`) — callers blocked on a [`ResponseHandle`] never
-//!   hang, backed by a fulfill-on-drop guarantee in the response channel.
+//!   hang: a response slot dropped unanswered disconnects its channel, which
+//!   the handle reports as `ShuttingDown`.
 //!
 //! [`PipelineSnapshot`]: rulekit_chimera::PipelineSnapshot
+
+#![forbid(unsafe_code)]
 
 pub mod classifier;
 pub mod metrics;

@@ -1,10 +1,10 @@
 //! Request admission and response plumbing: the `Enqueued`/`Overloaded`
-//! admission verdict and a tiny one-shot channel (`Mutex` + `Condvar`) the
-//! worker uses to deliver each request's outcome.
+//! admission verdict and the one-shot channel (a std `sync_channel` of one
+//! slot) the worker uses to deliver each request's outcome.
 
 use rulekit_chimera::Decision;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::time::Duration;
 
 /// A served classification, annotated with serving metadata.
@@ -59,76 +59,44 @@ impl std::error::Error for ServeError {}
 
 type SlotResult = Result<ClassifyOutcome, ServeError>;
 
-struct Shared {
-    result: Mutex<Option<SlotResult>>,
-    ready: Condvar,
-}
-
 /// Producer half of the one-shot response channel (held by the queue/worker).
 ///
-/// Liveness guarantee: if the slot is dropped without being fulfilled (a
-/// request discarded at shutdown, a queue dropped mid-flight, a worker path
-/// that forgot to answer), `Drop` delivers [`ServeError::ShuttingDown`] —
-/// a caller blocked on the handle can never hang forever.
-pub(crate) struct ResponseSlot {
-    shared: Arc<Shared>,
-}
+/// Liveness guarantee: a slot dropped without being fulfilled (a request
+/// discarded at shutdown, a queue dropped mid-flight, a worker path that
+/// forgot to answer) disconnects the channel, which the handle reports as
+/// [`ServeError::ShuttingDown`] — a caller blocked on the handle can never
+/// hang forever.
+pub(crate) struct ResponseSlot(SyncSender<SlotResult>);
 
 impl ResponseSlot {
     pub(crate) fn fulfill(self, result: SlotResult) {
-        self.set(result);
-    }
-
-    /// First write wins; later writes (including the `Drop` fallback after
-    /// a normal `fulfill`) are no-ops.
-    fn set(&self, result: SlotResult) {
-        let mut guard = self.shared.result.lock().unwrap_or_else(|e| e.into_inner());
-        if guard.is_none() {
-            *guard = Some(result);
-            drop(guard);
-            self.shared.ready.notify_all();
-        }
-    }
-}
-
-impl Drop for ResponseSlot {
-    fn drop(&mut self) {
-        self.set(Err(ServeError::ShuttingDown));
+        // Fails only when the caller dropped its handle: nobody is waiting.
+        let _ = self.0.send(result);
     }
 }
 
 /// Consumer half: what the submitting client blocks on.
-pub struct ResponseHandle {
-    shared: Arc<Shared>,
-}
+pub struct ResponseHandle(Receiver<SlotResult>);
 
 impl ResponseHandle {
     /// Blocks until the worker delivers the outcome.
     pub fn wait(self) -> SlotResult {
-        let mut guard = self.shared.result.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(result) = guard.take() {
-                return result;
-            }
-            guard = self.shared.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
-        }
+        self.0.recv().unwrap_or(Err(ServeError::ShuttingDown))
     }
 
     /// Waits up to `timeout`; `None` means the result is not ready yet.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<SlotResult> {
-        let guard = self.shared.result.lock().unwrap_or_else(|e| e.into_inner());
-        let (mut guard, _) = self
-            .shared
-            .ready
-            .wait_timeout_while(guard, timeout, |r| r.is_none())
-            .unwrap_or_else(|e| e.into_inner());
-        guard.take()
+        match self.0.recv_timeout(timeout) {
+            Ok(result) => Some(result),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => Some(Err(ServeError::ShuttingDown)),
+        }
     }
 }
 
 pub(crate) fn response_channel() -> (ResponseSlot, ResponseHandle) {
-    let shared = Arc::new(Shared { result: Mutex::new(None), ready: Condvar::new() });
-    (ResponseSlot { shared: shared.clone() }, ResponseHandle { shared })
+    let (slot, handle) = sync_channel(1);
+    (ResponseSlot(slot), ResponseHandle(handle))
 }
 
 /// The service's answer to a submission attempt. `Overloaded` is the
@@ -195,5 +163,19 @@ mod tests {
             handle.wait_timeout(Duration::from_millis(100)),
             Some(Err(ServeError::DeadlineExceeded))
         );
+    }
+
+    #[test]
+    fn wait_timeout_sees_a_dropped_slot() {
+        let (slot, handle) = response_channel();
+        let h = std::thread::spawn(move || {
+            let start = std::time::Instant::now();
+            (handle.wait_timeout(Duration::from_secs(5)), start.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(10));
+        drop(slot); // never fulfilled
+        let (result, waited) = h.join().unwrap();
+        assert_eq!(result, Some(Err(ServeError::ShuttingDown)));
+        assert!(waited < Duration::from_secs(1), "a dropped slot took {waited:?} to surface");
     }
 }

@@ -42,6 +42,8 @@
 //! restarted service recovers its rules and rebuilds a compiled snapshot
 //! before admitting traffic.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod codec;
 pub mod crc;

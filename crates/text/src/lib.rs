@@ -7,6 +7,8 @@
 //! cosine and re-ranks with Rocchio; the §6 entity-matching rules use
 //! 3-gram Jaccard; §5.2 mining tokenizes titles with stop-word removal.
 
+#![forbid(unsafe_code)]
+
 pub mod ngram;
 pub mod rocchio;
 pub mod similarity;

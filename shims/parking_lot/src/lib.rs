@@ -5,6 +5,8 @@
 //! section leaves the data structurally valid even if a panic interrupts a
 //! higher-level invariant).
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::sync::PoisonError;
 

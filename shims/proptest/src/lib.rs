@@ -18,6 +18,8 @@
 //!   use (char classes with ranges and escapes, counted repetition,
 //!   literals), not full regex.
 
+#![forbid(unsafe_code)]
+
 pub mod arbitrary;
 pub mod collection;
 pub mod sample;

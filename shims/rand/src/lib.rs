@@ -6,6 +6,8 @@
 //! generator. Streams differ from upstream `rand`, but every consumer in
 //! rulekit only requires seed-determinism, not upstream-identical output.
 
+#![forbid(unsafe_code)]
+
 pub mod distributions;
 pub mod rngs;
 pub mod seq;

@@ -49,6 +49,8 @@
 //! assert_eq!(decision.type_id(), Some(item.truth));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use rulekit_chimera as chimera;
 pub use rulekit_core as core;
 pub use rulekit_crowd as crowd;
