@@ -138,6 +138,9 @@ pub fn per_rule_eval(
         let mut order: Vec<(u32, usize)> =
             item_rules.iter().map(|(&i, rs)| (i, rs.len())).collect();
         // Shuffle first so ties break randomly, then sort by overlap desc.
+        // The shuffle starts from item order, not the map's, so one seed
+        // gives one result.
+        order.sort_unstable();
         order.shuffle(&mut rng);
         order.sort_by_key(|&(_, overlap)| std::cmp::Reverse(overlap));
         for (idx, _) in order {
@@ -200,6 +203,8 @@ pub fn module_eval(
         }
     }
     let mut pool: Vec<(u32, bool)> = by_item.into_iter().collect();
+    // Item order, not the map's, so that one seed draws one sample.
+    pool.sort_unstable();
     pool.shuffle(&mut rng);
     pool.truncate(sample_size);
     let mut est = PrecisionEstimate::new();
@@ -319,6 +324,28 @@ mod tests {
         assert!(est.samples > 0 && est.samples <= 100);
         assert_eq!(tasks, est.samples);
         assert!(est.precision() > 0.5);
+    }
+
+    #[test]
+    fn module_eval_is_deterministic_for_a_seed() {
+        let (covs, items) = setup();
+        let runs: Vec<_> =
+            (0..2).map(|_| module_eval(&covs, &items, 100, &mut perfect_crowd(), 1)).collect();
+        assert_eq!(runs[0], runs[1]);
+        assert_eq!(runs[0].0.precision(), 0.65);
+    }
+
+    #[test]
+    fn per_rule_eval_is_deterministic_for_a_seed() {
+        let (covs, items) = setup();
+        for exploit_overlap in [false, true] {
+            let runs: Vec<_> = (0..2)
+                .map(|_| per_rule_eval(&covs, &items, 10, exploit_overlap, &mut perfect_crowd(), 9))
+                .collect();
+            assert_eq!(runs[0].estimates, runs[1].estimates, "exploit_overlap={exploit_overlap}");
+            assert_eq!(runs[0].tasks_used, runs[1].tasks_used);
+            assert_eq!(runs[0].unevaluated, runs[1].unevaluated);
+        }
     }
 
     #[test]

@@ -2,9 +2,11 @@
 //!
 //! The Pike VM answers `is_match` in `O(text × program)` with two thread
 //! lists and an `Rc` slot box allocated per call — fine for ad-hoc matching,
-//! ruinous when the literal-scan executor confirms ~100 candidate rules per
-//! title at 100k-rule scale. The lazy DFA converts the same NFA program into
-//! a deterministic automaton *one state at a time, as the input demands*:
+//! ruinous when the literal-scan executor confirms dozens of candidate rules
+//! per title at 100k-rule scale. Most rule patterns are literal sequences
+//! and confirm by substring search without any automaton ([`crate::seq`]);
+//! for every other pattern the lazy DFA converts the NFA program into a
+//! deterministic automaton *one state at a time, as the input demands*:
 //!
 //! * a **state** is the sorted epsilon-closure of NFA pcs (consuming
 //!   instructions, `Match`, and *pending* end-of-text assertions);
@@ -27,7 +29,7 @@
 //!   fall back `HOSTILE_FALLBACK_LIMIT` times *in a row* is marked hostile
 //!   and stops trying the DFA at all.
 //!
-//! A rule set holds tens of thousands of these, so what one costs is what
+//! A rule set may hold tens of thousands of these, so what one costs is what
 //! the server costs: static half plus warm cache come to ~2 KB for a
 //! rule-shaped pattern (`tests/dfa_alloc.rs` guards the figure), nothing
 //! is built before a regex's first search (see [`crate::Regex`]), and the

@@ -10,9 +10,12 @@
 //! worst-case linear in `text × program` — a hard requirement when a
 //! production system executes tens of thousands of analyst-written rules on
 //! every incoming item (SIGMOD'15 §4, "Rule Execution and Optimization").
-//! The boolean query rule execution asks, [`Regex::is_match`], runs on a
-//! [lazy DFA](crate::dfa) in front of the Pike VM; it is built by a regex's
-//! first search and sized so that a server can hold one per rule pattern.
+//! The boolean query rule execution asks, [`Regex::is_match`], needs no
+//! automaton at all when the pattern is a [literal sequence](crate::seq)
+//! (pieces of literal text joined by `.*`, the shape of nearly every rule
+//! pattern): a bounded substring search over the pieces answers it exactly.
+//! Every other pattern runs on a [lazy DFA](crate::dfa) in front of the
+//! Pike VM, built by the regex's first search.
 //!
 //! Beyond matching, the crate provides the two analyses the rule-management
 //! layers need:
@@ -53,6 +56,7 @@ pub mod literals;
 pub mod nfa;
 pub mod parser;
 pub mod pikevm;
+pub mod seq;
 
 pub use aho::AhoCorasick;
 pub use ast::{escape, Ast};
@@ -100,26 +104,43 @@ pub struct Options {
 
 /// A compiled regular expression.
 ///
-/// Cheap to clone (the compiled program is shared). A rule set holds tens of
-/// thousands of these, so a regex keeps only what matching and the rule
-/// index read: its text, one flat program and its DFA cell. The AST is
-/// dropped once compiled.
+/// Cheap to clone (the compiled engines are shared). A rule set holds tens
+/// of thousands of these, so a regex keeps only what matching and the rule
+/// index read: its text and the cells its engines are built into. The AST
+/// is dropped once analysed.
 #[derive(Clone)]
 pub struct Regex {
     /// The pattern, followed by its required-literal CNF as
-    /// [`literals::pack`] writes it.
+    /// [`literals::pack`] writes it, then its literal sequence as
+    /// [`seq`] packs it, when it is one.
     text: Arc<str>,
     /// Byte length of the pattern at the front of `text`.
     pattern_len: u32,
-    program: Arc<Program>,
-    /// Lazy DFA for the boolean confirmation path, built by the first
-    /// [`Regex::is_match`]: a regex that is parsed but never searched (a
-    /// replica's rule, a disabled rule, a store being replayed) holds only
-    /// this empty cell. `None` inside when the program is too large or its
-    /// alphabet too fragmented (see [`dfa`]). Shared by clones so the
-    /// memoized state cache warms once per pattern.
-    dfa: Arc<OnceLock<Option<Box<dfa::LazyDfa>>>>,
+    /// Where the literal CNF ends in `text` (and the literal sequence
+    /// starts).
+    cnf_end: u32,
+    /// Capturing groups, counted on the AST (the program may not exist).
+    captures: u32,
+    /// Whether `text` ends with a packed literal sequence.
+    literal_sequence: bool,
     options: Options,
+    engines: Arc<Engines>,
+}
+
+/// The engines clones of a regex share, each in a cell filled on first
+/// need.
+struct Engines {
+    /// The NFA program. Filled at construction unless the pattern is a
+    /// literal sequence, whose `is_match` needs none; `find`, `captures`
+    /// and [`Regex::try_match_dfa`] then compile it from the pattern.
+    program: OnceLock<Arc<Program>>,
+    /// Lazy DFA for the boolean confirmation path of a pattern that is not
+    /// a literal sequence, built by the first [`Regex::is_match`]: a regex
+    /// that is parsed but never searched holds only this empty cell. `None`
+    /// inside when the program is too large or its alphabet too fragmented
+    /// (see [`dfa`]). Shared by clones so the memoized state cache warms
+    /// once per pattern.
+    dfa: OnceLock<Option<Box<dfa::LazyDfa>>>,
 }
 
 impl Regex {
@@ -138,21 +159,42 @@ impl Regex {
     pub fn with_options(pattern: &str, options: Options) -> Result<Regex, Error> {
         let pattern_len = u32::try_from(pattern.len()).map_err(|_| Error::TooLarge)?;
         let ast = parser::parse(pattern)?;
-        let program =
-            nfa::compile(&ast, CompileOptions { case_insensitive: options.case_insensitive })?;
+        let ci = options.case_insensitive;
         let mut text = String::from(pattern);
-        literals::pack(&literal_cnf(&ast, options.case_insensitive), &mut text);
+        literals::pack(&literal_cnf(&ast, ci), &mut text);
+        let cnf_end = u32::try_from(text.len()).map_err(|_| Error::TooLarge)?;
+        let literal_sequence = seq::pack(&ast, ci, &mut text);
+        // A deferred program must be one that compiles: past the size cap
+        // the error is reported here, as for any other pattern.
+        let program = if literal_sequence && nfa::program_len(&ast) <= nfa::MAX_PROGRAM {
+            OnceLock::new()
+        } else {
+            OnceLock::from(Arc::new(nfa::compile(&ast, CompileOptions { case_insensitive: ci })?))
+        };
         Ok(Regex {
             text: Arc::from(text),
             pattern_len,
-            program: Arc::new(program),
-            dfa: Arc::default(),
+            cnf_end,
+            captures: ast.capture_count(),
+            literal_sequence,
             options,
+            engines: Arc::new(Engines { program, dfa: OnceLock::new() }),
+        })
+    }
+
+    fn program(&self) -> &Arc<Program> {
+        self.engines.program.get_or_init(|| {
+            let ast = parser::parse(self.pattern()).expect("the pattern parsed when compiled");
+            let options = CompileOptions { case_insensitive: self.options.case_insensitive };
+            Arc::new(nfa::compile(&ast, options).expect("program size checked when compiled"))
         })
     }
 
     fn dfa(&self) -> Option<&dfa::LazyDfa> {
-        self.dfa.get_or_init(|| dfa::LazyDfa::new(self.program.clone()).map(Box::new)).as_deref()
+        self.engines
+            .dfa
+            .get_or_init(|| dfa::LazyDfa::new(self.program().clone()).map(Box::new))
+            .as_deref()
     }
 
     /// The source pattern.
@@ -167,43 +209,70 @@ impl Regex {
 
     /// Number of capturing groups (excluding the implicit whole-match group).
     pub fn capture_count(&self) -> u32 {
-        self.program.captures
+        self.captures
     }
 
     /// Whether the pattern matches anywhere in `text`.
     ///
-    /// Runs on the lazy DFA (built on the first call; memoized subset
-    /// construction, allocation-free once warm) and falls back to the Pike
-    /// VM when the DFA is unavailable or its bounded state cache thrashes.
-    /// Capture extraction ([`Regex::find`], [`Regex::captures`]) always uses
-    /// the Pike VM.
+    /// A literal sequence answers by substring search over its pieces (see
+    /// [`seq`]). Any other pattern runs on the lazy DFA (built on the first
+    /// call; memoized subset construction, allocation-free once warm) and
+    /// falls back to the Pike VM when the DFA is unavailable or its bounded
+    /// state cache thrashes. Capture extraction ([`Regex::find`],
+    /// [`Regex::captures`]) always uses the Pike VM.
     pub fn is_match(&self, text: &str) -> bool {
+        if self.literal_sequence {
+            let packed = &self.text.as_bytes()[self.cnf_end as usize..];
+            return seq::is_match(packed, self.options.case_insensitive, text);
+        }
         if let Some(verdict) = self.try_match_dfa(text) {
             return verdict;
         }
-        pikevm::exec(&self.program, text, 0, true).is_some()
+        pikevm::exec(self.program(), text, 0, true).is_some()
     }
 
-    /// The DFA's answer alone, bypassing the Pike VM fallback: `None` when
-    /// this pattern has no DFA or the search gave up. Exposed for the
-    /// differential test suites; production code wants [`Regex::is_match`].
+    /// The DFA's answer alone, bypassing the literal-sequence search and the
+    /// Pike VM fallback: `None` when this pattern has no DFA or the search
+    /// gave up. Builds the program and the DFA if they are not built yet.
+    /// Exposed for the differential test suites; production code wants
+    /// [`Regex::is_match`].
     #[doc(hidden)]
     pub fn try_match_dfa(&self, text: &str) -> Option<bool> {
         self.dfa()?.is_match(text)
     }
 
+    /// Whether `is_match` answers by substring search, with no program or
+    /// DFA. Probe for the literal-sequence tests.
+    #[doc(hidden)]
+    pub fn is_literal_sequence(&self) -> bool {
+        self.literal_sequence
+    }
+
+    /// Whether the NFA program has been compiled.
+    #[doc(hidden)]
+    pub fn has_program(&self) -> bool {
+        self.engines.program.get().is_some()
+    }
+
+    /// Whether the lazy DFA has been built (or found unavailable).
+    #[doc(hidden)]
+    pub fn has_dfa(&self) -> bool {
+        self.engines.dfa.get().is_some()
+    }
+
     /// Whether `other` is a clone of this regex (or this one of it): the two
-    /// share one DFA and one warm state cache. Probe for the memo tests.
+    /// share one set of engines and one warm state cache. Probe for the memo
+    /// tests.
     #[doc(hidden)]
     pub fn shares_dfa_with(&self, other: &Regex) -> bool {
-        Arc::ptr_eq(&self.dfa, &other.dfa)
+        Arc::ptr_eq(&self.engines, &other.engines)
     }
 
     /// Whether no clone of this regex is alive — a compile memo holding the
     /// only handle may forget it.
     #[doc(hidden)]
     pub fn is_unique(&self) -> bool {
-        Arc::strong_count(&self.dfa) == 1
+        Arc::strong_count(&self.engines) == 1
     }
 
     /// Leftmost-first match, if any.
@@ -217,7 +286,7 @@ impl Regex {
     /// Panics if `start` is not a char boundary of `text`.
     pub fn find_at<'t>(&self, text: &'t str, start: usize) -> Option<Match<'t>> {
         assert!(text.is_char_boundary(start), "start must lie on a char boundary");
-        let slots = pikevm::exec(&self.program, text, start, false)?;
+        let slots = pikevm::exec(self.program(), text, start, false)?;
         Some(Match {
             text,
             start: slots[0].expect("slot 0 set on match"),
@@ -238,14 +307,14 @@ impl Regex {
     /// Like [`Regex::captures`], starting at byte offset `start`.
     pub fn captures_at<'t>(&self, text: &'t str, start: usize) -> Option<Captures<'t>> {
         assert!(text.is_char_boundary(start), "start must lie on a char boundary");
-        let slots = pikevm::exec(&self.program, text, start, false)?;
+        let slots = pikevm::exec(self.program(), text, start, false)?;
         Some(Captures { text, slots })
     }
 
     /// Required-literal CNF for indexing (see [`literals`]), derived when
     /// the regex was compiled.
     pub fn required_literals(&self) -> Vec<Disjunction> {
-        literals::unpack(&self.text[self.pattern_len as usize..])
+        literals::unpack(&self.text[self.pattern_len as usize..self.cnf_end as usize])
     }
 }
 

@@ -6,7 +6,7 @@ use crate::Error;
 
 /// Hard cap on compiled program size, guarding against pathological counted
 /// repetition blow-up (`(a{900}){900}` style).
-const MAX_PROGRAM: usize = 1 << 18;
+pub(crate) const MAX_PROGRAM: usize = 1 << 18;
 
 /// Distinct range sets the compiler searches before storing a new one. Rule
 /// patterns test a few dozen at most; the cap keeps a pattern with
@@ -113,6 +113,38 @@ pub fn compile(ast: &Ast, opts: CompileOptions) -> Result<Program, Error> {
         captures,
         anchored_start,
     })
+}
+
+/// Number of instructions [`compile`] emits for `ast` (saturating): a
+/// caller that defers compiling learns now whether it would fail with
+/// [`Error::TooLarge`], which it does exactly when this exceeds
+/// [`MAX_PROGRAM`].
+pub(crate) fn program_len(ast: &Ast) -> usize {
+    fn len(ast: &Ast) -> usize {
+        match ast {
+            Ast::Empty => 0,
+            Ast::Literal(_) | Ast::AnyChar | Ast::Class(_) | Ast::StartAnchor | Ast::EndAnchor => 1,
+            Ast::Group { index, inner } => {
+                len(inner).saturating_add(2 * usize::from(index.is_some()))
+            }
+            Ast::Concat(parts) => parts.iter().fold(0, |n, p| n.saturating_add(len(p))),
+            Ast::Alternate(arms) => arms
+                .iter()
+                .fold(2 * (arms.len().saturating_sub(1)), |n, a| n.saturating_add(len(a))),
+            Ast::Repeat { inner, min, max, .. } => {
+                let (body, min) = (len(inner), *min as usize);
+                match max {
+                    None if min == 0 => body.saturating_add(2),
+                    None => body.saturating_mul(min).saturating_add(1),
+                    Some(max) => body.saturating_mul(min).saturating_add(
+                        (*max as usize).saturating_sub(min).saturating_mul(body.saturating_add(1)),
+                    ),
+                }
+            }
+        }
+    }
+    // Save(0), Save(1), Match.
+    len(ast).saturating_add(3)
 }
 
 /// Whether every path through `ast` begins with `^`.
@@ -459,6 +491,26 @@ mod tests {
         assert_eq!(p.ranges.len(), 201);
         let text = format!("x{chars}{first}{last}");
         assert!(crate::pikevm::exec(&p, &text, 0, true).is_some());
+    }
+
+    #[test]
+    fn program_len_counts_what_compile_emits() {
+        for pattern in [
+            "",
+            "ab",
+            "(a)(b)?",
+            "a|bc|(d|)",
+            "x.*y.*?z",
+            "a+b*?c{3}d{2,}e{0,2}f{1,3}g{0}",
+            "((?:){0,2}){0,2}",
+            "^[a-c]$",
+            "(motor|engine) oils?",
+        ] {
+            let ast = parse(pattern).unwrap();
+            let emitted = compile(&ast, CompileOptions::default()).unwrap().insts.len();
+            assert_eq!(program_len(&ast), emitted, "{pattern:?}");
+        }
+        assert!(program_len(&parse("(?:a{900}){900}").unwrap()) > MAX_PROGRAM);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! of repeat searches. Any future change that sneaks a per-search
 //! allocation into the DFA path (or silently diverts these patterns to the
 //! Pike VM) fails here, not in a profile.
+//!
+//! Four of the five patterns are literal sequences, whose `is_match` never
+//! reaches the DFA; the DFA guards search through `try_match_dfa`, and one
+//! more guard pins the literal-sequence path: allocation-free, and building
+//! neither a program nor a DFA.
 
 mod common;
 
@@ -15,7 +20,7 @@ use std::sync::{Arc, Barrier};
 
 use common::tally;
 use rulekit_regex::nfa::{self, CompileOptions};
-use rulekit_regex::{literals, parser, Regex};
+use rulekit_regex::{literals, parser, seq, Regex};
 
 /// Rule-shaped patterns: the qualifier.*head idiom, alternation groups,
 /// optional plurals, a dictionary-ish disjunction, and anchors.
@@ -43,12 +48,20 @@ fn compile_all() -> Vec<Regex> {
     PATTERNS.iter().map(|p| Regex::case_insensitive(p).expect(p)).collect()
 }
 
+/// Compiles the programs literal sequences defer (a first `find` does), so
+/// that what warming is billed for is the DFA alone.
+fn compile_programs(regexes: &[Regex]) {
+    for re in regexes {
+        std::hint::black_box(re.find(""));
+    }
+}
+
 /// Populates every DFA state this workload can touch, and lets each regex's
 /// cache pool settle (the first search allocates its cache).
 fn warm(regexes: &[Regex]) {
     for re in regexes {
         for t in &TITLES {
-            std::hint::black_box(re.is_match(t));
+            std::hint::black_box(re.try_match_dfa(t));
         }
         assert!(
             re.try_match_dfa(TITLES[0]).is_some(),
@@ -66,12 +79,34 @@ fn warm_dfa_searches_are_allocation_free() {
         for _ in 0..2_000 {
             for re in &regexes {
                 for t in &TITLES {
-                    std::hint::black_box(re.is_match(std::hint::black_box(t)));
+                    std::hint::black_box(re.try_match_dfa(std::hint::black_box(t)));
                 }
             }
         }
     });
     assert_eq!(tally.allocs, 0, "warm DFA searches allocated {} times", tally.allocs);
+}
+
+/// A literal sequence answers `is_match` by substring search: from the first
+/// call on it allocates nothing, and it never builds a program or a DFA.
+#[test]
+fn literal_sequence_searches_allocate_nothing_and_build_no_engine() {
+    let regexes: Vec<Regex> =
+        compile_all().into_iter().filter(Regex::is_literal_sequence).collect();
+    assert_eq!(regexes.len(), 4, "every pattern here but the anchored one is a literal sequence");
+    let (tally, ()) = tally(|| {
+        for _ in 0..500 {
+            for re in &regexes {
+                for t in &TITLES {
+                    std::hint::black_box(re.is_match(std::hint::black_box(t)));
+                }
+            }
+        }
+    });
+    assert_eq!(tally.allocs, 0, "literal-sequence searches allocated {} times", tally.allocs);
+    for re in &regexes {
+        assert!(!re.has_program() && !re.has_dfa(), "{:?} built an engine", re.pattern());
+    }
 }
 
 /// Footprint guard: at rule-set scale the per-regex cost *is* the server's
@@ -104,25 +139,28 @@ fn size_scratch() {
 
 #[test]
 fn dfa_footprint_stays_small_and_cold_regexes_have_none() {
-    /// `Arc<OnceLock<Option<Box<LazyDfa>>>>` (two counts and the cell, 32 B)
-    /// plus the handle's own extra fields in the vector that holds it.
+    /// The shared `Arc<Engines>` (two counts and the program and DFA cells,
+    /// 48 B) plus the handle's own extra fields in the vector that holds it.
     const COLD_CELL_LIMIT: i64 = 64;
 
     size_scratch();
 
     let n = PATTERNS.len() as i64;
-    // What a regex needs anyway: pattern text with its packed literal CNF,
-    // and NFA program (the AST is dropped once compiled).
+    // What a regex needs anyway: pattern text with its packed literal CNF
+    // and literal sequence, and the NFA program of a pattern that is not a
+    // literal sequence (the AST is dropped once compiled).
     let asts: Vec<_> = PATTERNS.iter().map(|p| parser::parse(p).unwrap()).collect();
     let (parts, _keep) = tally(|| {
         PATTERNS
             .iter()
             .zip(&asts)
             .map(|(p, ast)| {
-                let program = nfa::compile(ast, CompileOptions { case_insensitive: true }).unwrap();
                 let mut text = p.to_string();
                 literals::pack(&literals::literal_cnf(ast, true), &mut text);
-                (Arc::<str>::from(text), Arc::new(program))
+                let program = (!seq::pack(ast, true, &mut text)).then(|| {
+                    Arc::new(nfa::compile(ast, CompileOptions { case_insensitive: true }).unwrap())
+                });
+                (Arc::<str>::from(text), program)
             })
             .collect::<Vec<_>>()
     });
@@ -132,6 +170,8 @@ fn dfa_footprint_stays_small_and_cold_regexes_have_none() {
         (0..=COLD_CELL_LIMIT).contains(&cell),
         "a cold regex holds {cell} B beyond its text and program"
     );
+    assert!(regexes.iter().all(|re| !re.has_dfa()));
+    compile_programs(&regexes);
 
     let (warmed, ()) = tally(|| warm(&regexes));
     let per_regex = warmed.live_bytes / n;
@@ -152,6 +192,7 @@ fn dfa_footprint_stays_small_and_cold_regexes_have_none() {
 fn concurrent_warming_keeps_one_cache_per_pattern() {
     const THREADS: usize = 4;
     let regexes = compile_all();
+    compile_programs(&regexes);
     let barrier = Barrier::new(THREADS);
     // Each thread counts what it allocates and frees; the sum is what the
     // warming left behind, wherever it was allocated.

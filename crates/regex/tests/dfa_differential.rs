@@ -77,8 +77,8 @@ fn check(re: &Regex, text: &str) -> Result<(), TestCaseError> {
             text
         );
     }
-    // The public entry point routes through the DFA and must land on the
-    // same verdict regardless of which engine answered.
+    // The public entry point routes through the literal-sequence search or
+    // the DFA and must land on the same verdict whichever answered.
     prop_assert_eq!(
         re.is_match(text),
         vm,

@@ -1,120 +1,16 @@
 //! Property-based tests for the regex engine.
 //!
-//! The central oracle is a naive backtracking matcher defined here over the
-//! same AST; the Pike VM must agree with it on `is_match` for arbitrary
-//! generated patterns and texts. Further properties pin down literal-CNF
-//! soundness, containment soundness, and `find_iter` invariants.
+//! The central oracle is a naive backtracking matcher over the same AST
+//! (`tests/oracle/`); the Pike VM must agree with it on `is_match` for
+//! arbitrary generated patterns and texts. Further properties pin down
+//! literal-CNF soundness, containment soundness, and `find_iter` invariants.
 
+mod oracle;
+
+use oracle::oracle_is_match;
 use proptest::prelude::*;
 use rulekit_regex::ast::{Ast, ClassSet};
 use rulekit_regex::{escape, parser, touch_subset, Containment, Regex};
-use std::collections::BTreeSet;
-
-// ---------------------------------------------------------------------------
-// Oracle: naive backtracking matcher.
-// ---------------------------------------------------------------------------
-
-/// All end positions (char indices) of matches of `ast` starting at `pos`.
-fn match_ends(ast: &Ast, text: &[char], pos: usize) -> BTreeSet<usize> {
-    match ast {
-        Ast::Empty => [pos].into(),
-        Ast::Literal(c) => {
-            if text.get(pos) == Some(c) {
-                [pos + 1].into()
-            } else {
-                BTreeSet::new()
-            }
-        }
-        Ast::AnyChar => {
-            if pos < text.len() && text[pos] != '\n' {
-                [pos + 1].into()
-            } else {
-                BTreeSet::new()
-            }
-        }
-        Ast::Class(set) => {
-            let mut canon = set.clone();
-            canon.canonicalize();
-            if pos < text.len() && canon.contains(text[pos]) {
-                [pos + 1].into()
-            } else {
-                BTreeSet::new()
-            }
-        }
-        Ast::StartAnchor => {
-            if pos == 0 {
-                [pos].into()
-            } else {
-                BTreeSet::new()
-            }
-        }
-        Ast::EndAnchor => {
-            if pos == text.len() {
-                [pos].into()
-            } else {
-                BTreeSet::new()
-            }
-        }
-        Ast::Group { inner, .. } => match_ends(inner, text, pos),
-        Ast::Concat(parts) => {
-            let mut current: BTreeSet<usize> = [pos].into();
-            for part in parts {
-                let mut next = BTreeSet::new();
-                for &p in &current {
-                    next.extend(match_ends(part, text, p));
-                }
-                if next.is_empty() {
-                    return next;
-                }
-                current = next;
-            }
-            current
-        }
-        Ast::Alternate(arms) => {
-            let mut out = BTreeSet::new();
-            for arm in arms {
-                out.extend(match_ends(arm, text, pos));
-            }
-            out
-        }
-        Ast::Repeat { inner, min, max, .. } => {
-            let mut current: BTreeSet<usize> = [pos].into();
-            let mut out = BTreeSet::new();
-            let cap = max.map_or(text.len() as u32 + 1, |m| m).max(*min);
-            for i in 0..=cap {
-                if i >= *min {
-                    out.extend(current.iter().copied());
-                }
-                let mut next = BTreeSet::new();
-                for &p in &current {
-                    next.extend(match_ends(inner, text, p));
-                }
-                if next.is_subset(&current)
-                    && next.iter().all(|p| current.contains(p))
-                    && next == current
-                {
-                    // Fixed point (empty-width loop): no new positions.
-                    if i >= *min {
-                        break;
-                    }
-                }
-                if next.is_empty() {
-                    if i < *min {
-                        return out; // can't reach min; out only has >=min entries
-                    }
-                    break;
-                }
-                current = next;
-            }
-            out
-        }
-    }
-}
-
-fn oracle_is_match(ast: &Ast, text: &str) -> bool {
-    let chars: Vec<char> = text.chars().collect();
-    (0..=chars.len()).any(|i| !match_ends(ast, &chars, i).is_empty())
-}
 
 // ---------------------------------------------------------------------------
 // Pattern generator.
@@ -164,7 +60,7 @@ proptest! {
             // Display must always produce a parseable pattern.
             panic!("display produced unparseable pattern: {pattern:?}");
         };
-        let expected = oracle_is_match(&parser::parse(&pattern).unwrap(), &text);
+        let expected = oracle_is_match(&parser::parse(&pattern).unwrap(), &text, false);
         prop_assert_eq!(re.is_match(&text), expected, "pattern={:?} text={:?}", pattern, text);
     }
 
