@@ -14,59 +14,12 @@
 use rulekit_chimera::{Chimera, ChimeraConfig, PipelineSnapshot};
 use rulekit_core::Admission;
 use rulekit_data::Taxonomy;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-thread_local! {
-    /// `Some((allocations, frees))` while counting on this thread;
-    /// thread-local so the test harness's own allocations never count.
-    static COUNTS: Cell<Option<(u64, u64)>> = const { Cell::new(None) };
-}
-
-struct CountingAlloc;
-
-fn count(alloc: u64, free: u64) {
-    COUNTS.with(|c| {
-        if let Some((a, f)) = c.get() {
-            c.set(Some((a + alloc, f + free)));
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(1, 0);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(0, 1);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(1, 0);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count(1, 0);
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Runs `f` with counting on and returns its result plus the heap
-/// `(allocations, frees)` it performed on this thread.
-fn counted<T>(f: impl FnOnce() -> T) -> (T, (u64, u64)) {
-    COUNTS.with(|c| c.set(Some((0, 0))));
-    let out = f();
-    (out, COUNTS.with(|c| c.replace(None)).expect("counter armed"))
-}
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::tally;
 
 /// `n` distinct synthetic rules over the built-in taxonomy's qualifier ×
 /// head vocabulary: the literal set grows much more slowly than the rules.
@@ -122,13 +75,13 @@ fn rebuild_after_one_add(n: usize) -> Rebuild {
     }
     let before = chimera.snapshot();
     chimera.add_rules("zzqxedit1s? -> rings").expect("edit parses");
-    let (after, (build_allocs, _)) = counted(|| chimera.snapshot());
-    let ((), (_, drop_frees)) = counted(|| drop(before));
+    let (build, after) = tally(|| chimera.snapshot());
+    let (dropped, ()) = tally(|| drop(before));
     Rebuild {
         rules: after.rule_count(),
         literals: distinct_literals(&after),
-        build_allocs,
-        drop_frees,
+        build_allocs: build.allocs,
+        drop_frees: dropped.frees,
     }
 }
 

@@ -44,7 +44,6 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
-use std::str::FromStr;
 use std::sync::{Arc, OnceLock};
 
 /// How the literal index admits a rule as a candidate.
@@ -411,18 +410,6 @@ impl fmt::Display for ExecutorKind {
             ExecutorKind::Naive => "naive",
             ExecutorKind::LiteralScan => "literal-scan",
         })
-    }
-}
-
-impl FromStr for ExecutorKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "naive" => Ok(ExecutorKind::Naive),
-            "literal-scan" | "literal" | "aho" => Ok(ExecutorKind::LiteralScan),
-            other => Err(format!("unknown executor kind {other:?}")),
-        }
     }
 }
 
@@ -994,7 +981,6 @@ mod tests {
         let p = product("diamond ring", &[]);
         let mut fired: Vec<Vec<RuleId>> = Vec::new();
         for kind in [ExecutorKind::Naive, ExecutorKind::LiteralScan] {
-            assert_eq!(kind.to_string().parse::<ExecutorKind>().unwrap(), kind);
             let executor = kind.build(rs.clone());
             assert_eq!(executor.rule_count(), rs.len());
             let mut ids = executor.matching_rules(&p);
@@ -1003,7 +989,6 @@ mod tests {
         }
         assert_eq!(fired[0], fired[1]);
         assert_eq!(ExecutorKind::default(), ExecutorKind::LiteralScan);
-        assert!("warp-drive".parse::<ExecutorKind>().is_err());
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! ([`InferenceEngine`]) that runs its rules on that same engine, one
 //! condition evaluator (the expression VM every condition compiles to), an
 //! allocation-free prepared-product match path, one scoped-thread batch
-//! fan-out ([`map_chunks`]), a data-side index for rule development, and
-//! mechanical audits of rule-system properties (order independence).
+//! fan-out ([`map_chunks`]), one lifecycle for the serving stack's
+//! long-lived threads and accept loops ([`Threads`]: named threads, one stop
+//! flag, wake-ups, join on drop), a data-side index for rule development,
+//! and mechanical audits of rule-system properties (order independence).
 //!
 //! This crate is the direct reproduction of §3.3's rule machinery and §4's
 //! "rule languages / system properties / execution and optimization"
@@ -29,6 +31,7 @@ pub mod prepared;
 pub mod properties;
 pub mod repository;
 pub mod rule;
+pub mod threads;
 
 pub use aggregate::{AggregateStore, QuantileSketch, RatioSeries};
 pub use batch::map_chunks;
@@ -50,3 +53,4 @@ pub use rule::{
     CompareOp, Condition, Dictionary, InferFact, Provenance, Rule, RuleAction, RuleId, RuleMeta,
     RuleStatus,
 };
+pub use threads::{Threads, ThreadsHandle};

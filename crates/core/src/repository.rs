@@ -29,6 +29,7 @@ use crate::rule::{Rule, RuleAction, RuleId, RuleMeta, RuleStatus};
 use parking_lot::RwLock;
 use rulekit_data::TypeId;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// One rule as the repository holds it: the rule and its compiled form,
@@ -72,6 +73,9 @@ pub struct RuleRepository {
     /// blockers (the serving layer's snapshot refresher).
     changes: std::sync::Mutex<u64>,
     changed: std::sync::Condvar,
+    /// A pending [`RuleRepository::wake_waiter`]; read and written under
+    /// the `changes` lock.
+    wake: AtomicBool,
 }
 
 impl Default for RuleRepository {
@@ -85,6 +89,7 @@ impl Default for RuleRepository {
             }),
             changes: std::sync::Mutex::new(0),
             changed: std::sync::Condvar::new(),
+            wake: AtomicBool::new(false),
         }
     }
 }
@@ -127,14 +132,15 @@ impl RuleRepository {
         *self.lock_changes()
     }
 
-    /// Blocks until the change signal exceeds `last_seen` or `timeout`
-    /// elapses; returns the signal either way. This is the rebuild hook for
-    /// the serving layer: a refresher sleeps here instead of polling.
+    /// Blocks until the change signal exceeds `last_seen`, `timeout`
+    /// elapses or [`RuleRepository::wake_waiter`] ends the wait; returns the
+    /// signal either way. This is the rebuild hook for the serving layer: a
+    /// refresher sleeps here instead of polling.
     pub fn wait_for_change(&self, last_seen: u64, timeout: std::time::Duration) -> u64 {
         let deadline = std::time::Instant::now() + timeout;
         let mut changes = self.lock_changes();
         loop {
-            if *changes > last_seen {
+            if self.wake.swap(false, Ordering::Relaxed) || *changes > last_seen {
                 return *changes;
             }
             let now = std::time::Instant::now();
@@ -147,6 +153,15 @@ impl RuleRepository {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             changes = guard;
         }
+    }
+
+    /// Ends the current (or else the next) [`RuleRepository::wait_for_change`]
+    /// early: a one-shot permit, like `Thread::unpark`.
+    pub fn wake_waiter(&self) {
+        let changes = self.lock_changes();
+        self.wake.store(true, Ordering::Relaxed);
+        drop(changes);
+        self.changed.notify_all();
     }
 
     /// Adds a parsed rule with the given metadata template; returns its id.
@@ -572,6 +587,27 @@ mod tests {
             });
             let seen = repo.wait_for_change(before, Duration::from_secs(5));
             assert!(seen > before, "watcher saw change {seen} <= {before}");
+        });
+    }
+
+    #[test]
+    fn a_wake_ends_the_current_or_the_next_wait_once() {
+        use std::time::{Duration, Instant};
+        let (repo, _, _) = repo_with(&["rings? -> rings"]);
+        let before = repo.changes();
+        // Before the wait: the next wait returns at once, and only that one.
+        repo.wake_waiter();
+        let start = Instant::now();
+        assert_eq!(repo.wait_for_change(before, Duration::from_secs(30)), before);
+        assert!(start.elapsed() < Duration::from_secs(5), "the pending wake was lost");
+        assert_eq!(repo.wait_for_change(before, Duration::from_millis(20)), before);
+        assert!(start.elapsed() >= Duration::from_millis(20), "the wake ended two waits");
+        // During the wait: a blocked waiter returns.
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| repo.wait_for_change(before, Duration::from_secs(30)));
+            std::thread::sleep(Duration::from_millis(20));
+            repo.wake_waiter();
+            assert_eq!(waiter.join().unwrap(), before);
         });
     }
 

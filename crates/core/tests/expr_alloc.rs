@@ -12,64 +12,19 @@
 //! differential and fuzz suites but excluded here: they delegate to the
 //! Pike-VM engine, which owns its own thread-list allocations.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::sync::Arc;
 
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::tally;
 use rulekit_core::expr::compile;
 use rulekit_core::{CompareOp, Condition, Dictionary, ExecContext, PreparedProduct};
 use rulekit_data::{Product, VendorId};
 
-thread_local! {
-    /// `Some(n)` while counting on this thread; allocator bookkeeping is
-    /// thread-local so the harness and other tests never pollute the count.
-    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-struct CountingAlloc;
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| {
-            if let Some(n) = c.get() {
-                c.set(Some(n + 1));
-            }
-        });
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| {
-            if let Some(n) = c.get() {
-                c.set(Some(n + 1));
-            }
-        });
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| {
-            if let Some(n) = c.get() {
-                c.set(Some(n + 1));
-            }
-        });
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
 /// Runs `f` with allocation counting enabled and returns how many heap
 /// allocations it performed on this thread.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.with(|c| c.set(Some(0)));
-    f();
-    ALLOCS.with(|c| c.replace(None)).expect("counter armed")
+    tally(f).0.allocs
 }
 
 fn product(title: &str, attrs: &[(&str, &str)], vendor: u32) -> Product {

@@ -7,6 +7,7 @@ use crate::rules::RuleMatcher;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use rulekit_core::map_chunks;
 use rulekit_data::{GeneratedItem, Product};
 use std::collections::HashSet;
 
@@ -126,7 +127,7 @@ impl MatchReport {
 }
 
 /// Runs `matcher` over the corpus with the given blocking keys, scoring on
-/// `threads` workers.
+/// up to `threads` workers ([`map_chunks`]).
 pub fn run_matcher(
     corpus: &DedupCorpus,
     matcher: &RuleMatcher,
@@ -134,28 +135,14 @@ pub fn run_matcher(
     threads: usize,
 ) -> MatchReport {
     let pairs = multi_pass_pairs(&corpus.records, blocking);
-    let threads = threads.max(1);
-    let chunk = pairs.len().div_ceil(threads).max(1);
-    let mut predicted_pairs: Vec<(u32, u32)> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    slice
-                        .iter()
-                        .filter(|&&(i, j)| {
-                            matcher
-                                .matches(&corpus.records[i as usize], &corpus.records[j as usize])
-                        })
-                        .copied()
-                        .collect::<Vec<_>>()
-                })
+    let predicted_pairs = map_chunks(&pairs, threads, |chunk| {
+        chunk
+            .iter()
+            .filter(|&&(i, j)| {
+                matcher.matches(&corpus.records[i as usize], &corpus.records[j as usize])
             })
-            .collect();
-        for h in handles {
-            predicted_pairs.extend(h.join().expect("matcher worker panicked"));
-        }
+            .copied()
+            .collect()
     });
 
     let true_positives = predicted_pairs.iter().filter(|p| corpus.truth.contains(p)).count();

@@ -10,58 +10,16 @@
 //! fails here, not in a profile.
 
 mod common;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use counting_alloc::tally;
 use rulekit_learn::{default_ensemble, Classifier, Knn};
-
-thread_local! {
-    /// `Some(n)` while counting on this thread; thread-local so the test
-    /// harness's own allocations never pollute the count.
-    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
-}
-
-struct CountingAlloc;
-
-fn count_one() {
-    ALLOCS.with(|c| {
-        if let Some(n) = c.get() {
-            c.set(Some(n + 1));
-        }
-    });
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        System.alloc_zeroed(layout)
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Runs `f` with allocation counting enabled and returns how many heap
 /// allocations it performed on this thread.
 fn count_allocs(f: impl FnOnce()) -> u64 {
-    ALLOCS.with(|c| c.set(Some(0)));
-    f();
-    ALLOCS.with(|c| c.replace(None)).expect("counter armed")
+    tally(f).0.allocs
 }
 
 /// The most allocations any one warm prediction over `bags` makes.

@@ -29,7 +29,8 @@
 //!   timeouts;
 //! * **Threaded server** ([`server`]): one acceptor feeding a fixed handler
 //!   pool through a bounded queue — past capacity, connections get a canned
-//!   503 at the socket edge;
+//!   503 at the socket edge; the acceptor and handlers are one
+//!   [`rulekit_core::Threads`] group, joined on drop;
 //! * **Graceful drain** ([`NetServer::shutdown`]): stop accepting → flush
 //!   in-flight requests → shed whatever the serving tier still queues;
 //! * **Observability** ([`metrics`]): acceptor connection gauge, per-route

@@ -20,13 +20,12 @@ use crate::handler::{dispatch, draining_response};
 use crate::http::{parse_request, HttpError, HttpLimits, Method, ParseOutcome, Response};
 use crate::metrics::NetMetrics;
 use crate::wire::error_json;
+use rulekit_core::{Threads, ThreadsHandle};
 use rulekit_obs::Registry;
 use rulekit_serve::BoundedQueue;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Accepted connections waiting for a free handler; beyond this the
@@ -58,11 +57,11 @@ impl Default for NetConfig {
     }
 }
 
-/// Shared server state (app + telemetry + shutdown flag).
+/// Shared server state (app + telemetry + the threads' stop flag).
 pub(crate) struct ServerState {
     pub(crate) app: RuleApp,
     pub(crate) metrics: NetMetrics,
-    pub(crate) shutdown: AtomicBool,
+    threads: ThreadsHandle,
     /// `(changes, hash)` of the last catalog hash computed for `/health`.
     /// The hash walks every rule, so recompute only when the repository's
     /// change signal moves — health is polled by load balancers and the
@@ -74,7 +73,7 @@ pub(crate) struct ServerState {
 
 impl ServerState {
     pub(crate) fn is_draining(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+        self.threads.stopping()
     }
 
     /// The catalog hash of the current rules, as `/health` renders it,
@@ -97,10 +96,10 @@ impl ServerState {
 
 /// A running front-end. Dropping it shuts down gracefully.
 pub struct NetServer {
+    /// The handlers and the acceptor, joined before the fields below drop.
+    threads: Threads,
     state: Arc<ServerState>,
     local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
-    handlers: Vec<JoinHandle<()>>,
 }
 
 impl NetServer {
@@ -111,35 +110,32 @@ impl NetServer {
     /// [`RuleService`]: rulekit_serve::RuleService
     pub fn start(app: RuleApp, cfg: NetConfig) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
+        let mut threads = Threads::default();
         let metrics = NetMetrics::register(&app.registry);
         let state = Arc::new(ServerState {
             conns: BoundedQueue::new(PENDING_CONNECTIONS),
             app,
             metrics,
-            shutdown: AtomicBool::new(false),
+            threads: threads.handle(),
             catalog_hash_cache: Mutex::new(None),
         });
 
-        let handlers = (0..cfg.handler_threads.max(1))
-            .map(|i| {
-                let state = state.clone();
-                std::thread::Builder::new()
-                    .name(format!("rulekit-net-{i}"))
-                    .spawn(move || handler_loop(&state))
-                    .expect("spawn net handler")
-            })
-            .collect();
+        for i in 0..cfg.handler_threads.max(1) {
+            let (handler, name) = (state.clone(), format!("rulekit-net-{i}"));
+            state.threads.spawn(name, move || handler_loop(&handler));
+        }
+        let wake = state.clone();
+        threads.on_stop(move || wake.conns.close());
+        let accepting = state.clone();
+        let local_addr = threads.accept("rulekit-net-accept", listener, move |stream| {
+            accepting.metrics.accepted.inc();
+            if let Err(stream) = accepting.conns.try_push(stream) {
+                accepting.metrics.accept_rejected.inc();
+                reject_connection(stream);
+            }
+        })?;
 
-        let acceptor = {
-            let state = state.clone();
-            std::thread::Builder::new()
-                .name("rulekit-net-accept".into())
-                .spawn(move || acceptor_loop(&state, listener))
-                .expect("spawn net acceptor")
-        };
-
-        Ok(NetServer { state, local_addr, acceptor: Some(acceptor), handlers })
+        Ok(NetServer { state, local_addr, threads })
     }
 
     /// The bound address (resolves the ephemeral port).
@@ -173,46 +169,7 @@ impl NetServer {
     /// server (and its [`RuleApp`]) is dropped, at which point any still-
     /// queued work is shed with an explicit shutdown outcome. Idempotent.
     pub fn shutdown(&mut self) {
-        self.state.shutdown.store(true, Ordering::Release);
-        self.state.conns.close();
-        // Unblock the acceptor's blocking `accept` with a throwaway
-        // connection; it re-checks the flag on wake.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.handlers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for NetServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn acceptor_loop(state: &ServerState, listener: TcpListener) {
-    loop {
-        let conn = listener.accept();
-        if state.is_draining() {
-            return;
-        }
-        match conn {
-            Ok((stream, _peer)) => {
-                state.metrics.accepted.inc();
-                if let Err(stream) = state.conns.try_push(stream) {
-                    state.metrics.accept_rejected.inc();
-                    reject_connection(stream);
-                }
-            }
-            Err(_) => {
-                // Transient accept failure (e.g. fd exhaustion): back off
-                // instead of spinning.
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
+        self.threads.stop();
     }
 }
 
@@ -227,20 +184,11 @@ fn reject_connection(stream: TcpStream) {
 }
 
 fn handler_loop(state: &Arc<ServerState>) {
-    loop {
-        let mut batch = state.conns.pop_batch(1, Duration::from_millis(50));
-        match batch.pop() {
-            Some(stream) => {
-                state.metrics.connections.inc();
-                handle_connection(state, stream);
-                state.metrics.connections.dec();
-            }
-            None => {
-                if state.conns.is_closed() {
-                    return;
-                }
-            }
-        }
+    // Ends once the drain has closed the queue and it is empty.
+    while let Some(stream) = state.conns.pop_batch(1, Duration::MAX).pop() {
+        state.metrics.connections.inc();
+        handle_connection(state, stream);
+        state.metrics.connections.dec();
     }
 }
 

@@ -14,11 +14,12 @@
 //! more guard pins the literal-sequence path: allocation-free, and building
 //! neither a program nor a DFA.
 
-mod common;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use std::sync::{Arc, Barrier};
 
-use common::tally;
+use counting_alloc::tally;
 use rulekit_regex::nfa::{self, CompileOptions};
 use rulekit_regex::{literals, parser, seq, Regex};
 

@@ -10,9 +10,10 @@
 //! sets they test): five. A boxed range set per instruction, a retained AST
 //! or a program compiled for a literal sequence fails here.
 
-mod common;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use common::tally;
+use counting_alloc::tally;
 use rulekit_regex::Regex;
 
 /// Shapes the benchmark's rule generator emits, and one that is not a

@@ -34,14 +34,14 @@
 
 use crate::now_nanos;
 use crate::proto::{self, Frame};
+use rulekit_core::{Threads, ThreadsHandle};
 use rulekit_net::backoff::Backoff;
 use rulekit_net::ReplicationInfo;
 use rulekit_obs::{Counter, Gauge, Histogram, Registry};
 use rulekit_store::{DurableRepository, ReplayOutcome, StoreError};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Follower tuning.
@@ -156,7 +156,7 @@ struct FollowerShared {
     /// revisions, different history — forces a snapshot instead of silently
     /// letting the follower tail a fork.
     epoch: AtomicU64,
-    shutdown: AtomicBool,
+    threads: ThreadsHandle,
     metrics: FollowerMetrics,
 }
 
@@ -198,8 +198,9 @@ impl FollowerShared {
 /// A running follower. Dropping it stops the replication thread; the
 /// store keeps serving whatever was last applied.
 pub struct ReplFollower {
+    /// The replication loop, joined before `shared` drops.
+    threads: Threads,
     shared: Arc<FollowerShared>,
-    thread: Option<JoinHandle<()>>,
 }
 
 impl ReplFollower {
@@ -211,6 +212,7 @@ impl ReplFollower {
         registry: &Registry,
     ) -> ReplFollower {
         let metrics = FollowerMetrics::register(registry);
+        let threads = Threads::default();
         let shared = Arc::new(FollowerShared {
             last_applied: AtomicU64::new(store.repository().revision()),
             leader_seq_seen: AtomicU64::new(0),
@@ -218,18 +220,13 @@ impl ReplFollower {
             store,
             cfg,
             state: AtomicU8::new(FollowerState::Syncing.code()),
-            shutdown: AtomicBool::new(false),
+            threads: threads.handle(),
             metrics,
         });
         shared.note_progress(false);
-        let thread = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("rulekit-repl-follower".into())
-                .spawn(move || follower_loop(&shared))
-                .expect("spawn repl follower")
-        };
-        ReplFollower { shared, thread: Some(thread) }
+        let looping = shared.clone();
+        shared.threads.spawn("rulekit-repl-follower", move || follower_loop(&looping));
+        ReplFollower { shared, threads }
     }
 
     /// Current state.
@@ -266,16 +263,7 @@ impl ReplFollower {
 
     /// Stops the replication thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ReplFollower {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.threads.stop();
     }
 }
 
@@ -320,7 +308,7 @@ fn follower_loop(shared: &Arc<FollowerShared>) {
         Backoff::new(shared.cfg.backoff_base, shared.cfg.backoff_cap, shared.cfg.seed);
     let mut force_snapshot = false;
     let mut ever_connected = false;
-    while !shared.shutdown.load(Ordering::Acquire) {
+    while !shared.threads.stopping() {
         let stream = match TcpStream::connect_timeout(&shared.cfg.leader_addr, CONNECT_TIMEOUT) {
             Ok(s) => s,
             Err(_) => {
@@ -351,7 +339,7 @@ fn follower_loop(shared: &Arc<FollowerShared>) {
 fn sleep_interruptible(shared: &FollowerShared, total: Duration) {
     let deadline = std::time::Instant::now() + total;
     while std::time::Instant::now() < deadline {
-        if shared.shutdown.load(Ordering::Acquire) {
+        if shared.threads.stopping() {
             return;
         }
         std::thread::sleep(Duration::from_millis(10).min(total));
@@ -383,7 +371,7 @@ fn run_session(
     let mut reader = &stream;
     let mut heard = false;
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
+        if shared.threads.stopping() {
             return SessionEnd::Shutdown;
         }
         let frame = match proto::read_frame(&mut reader) {

@@ -25,13 +25,12 @@
 use crate::log::{Coverage, ReplLog};
 use crate::now_nanos;
 use crate::proto::{self, Frame};
+use rulekit_core::{Threads, ThreadsHandle};
 use rulekit_net::ReplicationInfo;
 use rulekit_obs::{Counter, Gauge, Registry};
 use rulekit_store::DurableRepository;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Leader tuning.
@@ -91,17 +90,18 @@ struct LeaderShared {
     /// compare it at handshake; a mismatch forces a snapshot because a
     /// restarted leader may hold different history at the same revisions.
     epoch: u64,
-    shutdown: AtomicBool,
+    threads: ThreadsHandle,
     metrics: LeaderMetrics,
-    sessions: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// A running leader. Dropping it shuts down the replication port and
 /// unhooks the store's record sink (the store itself keeps serving).
 pub struct ReplLeader {
+    /// The acceptor and one session per follower, joined before the fields
+    /// below drop.
+    threads: Threads,
     shared: Arc<LeaderShared>,
     local_addr: SocketAddr,
-    acceptor: Option<JoinHandle<()>>,
 }
 
 impl ReplLeader {
@@ -113,18 +113,17 @@ impl ReplLeader {
         registry: &Registry,
     ) -> std::io::Result<ReplLeader> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        let local_addr = listener.local_addr()?;
         let epoch = store.bump_epoch().map_err(|e| std::io::Error::other(e.to_string()))?;
         let log = Arc::new(ReplLog::new(cfg.ring_capacity, 0));
         let metrics = LeaderMetrics::register(registry);
+        let mut threads = Threads::default();
         let shared = Arc::new(LeaderShared {
             store: store.clone(),
             log: log.clone(),
             cfg,
             epoch,
-            shutdown: AtomicBool::new(false),
+            threads: threads.handle(),
             metrics,
-            sessions: Mutex::new(Vec::new()),
         });
         {
             let log = log.clone();
@@ -141,14 +140,16 @@ impl ReplLeader {
         // is live.
         log.advance_to(store.repository().revision());
         shared.metrics.leader_seq.set(log.leader_seq() as i64);
-        let acceptor = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("rulekit-repl-accept".into())
-                .spawn(move || acceptor_loop(&shared, listener))
-                .expect("spawn repl acceptor")
-        };
-        Ok(ReplLeader { shared, local_addr, acceptor: Some(acceptor) })
+        threads.on_stop(move || {
+            store.set_record_sink(None);
+            log.close();
+        });
+        let accepting = shared.clone();
+        let local_addr = threads.accept("rulekit-repl-accept", listener, move |stream| {
+            let shared = accepting.clone();
+            accepting.threads.spawn("rulekit-repl-session", move || session(&shared, stream));
+        })?;
+        Ok(ReplLeader { shared, local_addr, threads })
     }
 
     /// The bound replication address (resolves an ephemeral port).
@@ -176,27 +177,10 @@ impl ReplLeader {
         Arc::new(LeaderInfo { shared: self.shared.clone() })
     }
 
-    /// Stops accepting, wakes idle sessions, joins every thread, unhooks
-    /// the record sink. Idempotent.
+    /// Stops accepting, unhooks the record sink, wakes idle sessions and
+    /// joins every thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.store.set_record_sink(None);
-        self.shared.log.close();
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        let sessions: Vec<_> =
-            self.shared.sessions.lock().unwrap_or_else(|e| e.into_inner()).drain(..).collect();
-        for h in sessions {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for ReplLeader {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.threads.stop();
     }
 }
 
@@ -223,30 +207,6 @@ impl ReplicationInfo for LeaderInfo {
 
     fn epoch(&self) -> u64 {
         self.shared.epoch
-    }
-}
-
-fn acceptor_loop(shared: &Arc<LeaderShared>, listener: TcpListener) {
-    loop {
-        let conn = listener.accept();
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        match conn {
-            Ok((stream, _peer)) => {
-                let session_shared = shared.clone();
-                let handle = std::thread::Builder::new()
-                    .name("rulekit-repl-session".into())
-                    .spawn(move || session(&session_shared, stream))
-                    .expect("spawn repl session");
-                let mut sessions = shared.sessions.lock().unwrap_or_else(|e| e.into_inner());
-                // Reap finished sessions so a churn of reconnecting
-                // followers doesn't accumulate handles.
-                sessions.retain(|h| !h.is_finished());
-                sessions.push(handle);
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
-        }
     }
 }
 
@@ -286,7 +246,7 @@ fn run_session(
         cursor = send_snapshot(shared, &mut w)?;
     }
     loop {
-        if shared.shutdown.load(Ordering::Acquire) {
+        if shared.threads.stopping() {
             return Ok(());
         }
         match shared.log.after(cursor) {
@@ -303,7 +263,7 @@ fn run_session(
             }
             Coverage::UpToDate => {
                 if !shared.log.wait_newer(cursor, shared.cfg.heartbeat) {
-                    if shared.shutdown.load(Ordering::Acquire) {
+                    if shared.threads.stopping() {
                         return Ok(());
                     }
                     proto::write_frame(

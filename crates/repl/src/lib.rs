@@ -20,7 +20,9 @@
 //! * [`log`] — the leader's bounded shipping ring;
 //! * [`leader`] / [`follower`] — the two role loops, with liveness
 //!   (heartbeats + deadline), jittered-backoff reconnect, and explicit
-//!   follower states (Syncing → Tailing → Stale);
+//!   follower states (Syncing → Tailing → Stale); each role's threads (the
+//!   leader's acceptor and sessions, the follower's loop) are one
+//!   [`rulekit_core::Threads`] group, stopped and joined on drop;
 //! * [`node`] — wiring either role together with the HTTP serving tier
 //!   (`rulekit-net`), plus the front tier lives in
 //!   [`rulekit_net::FrontTier`].

@@ -135,11 +135,6 @@ impl ReplLog {
         self.lock().closed = true;
         self.newer.notify_all();
     }
-
-    /// Whether [`ReplLog::close`] was called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
 }
 
 #[cfg(test)]

@@ -21,6 +21,10 @@ pub trait SnapshotProvider: Send + Sync {
     /// elapses. Returns the current revision. May wake spuriously; callers
     /// must compare revisions themselves.
     fn wait_for_change(&self, last_seen: u64, timeout: Duration) -> u64;
+
+    /// Ends the current (or else the next) [`SnapshotProvider::wait_for_change`]
+    /// early; a stopping service calls it. The default waits out the timeout.
+    fn wake(&self) {}
 }
 
 /// Serves snapshots of a [`Chimera`] pipeline. Rule churn goes through the
@@ -72,6 +76,10 @@ impl SnapshotProvider for ChimeraProvider {
         // rarely; its edits are picked up on the next wakeup at the latest).
         self.chimera.rules.wait_for_change(main_seen, timeout);
         self.revision()
+    }
+
+    fn wake(&self) {
+        self.chimera.rules.wake_waiter();
     }
 }
 

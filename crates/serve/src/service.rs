@@ -19,12 +19,12 @@ use crate::metrics::ServiceMetrics;
 use crate::provider::SnapshotProvider;
 use crate::queue::BoundedQueue;
 use crate::response::{response_channel, Admission, ClassifyOutcome, ResponseSlot, ServeError};
+use rulekit_core::{Threads, ThreadsHandle};
 use rulekit_data::Product;
 use rulekit_obs::{Counter, Registry, SpanTimer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockError};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Service tuning knobs.
@@ -129,7 +129,7 @@ struct Inner {
     latest: RwLock<Arc<dyn RequestClassifier>>,
     swap_count: AtomicU64,
     degraded: AtomicBool,
-    shutdown: AtomicBool,
+    threads: ThreadsHandle,
     metrics: Arc<ServiceMetrics>,
     round_robin: AtomicUsize,
 }
@@ -158,10 +158,11 @@ impl Inner {
 /// queued requests are completed with an explicit
 /// [`ServeError::ShuttingDown`] outcome and all threads are joined.
 pub struct RuleService {
+    /// The shard workers and the refresher, joined before the fields below
+    /// drop.
+    threads: Threads,
     inner: Arc<Inner>,
     provider: Arc<dyn SnapshotProvider>,
-    workers: Vec<JoinHandle<()>>,
-    refresher: Option<JoinHandle<()>>,
 }
 
 impl RuleService {
@@ -185,6 +186,7 @@ impl RuleService {
         // Read before the build: an edit landing any time after this line
         // moves the revision past what the refresher has seen.
         let initial_revision = provider.revision();
+        let mut threads = Threads::default();
         let metrics = ServiceMetrics::register(registry, cfg.shards);
         let initial = {
             let span = SpanTimer::start(&metrics.snapshot_build_nanos);
@@ -203,32 +205,28 @@ impl RuleService {
             latest: RwLock::new(initial),
             swap_count: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
+            threads: threads.handle(),
             metrics,
             round_robin: AtomicUsize::new(0),
             cfg,
         });
 
-        let workers = (0..inner.cfg.shards)
-            .map(|shard| {
-                let inner = inner.clone();
-                std::thread::Builder::new()
-                    .name(format!("rulekit-serve-{shard}"))
-                    .spawn(move || worker_loop(&inner, shard))
-                    .expect("spawn shard worker")
-            })
-            .collect();
+        for shard in 0..inner.cfg.shards {
+            let (worker, name) = (inner.clone(), format!("rulekit-serve-{shard}"));
+            inner.threads.spawn(name, move || worker_loop(&worker, shard));
+        }
+        let (refresh, source) = (inner.clone(), provider.clone());
+        inner.threads.spawn("rulekit-serve-refresh", move || {
+            refresher_loop(&refresh, source.as_ref(), initial_revision)
+        });
+        // The stop closes the shard queues and ends the refresher's wait.
+        let (wake, source) = (inner.clone(), provider.clone());
+        threads.on_stop(move || {
+            wake.shards.iter().for_each(|shard| shard.queue.close());
+            source.wake();
+        });
 
-        let refresher = {
-            let inner = inner.clone();
-            let provider = provider.clone();
-            std::thread::Builder::new()
-                .name("rulekit-serve-refresh".into())
-                .spawn(move || refresher_loop(&inner, provider.as_ref(), initial_revision))
-                .expect("spawn refresher")
-        };
-
-        RuleService { inner, provider, workers, refresher: Some(refresher) }
+        RuleService { inner, provider, threads }
     }
 
     /// Submits with the config's default deadline.
@@ -241,7 +239,7 @@ impl RuleService {
     /// gets `Overloaded` and nothing is queued.
     pub fn submit_with_deadline(&self, product: Product, deadline: Option<Duration>) -> Admission {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
+        if inner.threads.stopping() {
             inner.metrics.overloaded.inc();
             return Admission::Overloaded;
         }
@@ -285,7 +283,7 @@ impl RuleService {
         deadline: Option<Duration>,
     ) -> Result<ClassifyOutcome, ServeError> {
         let inner = &self.inner;
-        if inner.shutdown.load(Ordering::Acquire) {
+        if inner.threads.stopping() {
             inner.metrics.overloaded.inc();
             return Err(ServeError::Overloaded);
         }
@@ -357,31 +355,16 @@ impl RuleService {
     /// then joins all threads. No caller blocked on a handle is ever left
     /// hanging: workers shed their remaining queue contents, and the
     /// [`ResponseSlot`] drop guarantee backstops any request discarded on
-    /// an unexpected path. Idempotent; also invoked by `Drop`.
+    /// an unexpected path. Idempotent; also run by the drop.
     pub fn shutdown(&mut self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        for shard in &self.inner.shards {
-            shard.queue.close();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.refresher.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for RuleService {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.threads.stop();
     }
 }
 
 fn refresher_loop(inner: &Inner, provider: &dyn SnapshotProvider, mut last_seen: u64) {
-    while !inner.shutdown.load(Ordering::Acquire) {
+    while !inner.threads.stopping() {
         let now = provider.wait_for_change(last_seen, inner.cfg.refresh_interval);
-        if inner.shutdown.load(Ordering::Acquire) {
+        if inner.threads.stopping() {
             break;
         }
         if now != last_seen {
@@ -416,7 +399,7 @@ fn worker_loop(inner: &Inner, shard: usize) {
         // Shutdown: shed remaining queued work with an explicit outcome
         // instead of classifying it — callers unblock immediately and can
         // tell "shut down" from "served".
-        if inner.shutdown.load(Ordering::Acquire) {
+        if inner.threads.stopping() {
             for request in batch {
                 inner.metrics.shutdown_shed.inc();
                 request.slot.fulfill(Err(ServeError::ShuttingDown));

@@ -355,6 +355,29 @@ fn refresh_now_publishes_synchronously() {
     assert!(service.swap_count() >= 1);
 }
 
+/// Dropping the service ends its refresher's change wait: the drop does not
+/// sleep out the rest of the refresh interval.
+#[test]
+fn drop_wakes_the_refresher_out_of_its_change_wait() {
+    let chimera = ruled_chimera();
+    let service = RuleService::start(
+        Arc::new(ChimeraProvider::new(chimera.clone())),
+        ServeConfig { shards: 1, refresh_interval: Duration::from_secs(30), ..Default::default() },
+    );
+    // The refresher publishes this edit, then goes back to its 30 s wait.
+    chimera.add_rules("sofas? -> sofas\n").unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.swap_count() == 0 {
+        assert!(Instant::now() < deadline, "the refresher never published the edit");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(50));
+    let start = Instant::now();
+    drop(service);
+    let took = start.elapsed();
+    assert!(took < Duration::from_millis(200), "the drop took {took:?}");
+}
+
 /// An edit that lands while the initial snapshot is being built (or before
 /// the refresher thread first runs) must still be picked up: the refresher
 /// starts from the revision read *before* that build.
