@@ -1,13 +1,7 @@
-//! The replication wire protocol: length-prefixed, CRC-32-framed messages
-//! over a plain TCP stream, reusing the store's binary codec so the whole
-//! stack has exactly one encoding discipline.
-//!
-//! Frame layout (everything little-endian):
-//!
-//! ```text
-//! [payload_len: u32][crc32(payload): u32][payload]
-//! payload = [kind: u8][kind-specific fields]
-//! ```
+//! The replication wire protocol: messages over a plain TCP stream, each
+//! one `rulekit_store::codec` frame (`[len][crc][payload]`, bounded by
+//! [`MAX_FRAME`]) with `payload = [kind: u8][kind-specific fields]`, so the
+//! whole stack has exactly one encoding discipline.
 //!
 //! Kinds:
 //!
@@ -33,8 +27,8 @@
 //! session loop treats both as "drop the connection and resync", never a
 //! panic.
 
-use rulekit_store::codec::{put_u32, put_u64, Cursor};
-use rulekit_store::{crc32, CheckpointData, StoreError, WalRecord};
+use rulekit_store::codec::{self, put_u32, put_u64, Cursor, FRAME_HEADER};
+use rulekit_store::{CheckpointData, StoreError, WalRecord};
 use std::io::{Read, Write};
 
 /// Protocol version in `Hello`; a leader refuses mismatches so a frame
@@ -69,7 +63,9 @@ pub enum Frame {
 }
 
 impl Frame {
-    fn encode_payload(&self) -> Vec<u8> {
+    /// Serializes into a complete wire frame; a payload over [`MAX_FRAME`]
+    /// is refused.
+    pub fn encode(&self) -> std::io::Result<Vec<u8>> {
         let mut out = Vec::with_capacity(32);
         match self {
             Frame::Hello { last_seq, epoch, force_snapshot } => {
@@ -88,7 +84,7 @@ impl Frame {
             Frame::Record { ts_nanos, record } => {
                 out.push(KIND_RECORD);
                 put_u64(&mut out, *ts_nanos);
-                out.extend_from_slice(&record.encode_frame());
+                out.extend_from_slice(&record.encode_frame()?);
             }
             Frame::Heartbeat { ts_nanos, leader_seq } => {
                 out.push(KIND_HEARTBEAT);
@@ -96,17 +92,7 @@ impl Frame {
                 put_u64(&mut out, *leader_seq);
             }
         }
-        out
-    }
-
-    /// Serializes into a complete wire frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
-        frame
+        codec::frame(&out, MAX_FRAME)
     }
 
     fn decode_payload(payload: &[u8]) -> Result<Frame, StoreError> {
@@ -157,83 +143,110 @@ fn expect_drained(c: &Cursor<'_>) -> Result<(), StoreError> {
 
 /// Writes one frame (buffered by the caller's stream; flushed here).
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> std::io::Result<()> {
-    w.write_all(&frame.encode())?;
+    w.write_all(&frame.encode()?)?;
     w.flush()
 }
 
 /// Reads one frame, verifying length bound and checksum. Blocks up to the
 /// stream's read timeout; a timeout surfaces as [`StoreError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, StoreError> {
-    let mut header = [0u8; 8];
+    let mut header = [0u8; FRAME_HEADER];
     r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    if len > MAX_FRAME {
-        return Err(StoreError::Corrupt(format!("implausible frame length {len}")));
-    }
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-    let mut payload = vec![0u8; len as usize];
+    let (len, crc) = codec::frame_header(header, MAX_FRAME)?;
+    let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(StoreError::Corrupt("frame checksum mismatch".into()));
-    }
+    codec::check_crc(&payload, crc)?;
     Frame::decode_payload(&payload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rulekit_store::{CheckpointRule, WalOp};
+    use rulekit_core::{Provenance, RuleStatus};
+    use rulekit_store::{PersistedRule, WalOp};
 
     fn sample_record() -> WalRecord {
         WalRecord {
             revision: 42,
-            op: WalOp::Add {
+            op: WalOp::Add(PersistedRule {
                 id: 7,
                 source: "rings? -> rings".into(),
                 author: "analyst".into(),
-                provenance: 0,
-                status: 0,
+                provenance: Provenance::Analyst,
+                status: RuleStatus::Enabled,
                 confidence: 0.9,
                 added_at: 41,
-            },
+            }),
         }
     }
 
     fn roundtrip(frame: Frame) {
-        let bytes = frame.encode();
+        let bytes = frame.encode().unwrap();
         let mut cursor = &bytes[..];
         let decoded = read_frame(&mut cursor).expect("roundtrip");
         assert_eq!(decoded, frame);
         assert!(cursor.is_empty(), "frame self-describes its length");
     }
 
+    /// One frame of each kind.
+    fn samples() -> [Frame; 4] {
+        [
+            Frame::Hello { last_seq: 9, epoch: 3, force_snapshot: true },
+            Frame::Heartbeat { ts_nanos: 123, leader_seq: 5 },
+            Frame::Record { ts_nanos: 7, record: sample_record() },
+            Frame::Snapshot {
+                ts_nanos: 1,
+                epoch: 2,
+                data: CheckpointData {
+                    revision: 3,
+                    next_id: 4,
+                    rules: vec![PersistedRule {
+                        id: 1,
+                        source: "rings? -> rings".into(),
+                        author: String::new(),
+                        provenance: Provenance::Analyst,
+                        status: RuleStatus::Enabled,
+                        confidence: 1.0,
+                        added_at: 0,
+                    }],
+                },
+            },
+        ]
+    }
+
     #[test]
     fn all_kinds_roundtrip() {
-        roundtrip(Frame::Hello { last_seq: 9, epoch: 3, force_snapshot: true });
-        roundtrip(Frame::Heartbeat { ts_nanos: 123, leader_seq: 5 });
-        roundtrip(Frame::Record { ts_nanos: 7, record: sample_record() });
-        roundtrip(Frame::Snapshot {
-            ts_nanos: 1,
-            epoch: 2,
-            data: CheckpointData {
-                revision: 3,
-                next_id: 4,
-                rules: vec![CheckpointRule {
-                    id: 1,
-                    source: "rings? -> rings".into(),
-                    author: String::new(),
-                    provenance: 0,
-                    status: 0,
-                    confidence: 1.0,
-                    added_at: 0,
-                }],
-            },
-        });
+        for frame in samples() {
+            roundtrip(frame);
+        }
+    }
+
+    #[test]
+    fn frame_bytes_are_frozen() {
+        // [len u32][crc32 u32] + payload [kind u8][fields]. A Record payload
+        // ends in the record's WAL frame, a Snapshot payload in the
+        // checkpoint image.
+        let pins = [
+            "16000000 d35cf974 01 02000000 0900000000000000 0300000000000000 01",
+            "11000000 b240ba77 04 7b00000000000000 0500000000000000",
+            "52000000 4ac8ed57 03 0700000000000000 \
+             41000000 2b927c66 2a00000000000000 01 0700000000000000 \
+             0f000000 72696e67733f202d3e2072696e6773 07000000 616e616c797374 00 00 \
+             cdccccccccccec3f 2900000000000000",
+            "5f000000 24cfe96d 02 0100000000000000 0200000000000000 \
+             5a05e0e3 524b435031 0300000000000000 0400000000000000 01000000 \
+             0100000000000000 0f000000 72696e67733f202d3e2072696e6773 00000000 00 00 \
+             000000000000f03f 0000000000000000",
+        ];
+        for (frame, pin) in samples().iter().zip(pins) {
+            let hex: String = frame.encode().unwrap().iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(hex, pin.split_whitespace().collect::<String>(), "{frame:?}");
+        }
     }
 
     #[test]
     fn torn_and_corrupt_frames_are_errors_not_panics() {
-        let bytes = Frame::Heartbeat { ts_nanos: 1, leader_seq: 2 }.encode();
+        let bytes = Frame::Heartbeat { ts_nanos: 1, leader_seq: 2 }.encode().unwrap();
         // Torn at every prefix length.
         for cut in 0..bytes.len() {
             let mut cursor = &bytes[..cut];
@@ -250,11 +263,12 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_rejected() {
-        let mut bytes = Frame::Hello { last_seq: 0, epoch: 0, force_snapshot: false }.encode();
-        bytes[9] = 99; // version field, first payload byte after kind
-                       // Re-stamp the CRC so only the version check can object.
-        let crc = crc32(&bytes[8..]);
-        bytes[4..8].copy_from_slice(&crc.to_le_bytes());
+        let mut bytes =
+            Frame::Hello { last_seq: 0, epoch: 0, force_snapshot: false }.encode().unwrap();
+        // Corrupt the version field (the first payload byte after the kind)
+        // and re-frame, so only the version check can object.
+        bytes[9] = 99;
+        let bytes = codec::frame(&bytes[FRAME_HEADER..], MAX_FRAME).unwrap();
         let mut cursor = &bytes[..];
         let err = read_frame(&mut cursor).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");

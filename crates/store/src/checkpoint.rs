@@ -5,37 +5,15 @@
 //! pick the newest; a corrupt candidate (torn temp promoted by a buggy
 //! filesystem, bit rot) is skipped in favour of the next-newest valid one.
 //!
-//! File layout: `[ crc32(payload): u32 ][ payload ]` with
-//! `payload = [ magic "RKCP1" ][ revision: u64 ][ next_id: u64 ]
-//! [ count: u32 ] [ count rule entries ]`.
+//! The file is a `codec` sealed image (`[crc][payload]`) whose payload is
+//! `["RKCP1"][revision][next_id][count][count rule images]`.
 
-use crate::codec::{put_f64, put_str, put_u32, put_u64, Cursor};
-use crate::crc::crc32;
+use crate::codec::{self, put_u32, put_u64, Cursor, PersistedRule};
 use crate::storage::{Storage, StoreError};
 
 const MAGIC: &[u8; 5] = b"RKCP1";
 const PREFIX: &str = "ckpt-";
 const TMP_NAME: &str = "ckpt.tmp";
-
-/// One rule as persisted in a checkpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CheckpointRule {
-    /// Repository-assigned id.
-    pub id: u64,
-    /// DSL source line (parseable; disabled state is in `status`, not a
-    /// comment prefix as in `export_dsl`).
-    pub source: String,
-    /// Author.
-    pub author: String,
-    /// Provenance wire byte (see [`crate::wal::encode_provenance`]).
-    pub provenance: u8,
-    /// Status wire byte (0 enabled / 1 disabled).
-    pub status: u8,
-    /// Confidence.
-    pub confidence: f64,
-    /// Revision the rule was added at.
-    pub added_at: u64,
-}
 
 /// A decoded checkpoint: the complete repository state at `revision`.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +23,7 @@ pub struct CheckpointData {
     /// The repository's id counter at that revision.
     pub next_id: u64,
     /// All rules, in repository order.
-    pub rules: Vec<CheckpointRule>,
+    pub rules: Vec<PersistedRule>,
 }
 
 impl CheckpointData {
@@ -57,48 +35,24 @@ impl CheckpointData {
         put_u64(&mut payload, self.next_id);
         put_u32(&mut payload, self.rules.len() as u32);
         for r in &self.rules {
-            put_u64(&mut payload, r.id);
-            put_str(&mut payload, &r.source);
-            put_str(&mut payload, &r.author);
-            payload.push(r.provenance);
-            payload.push(r.status);
-            put_f64(&mut payload, r.confidence);
-            put_u64(&mut payload, r.added_at);
+            r.put(&mut payload);
         }
-        let mut out = Vec::with_capacity(4 + payload.len());
-        put_u32(&mut out, crc32(&payload));
-        out.extend_from_slice(&payload);
-        out
+        codec::seal(&payload)
     }
 
     /// Validates and decodes an on-disk image.
     pub fn decode(bytes: &[u8]) -> Result<CheckpointData, StoreError> {
-        if bytes.len() < 4 + MAGIC.len() {
-            return Err(StoreError::Corrupt("checkpoint too short".into()));
-        }
-        let crc = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"));
-        let payload = &bytes[4..];
-        if crc32(payload) != crc {
-            return Err(StoreError::Corrupt("checkpoint checksum mismatch".into()));
-        }
-        if &payload[..MAGIC.len()] != MAGIC {
-            return Err(StoreError::Corrupt("bad checkpoint magic".into()));
-        }
-        let mut c = Cursor::new(&payload[MAGIC.len()..]);
+        let payload = codec::unseal(bytes)?;
+        let body = payload
+            .strip_prefix(MAGIC)
+            .ok_or_else(|| StoreError::Corrupt("bad checkpoint magic".into()))?;
+        let mut c = Cursor::new(body);
         let revision = c.get_u64()?;
         let next_id = c.get_u64()?;
         let count = c.get_u32()? as usize;
         let mut rules = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
-            rules.push(CheckpointRule {
-                id: c.get_u64()?,
-                source: c.get_str()?,
-                author: c.get_str()?,
-                provenance: c.get_u8()?,
-                status: c.get_u8()?,
-                confidence: c.get_f64()?,
-                added_at: c.get_u64()?,
-            });
+            rules.push(PersistedRule::get(&mut c)?);
         }
         if c.remaining() != 0 {
             return Err(StoreError::Corrupt("trailing checkpoint bytes".into()));
@@ -117,17 +71,20 @@ fn parse_name(name: &str) -> Option<u64> {
     name.strip_prefix(PREFIX)?.parse().ok()
 }
 
-/// Writes a checkpoint durably: temp file → fsync → atomic rename. Returns
-/// the final name. A crash anywhere before the rename leaves only a temp
-/// file that recovery ignores and deletes.
-pub fn write(storage: &dyn Storage, data: &CheckpointData) -> Result<String, StoreError> {
+/// Writes a checkpoint durably, encoding it once: temp file → fsync →
+/// atomic rename to [`checkpoint_name`]. A crash anywhere before the
+/// rename leaves only a temp file that recovery ignores and deletes.
+pub fn write(storage: &dyn Storage, data: &CheckpointData) -> Result<CheckpointStats, StoreError> {
     storage.remove(TMP_NAME)?;
     let bytes = data.encode();
     storage.append(TMP_NAME, &bytes)?;
     storage.sync(TMP_NAME)?;
-    let name = checkpoint_name(data.revision);
-    storage.rename(TMP_NAME, &name)?;
-    Ok(name)
+    storage.rename(TMP_NAME, &checkpoint_name(data.revision))?;
+    Ok(CheckpointStats {
+        revision: data.revision,
+        rules: data.rules.len(),
+        bytes: bytes.len() as u64,
+    })
 }
 
 /// Result of scanning storage for checkpoints.
@@ -209,27 +166,28 @@ pub struct CheckpointStats {
 mod tests {
     use super::*;
     use crate::storage::MemStorage;
+    use rulekit_core::{Provenance, RuleStatus};
 
     fn sample(revision: u64) -> CheckpointData {
         CheckpointData {
             revision,
             next_id: 7,
             rules: vec![
-                CheckpointRule {
+                PersistedRule {
                     id: 0,
                     source: "rings? -> rings".into(),
                     author: "analyst".into(),
-                    provenance: 0,
-                    status: 0,
+                    provenance: Provenance::Analyst,
+                    status: RuleStatus::Enabled,
                     confidence: 1.0,
                     added_at: 0,
                 },
-                CheckpointRule {
+                PersistedRule {
                     id: 3,
                     source: "rugs? -> area rugs".into(),
                     author: "miner".into(),
-                    provenance: 2,
-                    status: 1,
+                    provenance: Provenance::Mined,
+                    status: RuleStatus::Disabled,
                     confidence: 0.8,
                     added_at: 2,
                 },
@@ -265,7 +223,8 @@ mod tests {
     fn corrupt_latest_falls_back_to_previous() {
         let storage = MemStorage::new();
         write(&storage, &sample(5)).unwrap();
-        let newest = write(&storage, &sample(9)).unwrap();
+        write(&storage, &sample(9)).unwrap();
+        let newest = checkpoint_name(9);
         // Bit-rot the newest checkpoint.
         storage.flip_bit(&newest, 30);
         let scan = load_latest(&storage).unwrap();

@@ -16,8 +16,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use rulekit_core::{Rule, RuleId, RuleMeta, RuleParser, RuleRepository, RuleSpec};
 use rulekit_data::TypeId;
 
-use crate::checkpoint::{self, CheckpointData, CheckpointRule, CheckpointStats};
-use crate::crc::crc32;
+use crate::checkpoint::{self, CheckpointData, CheckpointStats};
+use crate::codec::{self, PersistedRule};
 use crate::obs::StoreMetrics;
 use crate::storage::{Storage, StoreError};
 use crate::wal::{self, WalOp, WalRecord, WalWriter};
@@ -29,17 +29,6 @@ pub const WAL_NAME: &str = "wal";
 /// File holding the replication leader epoch (incarnation counter).
 pub const EPOCH_NAME: &str = "epoch";
 const EPOCH_TMP: &str = "epoch.tmp";
-
-fn decode_epoch(bytes: &[u8]) -> Option<u64> {
-    if bytes.len() != 12 {
-        return None;
-    }
-    let crc = u32::from_le_bytes(bytes[0..4].try_into().ok()?);
-    if crc32(&bytes[4..]) != crc {
-        return None;
-    }
-    Some(u64::from_le_bytes(bytes[4..12].try_into().ok()?))
-}
 
 /// When acknowledged mutations become crash-proof.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -143,10 +132,10 @@ pub enum ReplayOutcome {
     Skipped,
 }
 
-/// Order-insensitive-free digest of the full rule catalog (id, source,
-/// status, metadata, revision, next id), FNV-1a over a canonical byte walk
-/// in id order. Two repositories with equal hashes hold identical rule
-/// state — the replication suite's divergence check.
+/// Digest of the full rule catalog: FNV-1a over the revision, the next id
+/// and each rule's persisted image ([`PersistedRule`]) in id order. Two
+/// repositories with equal hashes hold identical rule state — the
+/// replication suite's divergence check. Only equality is meaningful.
 pub fn catalog_hash(repo: &RuleRepository) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -161,14 +150,11 @@ pub fn catalog_hash(repo: &RuleRepository) -> u64 {
     rules.sort_by_key(|r| r.id.0);
     eat(&repo.revision().to_le_bytes());
     eat(&repo.next_rule_id().to_le_bytes());
+    let mut image = Vec::new();
     for r in &rules {
-        eat(&r.id.0.to_le_bytes());
-        eat(r.source.as_bytes());
-        eat(&[0xff, wal::encode_status(r.meta.status), wal::encode_provenance(r.meta.provenance)]);
-        eat(r.meta.author.as_bytes());
-        eat(&[0xfe]);
-        eat(&r.meta.confidence.to_bits().to_le_bytes());
-        eat(&r.meta.added_at.to_le_bytes());
+        image.clear();
+        PersistedRule::from(r).put(&mut image);
+        eat(&image);
     }
     h
 }
@@ -408,18 +394,8 @@ impl DurableRepository {
         let id = self.repo.next_rule_id();
         let revision = self.repo.revision() + 1;
         meta.added_at = self.repo.revision();
-        let record = WalRecord {
-            revision,
-            op: WalOp::Add {
-                id,
-                source: spec.source.clone(),
-                author: meta.author.clone(),
-                provenance: wal::encode_provenance(meta.provenance),
-                status: wal::encode_status(meta.status),
-                confidence: meta.confidence,
-                added_at: meta.added_at,
-            },
-        };
+        let record =
+            WalRecord { revision, op: WalOp::Add(PersistedRule::new(id, &spec.source, &meta)) };
         st.wal.append(&record)?;
         let assigned = self.repo.add(spec, meta);
         debug_assert_eq!(assigned, RuleId(id));
@@ -532,20 +508,14 @@ impl DurableRepository {
     /// live leader's epoch, so an epoch-less node always resyncs by
     /// snapshot.
     pub fn load_epoch(&self) -> u64 {
-        match self.storage.read(EPOCH_NAME) {
-            Ok(bytes) => decode_epoch(&bytes).unwrap_or(0),
-            Err(_) => 0,
-        }
+        let Ok(bytes) = self.storage.read(EPOCH_NAME) else { return 0 };
+        codec::unseal(&bytes).ok().and_then(|p| p.try_into().ok()).map_or(0, u64::from_le_bytes)
     }
 
-    /// Durably records `epoch` (CRC-framed, temp → fsync → rename).
+    /// Durably records `epoch` (a sealed image, temp → fsync → rename).
     pub fn save_epoch(&self, epoch: u64) -> Result<(), StoreError> {
         self.storage.remove(EPOCH_TMP)?;
-        let payload = epoch.to_le_bytes();
-        let mut bytes = Vec::with_capacity(12);
-        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        self.storage.append(EPOCH_TMP, &bytes)?;
+        self.storage.append(EPOCH_TMP, &codec::seal(&epoch.to_le_bytes()))?;
         self.storage.sync(EPOCH_TMP)?;
         self.storage.rename(EPOCH_TMP, EPOCH_NAME)?;
         Ok(())
@@ -581,14 +551,9 @@ impl DurableRepository {
         let rules = rebuild_rules(&self.parser, &data.rules)?;
         checkpoint::remove_above(&*self.storage, data.revision)?;
         st.wal.reset()?;
-        checkpoint::write(&*self.storage, data)?;
+        let stats = checkpoint::write(&*self.storage, data)?;
         self.repo.restore(rules, data.next_id, data.revision);
         checkpoint::housekeep(&*self.storage, &[], self.config.keep_checkpoints);
-        let stats = CheckpointStats {
-            revision: data.revision,
-            rules: data.rules.len(),
-            bytes: data.encode().len() as u64,
-        };
         st.checkpoints_written += 1;
         st.last_checkpoint = stats;
         self.note_persisted_levels();
@@ -642,15 +607,12 @@ impl DurableRepository {
         mut st: MutexGuard<'_, WriterState>,
     ) -> Result<CheckpointStats, StoreError> {
         let span = SpanTimer::start(&self.metrics.checkpoint_nanos);
-        let data = self.build_checkpoint_data();
-        let bytes = data.encode().len() as u64;
-        checkpoint::write(&*self.storage, &data)?;
+        let stats = checkpoint::write(&*self.storage, &self.build_checkpoint_data())?;
         // Checkpoint is published; stale WAL records are now redundant
         // (replay would skip them by revision), so a reset failure is
         // harmless beyond log length.
         let _ = st.wal.reset();
         checkpoint::housekeep(&*self.storage, &[], self.config.keep_checkpoints);
-        let stats = CheckpointStats { revision: data.revision, rules: data.rules.len(), bytes };
         st.checkpoints_written += 1;
         st.last_checkpoint = stats;
         self.metrics.checkpoints.inc();
@@ -664,45 +626,17 @@ impl DurableRepository {
         CheckpointData {
             revision: self.repo.revision(),
             next_id: self.repo.next_rule_id(),
-            rules: self
-                .repo
-                .full_snapshot()
-                .iter()
-                .map(|r| CheckpointRule {
-                    id: r.id.0,
-                    source: r.source.clone(),
-                    author: r.meta.author.clone(),
-                    provenance: wal::encode_provenance(r.meta.provenance),
-                    status: wal::encode_status(r.meta.status),
-                    confidence: r.meta.confidence,
-                    added_at: r.meta.added_at,
-                })
-                .collect(),
+            rules: self.repo.full_snapshot().iter().map(PersistedRule::from).collect(),
         }
     }
 }
 
-/// Rebuilds full [`Rule`] values from checkpoint entries by re-parsing each
-/// DSL source line and re-attaching the persisted metadata.
-fn rebuild_rules(parser: &RuleParser, entries: &[CheckpointRule]) -> Result<Vec<Rule>, StoreError> {
+/// Rebuilds full [`Rule`] values from checkpoint entries, into a vector
+/// sized once (a 50k-rule catalog is re-parsed here on every open).
+fn rebuild_rules(parser: &RuleParser, entries: &[PersistedRule]) -> Result<Vec<Rule>, StoreError> {
     let mut rules = Vec::with_capacity(entries.len());
     for e in entries {
-        let spec = parser
-            .parse_rule(&e.source)
-            .map_err(|err| StoreError::Parse(format!("rule {}: {err}: {:?}", e.id, e.source)))?;
-        rules.push(Rule {
-            id: RuleId(e.id),
-            condition: spec.condition,
-            action: spec.action,
-            meta: RuleMeta {
-                author: e.author.clone(),
-                provenance: wal::decode_provenance(e.provenance)?,
-                status: wal::decode_status(e.status)?,
-                confidence: e.confidence,
-                added_at: e.added_at,
-            },
-            source: spec.source,
-        });
+        rules.push(e.to_rule(parser)?);
     }
     Ok(rules)
 }
@@ -716,24 +650,15 @@ fn apply_record(
     record: &WalRecord,
 ) -> Result<(), StoreError> {
     match &record.op {
-        WalOp::Add { id, source, author, provenance, status, confidence, added_at } => {
-            if repo.next_rule_id() != *id {
+        WalOp::Add(rule) => {
+            if repo.next_rule_id() != rule.id {
                 return Err(StoreError::Corrupt(format!(
-                    "replay id mismatch: log says {id}, repository would assign {}",
+                    "replay id mismatch: log says {}, repository would assign {}",
+                    rule.id,
                     repo.next_rule_id()
                 )));
             }
-            let spec = parser
-                .parse_rule(source)
-                .map_err(|e| StoreError::Parse(format!("rule {id}: {e}: {source:?}")))?;
-            let meta = RuleMeta {
-                author: author.clone(),
-                provenance: wal::decode_provenance(*provenance)?,
-                status: wal::decode_status(*status)?,
-                confidence: *confidence,
-                added_at: *added_at,
-            };
-            repo.add(spec, meta);
+            repo.add(rule.parse(parser)?, rule.meta());
         }
         WalOp::Disable { id, reason } => {
             if !repo.disable(RuleId(*id), reason.clone()) {
@@ -888,20 +813,7 @@ mod tests {
         let data = CheckpointData {
             revision: durable.repository().revision(),
             next_id: durable.repository().next_rule_id(),
-            rules: durable
-                .repository()
-                .full_snapshot()
-                .iter()
-                .map(|r| CheckpointRule {
-                    id: r.id.0,
-                    source: r.source.clone(),
-                    author: r.meta.author.clone(),
-                    provenance: wal::encode_provenance(r.meta.provenance),
-                    status: wal::encode_status(r.meta.status),
-                    confidence: r.meta.confidence,
-                    added_at: r.meta.added_at,
-                })
-                .collect(),
+            rules: durable.repository().full_snapshot().iter().map(PersistedRule::from).collect(),
         };
         checkpoint::write(&*storage, &data).unwrap();
         drop(durable);
@@ -1109,7 +1021,7 @@ mod tests {
             WalRecord { revision: revision + 5, op: WalOp::Disable { id: 1, reason: "x".into() } },
         ];
         for r in &divergent {
-            storage.append(WAL_NAME, &r.encode_frame()).unwrap();
+            storage.append(WAL_NAME, &r.encode_frame().unwrap()).unwrap();
         }
 
         let reopened = open(&storage, config);

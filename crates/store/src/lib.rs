@@ -11,11 +11,14 @@
 //!   in-memory backend ([`MemStorage`]) whose `crash()` models
 //!   kernel-page-cache loss (synced prefix survives, unsynced tail is
 //!   partially dropped).
+//! - **Formats** ([`codec`]) — every layout is defined once there: the
+//!   `[len][crc][payload]` frame (WAL records, the replication wire), the
+//!   `[crc][payload]` sealed image (checkpoints, the epoch file) and the
+//!   seven-field rule image ([`PersistedRule`]).
 //! - **Write-ahead log** ([`wal`]) — every repository mutation (add /
 //!   disable / enable / remove, including per-type scale-downs decomposed
-//!   to their per-rule edits) is a length-prefixed, CRC-32-checksummed,
-//!   revision-stamped record, appended under a configurable
-//!   [`FsyncPolicy`].
+//!   to their per-rule edits) is one revision-stamped frame, appended under
+//!   a configurable [`FsyncPolicy`].
 //! - **Checkpoints** ([`checkpoint`]) — periodic compaction serializes the
 //!   full rule set (DSL source + metadata, enabled *and* disabled) via
 //!   write-temp → fsync → atomic-rename, then resets the WAL; recovery
@@ -53,7 +56,8 @@ pub mod obs;
 pub mod storage;
 pub mod wal;
 
-pub use checkpoint::{CheckpointData, CheckpointRule, CheckpointStats};
+pub use checkpoint::{CheckpointData, CheckpointStats};
+pub use codec::PersistedRule;
 pub use crc::crc32;
 pub use durable::{
     catalog_hash, DurableConfig, DurableRepository, FsyncPolicy, RecordSink, RecoveryReport,

@@ -1,31 +1,25 @@
 //! The write-ahead log: one length-prefixed, CRC-checksummed, revision-
-//! stamped record per repository mutation.
-//!
-//! Frame layout (all little-endian):
-//!
-//! ```text
-//! [ payload_len: u32 ][ crc32(payload): u32 ][ payload: payload_len bytes ]
-//! payload = [ revision: u64 ][ kind: u8 ][ kind-specific fields ]
-//! ```
+//! stamped record per repository mutation, framed as `codec` describes
+//! (`[len][crc][payload]`, `payload = [revision][kind][fields]`).
 //!
 //! The reader ([`scan`]) accepts the longest valid prefix and reports the
 //! first torn or checksum-corrupt offset; recovery truncates there instead
 //! of failing — a half-written tail (the normal state after a crash) is
-//! repaired, never served. The writer ([`WalWriter`]) tracks the
-//! acknowledged byte length and, after any failed append (which may have
-//! persisted a partial frame), truncates the garbage tail before the next
-//! record goes out, so one transient fault cannot poison later appends.
+//! repaired, never served. The writer ([`WalWriter`]) refuses a record the
+//! reader would reject, tracks the acknowledged byte length and, after any
+//! failed append (which may have persisted a partial frame), truncates the
+//! garbage tail before the next record goes out, so one transient fault
+//! cannot poison later appends.
 
-use crate::codec::{put_str, put_u32, put_u64, Cursor};
-use crate::crc::crc32;
+use crate::codec::{self, put_str, put_u64, Cursor, PersistedRule, FRAME_HEADER};
 use crate::durable::FsyncPolicy;
 use crate::obs::StoreMetrics;
 use crate::storage::{Storage, StoreError};
 use rulekit_obs::SpanTimer;
 use std::sync::Arc;
 
-/// Cap on a single record's payload; anything larger in a length prefix is
-/// treated as corruption rather than an allocation request.
+/// Cap on a single record's payload: a longer record is refused on append,
+/// and a longer length prefix is corruption, not an allocation request.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
 const KIND_ADD: u8 = 1;
@@ -49,24 +43,9 @@ pub struct WalRecord {
 /// The mutation payload of a [`WalRecord`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
-    /// Rule added. Carries everything needed to rebuild the rule: the DSL
-    /// source line plus the metadata the repository stamped on it.
-    Add {
-        /// Assigned rule id (must match the id replay re-assigns).
-        id: u64,
-        /// DSL source line.
-        source: String,
-        /// Author from [`rulekit_core::RuleMeta`].
-        author: String,
-        /// Provenance, encoded via [`encode_provenance`].
-        provenance: u8,
-        /// Status at add time (0 enabled / 1 disabled).
-        status: u8,
-        /// Confidence score.
-        confidence: f64,
-        /// Revision at which the rule was added.
-        added_at: u64,
-    },
+    /// Rule added: the rule image, with the id replay must re-assign and
+    /// the metadata the repository stamped on it.
+    Add(PersistedRule),
     /// Rule disabled.
     Disable {
         /// Rule id.
@@ -88,60 +67,14 @@ pub enum WalOp {
     },
 }
 
-/// Maps [`rulekit_core::Provenance`] to its wire byte.
-pub fn encode_provenance(p: rulekit_core::Provenance) -> u8 {
-    match p {
-        rulekit_core::Provenance::Analyst => 0,
-        rulekit_core::Provenance::Developer => 1,
-        rulekit_core::Provenance::Mined => 2,
-        rulekit_core::Provenance::Curation => 3,
-        rulekit_core::Provenance::Crowd => 4,
-    }
-}
-
-/// Inverse of [`encode_provenance`].
-pub fn decode_provenance(b: u8) -> Result<rulekit_core::Provenance, StoreError> {
-    Ok(match b {
-        0 => rulekit_core::Provenance::Analyst,
-        1 => rulekit_core::Provenance::Developer,
-        2 => rulekit_core::Provenance::Mined,
-        3 => rulekit_core::Provenance::Curation,
-        4 => rulekit_core::Provenance::Crowd,
-        other => return Err(StoreError::Corrupt(format!("unknown provenance byte {other}"))),
-    })
-}
-
-/// Maps [`rulekit_core::RuleStatus`] to its wire byte.
-pub fn encode_status(s: rulekit_core::RuleStatus) -> u8 {
-    match s {
-        rulekit_core::RuleStatus::Enabled => 0,
-        rulekit_core::RuleStatus::Disabled => 1,
-    }
-}
-
-/// Inverse of [`encode_status`].
-pub fn decode_status(b: u8) -> Result<rulekit_core::RuleStatus, StoreError> {
-    Ok(match b {
-        0 => rulekit_core::RuleStatus::Enabled,
-        1 => rulekit_core::RuleStatus::Disabled,
-        other => return Err(StoreError::Corrupt(format!("unknown status byte {other}"))),
-    })
-}
-
 impl WalRecord {
     fn encode_payload(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         put_u64(&mut out, self.revision);
         match &self.op {
-            WalOp::Add { id, source, author, provenance, status, confidence, added_at } => {
+            WalOp::Add(rule) => {
                 out.push(KIND_ADD);
-                put_u64(&mut out, *id);
-                put_str(&mut out, source);
-                put_str(&mut out, author);
-                out.push(*provenance);
-                out.push(*status);
-                crate::codec::put_f64(&mut out, *confidence);
-                put_u64(&mut out, *added_at);
+                rule.put(&mut out);
             }
             WalOp::Disable { id, reason } => {
                 out.push(KIND_DISABLE);
@@ -162,14 +95,9 @@ impl WalRecord {
     }
 
     /// Encodes the record as a complete framed entry (length + CRC +
-    /// payload), ready to append.
-    pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
-        frame
+    /// payload), ready to append; a payload over [`MAX_PAYLOAD`] is refused.
+    pub fn encode_frame(&self) -> std::io::Result<Vec<u8>> {
+        codec::frame(&self.encode_payload(), MAX_PAYLOAD)
     }
 
     /// Decodes exactly one framed record from `bytes` (the inverse of
@@ -177,23 +105,9 @@ impl WalRecord {
     /// what the replication wire uses: each shipped record travels as its
     /// own WAL frame, so the receiver re-verifies length and CRC end to end.
     pub fn decode_frame(bytes: &[u8]) -> Result<WalRecord, StoreError> {
-        if bytes.len() < 8 {
-            return Err(StoreError::Corrupt(format!("torn frame header ({} bytes)", bytes.len())));
-        }
-        let len = u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")) as usize;
-        if len as u32 > MAX_PAYLOAD {
-            return Err(StoreError::Corrupt(format!("implausible payload length {len}")));
-        }
-        let crc = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-        if bytes.len() != 8 + len {
-            return Err(StoreError::Corrupt(format!(
-                "frame length mismatch: header says {len}, have {}",
-                bytes.len() - 8
-            )));
-        }
-        let payload = &bytes[8..];
-        if crc32(payload) != crc {
-            return Err(StoreError::Corrupt("payload checksum mismatch".to_string()));
+        let (payload, rest) = codec::split_frame(bytes, MAX_PAYLOAD)?;
+        if !rest.is_empty() {
+            return Err(StoreError::Corrupt(format!("{} trailing frame bytes", rest.len())));
         }
         WalRecord::decode_payload(payload)
     }
@@ -203,15 +117,7 @@ impl WalRecord {
         let revision = c.get_u64()?;
         let kind = c.get_u8()?;
         let op = match kind {
-            KIND_ADD => WalOp::Add {
-                id: c.get_u64()?,
-                source: c.get_str()?,
-                author: c.get_str()?,
-                provenance: c.get_u8()?,
-                status: c.get_u8()?,
-                confidence: c.get_f64()?,
-                added_at: c.get_u64()?,
-            },
+            KIND_ADD => WalOp::Add(PersistedRule::get(&mut c)?),
             KIND_DISABLE => WalOp::Disable { id: c.get_u64()?, reason: c.get_str()? },
             KIND_ENABLE => WalOp::Enable { id: c.get_u64()? },
             KIND_REMOVE => WalOp::Remove { id: c.get_u64()?, reason: c.get_str()? },
@@ -249,26 +155,16 @@ pub fn scan(bytes: &[u8]) -> WalScan {
     let mut pos = 0usize;
     let mut stop_reason = None;
     while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest.len() < 8 {
-            stop_reason = Some(format!("torn frame header ({} bytes)", rest.len()));
-            break;
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        if len as u32 > MAX_PAYLOAD {
-            stop_reason = Some(format!("implausible payload length {len}"));
-            break;
-        }
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if rest.len() < 8 + len {
-            stop_reason = Some(format!("torn payload (need {len}, have {})", rest.len() - 8));
-            break;
-        }
-        let payload = &rest[8..8 + len];
-        if crc32(payload) != crc {
-            stop_reason = Some("payload checksum mismatch".to_string());
-            break;
-        }
+        let payload = match codec::split_frame(&bytes[pos..], MAX_PAYLOAD) {
+            Ok((payload, _)) => payload,
+            Err(e) => {
+                stop_reason = Some(match e {
+                    StoreError::Corrupt(reason) => reason,
+                    other => other.to_string(),
+                });
+                break;
+            }
+        };
         match WalRecord::decode_payload(payload) {
             Ok(record) => {
                 records.push(record);
@@ -279,7 +175,7 @@ pub fn scan(bytes: &[u8]) -> WalScan {
                 break;
             }
         }
-        pos += 8 + len;
+        pos += FRAME_HEADER + payload.len();
     }
     WalScan {
         records,
@@ -364,10 +260,11 @@ impl WalWriter {
     /// Appends one record. On `Ok` the mutation is *acknowledged*: durable
     /// to the extent the fsync policy promises ([`FsyncPolicy::Always`]
     /// means it survives any crash). On `Err` nothing is acknowledged and
-    /// the writer will clear any partial bytes before the next append.
+    /// the writer will clear any partial bytes before the next append; a
+    /// record over [`MAX_PAYLOAD`] is refused before anything is written.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), StoreError> {
+        let frame = record.encode_frame()?;
         self.repair_if_dirty()?;
-        let frame = record.encode_frame();
         if let Err(e) = self.timed_append(&frame) {
             // The failed append may have persisted a prefix of the frame.
             self.dirty = true;
@@ -438,7 +335,9 @@ impl WalWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::put_u32;
     use crate::storage::MemStorage;
+    use rulekit_core::{Provenance, RuleStatus};
 
     fn rec(revision: u64) -> WalRecord {
         WalRecord { revision, op: WalOp::Enable { id: revision * 10 } }
@@ -449,15 +348,15 @@ mod tests {
         let records = vec![
             WalRecord {
                 revision: 1,
-                op: WalOp::Add {
+                op: WalOp::Add(PersistedRule {
                     id: 0,
                     source: "rings? -> rings".into(),
                     author: "analyst".into(),
-                    provenance: 2,
-                    status: 0,
+                    provenance: Provenance::Mined,
+                    status: RuleStatus::Enabled,
                     confidence: 0.93,
                     added_at: 0,
-                },
+                }),
             },
             WalRecord { revision: 2, op: WalOp::Disable { id: 0, reason: "drift".into() } },
             WalRecord { revision: 3, op: WalOp::Enable { id: 0 } },
@@ -465,7 +364,7 @@ mod tests {
         ];
         let mut bytes = Vec::new();
         for r in &records {
-            bytes.extend_from_slice(&r.encode_frame());
+            bytes.extend_from_slice(&r.encode_frame().unwrap());
         }
         let scan = scan(&bytes);
         assert_eq!(scan.records, records);
@@ -476,9 +375,9 @@ mod tests {
 
     #[test]
     fn scan_stops_at_torn_tail() {
-        let mut bytes = rec(1).encode_frame();
+        let mut bytes = rec(1).encode_frame().unwrap();
         let good = bytes.len();
-        let torn = rec(2).encode_frame();
+        let torn = rec(2).encode_frame().unwrap();
         bytes.extend_from_slice(&torn[..torn.len() - 3]);
         let s = scan(&bytes);
         assert_eq!(s.records.len(), 1);
@@ -489,9 +388,9 @@ mod tests {
 
     #[test]
     fn scan_stops_at_checksum_corruption() {
-        let mut bytes = rec(1).encode_frame();
+        let mut bytes = rec(1).encode_frame().unwrap();
         let good = bytes.len();
-        bytes.extend_from_slice(&rec(2).encode_frame());
+        bytes.extend_from_slice(&rec(2).encode_frame().unwrap());
         bytes[good + 10] ^= 0x40; // flip a payload bit of record 2
         let s = scan(&bytes);
         assert_eq!(s.records.len(), 1);

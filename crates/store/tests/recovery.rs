@@ -270,3 +270,34 @@ fn recovery_metrics_are_idempotent_across_reopens() {
     assert_eq!(plain.metrics().wal_appends.value(), 3);
     assert_eq!(m.wal_appends.value(), 3, "the plain open must not record into `registry`");
 }
+
+#[test]
+fn an_oversized_record_is_refused_and_the_next_add_survives_reopen() {
+    // A record the WAL reader would reject as implausibly long must not be
+    // acknowledged: recovery would stop at it and drop every later record.
+    let storage = Arc::new(MemStorage::new());
+    let durable = open(&storage);
+    let shipped = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let sink_count = Arc::clone(&shipped);
+    durable.set_record_sink(Some(Arc::new(move |_: &rulekit_store::WalRecord| {
+        sink_count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    })));
+    durable.add_rules("rings? -> rings", &RuleMeta::default()).unwrap();
+    let before = fingerprint(durable.repository());
+    let wal_before = storage.read(WAL_NAME).unwrap();
+
+    let huge = RuleMeta { author: "x".repeat(17 << 20), ..RuleMeta::default() };
+    assert!(durable.add_rules("rugs? -> area rugs", &huge).is_err());
+    assert_eq!(fingerprint(durable.repository()), before, "nothing applied");
+    assert_eq!(storage.read(WAL_NAME).unwrap(), wal_before, "nothing logged");
+    assert_eq!(shipped.load(std::sync::atomic::Ordering::SeqCst), 1, "nothing shipped");
+
+    durable.add_rules("sofas? -> sofas", &RuleMeta::default()).unwrap();
+    let expected = fingerprint(durable.repository());
+    assert_eq!(expected.0, 2);
+    drop(durable);
+
+    let reopened = open(&storage);
+    assert!(reopened.recovery().wal_stop_reason.is_none());
+    assert_eq!(fingerprint(reopened.repository()), expected);
+}
