@@ -5,6 +5,10 @@
 //! and Filter, crowd-sampled QA against the 92% precision gate, the
 //! Analysis stage that turns flagged pairs into rules and training data,
 //! and the scale-down/restore controls driven by per-type drift alarms.
+//!
+//! [`Chimera`] owns the rule stores, the training data and the QA loop, and
+//! classifies through one cached [`PipelineSnapshot`] — the object it also
+//! hands the serving tier — so Figure 2's classify path exists once.
 
 #![forbid(unsafe_code)]
 
@@ -13,7 +17,6 @@ pub mod metrics;
 pub mod obs;
 pub mod pipeline;
 pub mod snapshot;
-mod stages;
 pub mod voting;
 
 pub use analysis::{AnalysisOutcome, SimulatedAnalysis};

@@ -6,7 +6,7 @@
 use crate::analysis::SimulatedAnalysis;
 use crate::metrics::OracleMetrics;
 use crate::obs::PipelineMetrics;
-use crate::stages::{CompiledRules, Stages};
+use crate::snapshot::PipelineSnapshot;
 use crate::voting::Decision;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -95,7 +95,7 @@ pub struct Chimera {
     featurizer: Featurizer,
     ensemble: Option<Arc<Ensemble>>,
     training: TrainingSet,
-    suppressed: HashSet<TypeId>,
+    suppressed: Arc<HashSet<TypeId>>,
     monitor: DriftMonitor,
     /// Scale a type down automatically when its drift alarm fires.
     auto_scale_down: bool,
@@ -104,7 +104,9 @@ pub struct Chimera {
     /// scenario where first responders are unavailable).
     analysis_enabled: bool,
     analysis: SimulatedAnalysis,
-    cache: Mutex<Option<CompiledRules>>,
+    /// The pipeline every classification runs, compiled at the stores'
+    /// change signals it is keyed to.
+    cache: Mutex<Option<Arc<PipelineSnapshot>>>,
     obs: Arc<PipelineMetrics>,
     /// Streaming aggregates fed by the QA loop (vendor mismatch rate,
     /// decline rate) and readable from `agg("...")` expressions.
@@ -134,7 +136,7 @@ impl Chimera {
             featurizer: Featurizer::new(),
             ensemble: None,
             training: TrainingSet::default(),
-            suppressed: HashSet::new(),
+            suppressed: Arc::default(),
             monitor,
             auto_scale_down: false,
             analysis_enabled: true,
@@ -212,6 +214,18 @@ impl Chimera {
         } else {
             self.ensemble = Some(Arc::new(default_ensemble(&self.training, ENSEMBLE_CONFIDENCE)));
         }
+        self.relearn();
+    }
+
+    /// Carries a learned-side edit (ensemble, suppression set) into the
+    /// cached snapshot in place. Its compiled rules stay: no change signal
+    /// moved, so a rebuild would compile the same ones.
+    fn relearn(&mut self) {
+        if let Some(cached) = self.cache.get_mut() {
+            let snapshot = Arc::make_mut(cached);
+            snapshot.ensemble = self.ensemble.clone();
+            snapshot.suppressed = self.suppressed.clone();
+        }
     }
 
     /// Current drift monitor (read access for experiments).
@@ -240,13 +254,15 @@ impl Chimera {
     /// disabled ("disabling the 'bad parts' of the currently deployed
     /// system", §2.2).
     pub fn scale_down(&mut self, ty: TypeId, reason: &str) -> Vec<RuleId> {
-        self.suppressed.insert(ty);
+        Arc::make_mut(&mut self.suppressed).insert(ty);
+        self.relearn();
         self.rules.disable_type(ty, reason)
     }
 
     /// Restores a scaled-down type after repair.
     pub fn restore(&mut self, ty: TypeId) -> Vec<RuleId> {
-        self.suppressed.remove(&ty);
+        Arc::make_mut(&mut self.suppressed).remove(&ty);
+        self.relearn();
         self.monitor.reset(ty);
         self.rules.enable_type(ty)
     }
@@ -259,11 +275,11 @@ impl Chimera {
         Arc::new(RuleClassifier::over(Arc::new(engine)))
     }
 
-    /// The rule side compiled at the repositories' current state, rebuilt
+    /// The pipeline compiled at the repositories' current state, rebuilt
     /// only when either store's change signal moved. A rebuild copies entry
     /// pointers — each rule's compiled form is shared with every earlier
     /// build — and builds the literal indexes.
-    fn compiled(&self) -> CompiledRules {
+    fn current(&self) -> Arc<PipelineSnapshot> {
         let mut cache = self.cache.lock();
         // Read before the entries: a change in between leaves the build
         // keyed to the older count, so the next call rebuilds.
@@ -286,17 +302,22 @@ impl Chimera {
         infer_entries.extend(main_infer);
         let infer = Arc::new(InferenceEngine::from_entries(infer_entries));
         let infer_active = self.cfg.infer_enabled && !infer.is_empty();
-        let compiled = CompiledRules {
+        let snapshot = Arc::new(PipelineSnapshot {
             changes,
             gate_rev,
             rule_rev,
             gate: self.compile(gate_entries),
             rules: self.compile(rule_entries),
-            infer,
             ie: infer_active.then(|| self.ie_pipeline()),
-        };
-        *cache = Some(compiled.clone());
-        compiled
+            infer,
+            aggregates: self.cfg.infer_enabled.then(|| self.aggregates.clone()),
+            ensemble: self.ensemble.clone(),
+            featurizer: self.featurizer.clone(),
+            suppressed: self.suppressed.clone(),
+            obs: self.obs.clone(),
+        });
+        *cache = Some(snapshot.clone());
+        snapshot
     }
 
     /// The lazily-built `ie` extraction pipeline (kept across rule
@@ -306,45 +327,25 @@ impl Chimera {
         slot.get_or_insert_with(|| Arc::new(IePipeline::standard(&self.taxonomy))).clone()
     }
 
-    /// The live pipeline's stages, borrowed for classification.
-    fn stages<'a>(&'a self, compiled: &'a CompiledRules) -> Stages<'a> {
-        Stages {
-            compiled,
-            aggregates: self.cfg.infer_enabled.then_some(&self.aggregates),
-            ensemble: self.ensemble.as_deref(),
-            featurizer: &self.featurizer,
-            suppressed: &self.suppressed,
-            obs: &self.obs,
-        }
-    }
-
-    /// Captures an immutable, `Send + Sync` snapshot of the current
-    /// classification state (compiled gate + rule classifiers, ensemble,
-    /// suppression set, metric handles) for lock-free
-    /// serving. See [`crate::snapshot::PipelineSnapshot`].
-    pub fn snapshot(&self) -> crate::snapshot::PipelineSnapshot {
-        crate::snapshot::PipelineSnapshot {
-            compiled: self.compiled(),
-            aggregates: self.cfg.infer_enabled.then(|| self.aggregates.clone()),
-            ensemble: self.ensemble.clone(),
-            featurizer: self.featurizer.clone(),
-            suppressed: Arc::new(self.suppressed.clone()),
-            obs: self.obs.clone(),
-        }
+    /// A copy of the pipeline every classification runs — compiled gate +
+    /// rule classifiers, ensemble, suppression set, metric handles — that
+    /// is `Send + Sync` and never blocks, for lock-free serving. See
+    /// [`PipelineSnapshot`].
+    pub fn snapshot(&self) -> PipelineSnapshot {
+        PipelineSnapshot::clone(&self.current())
     }
 
     /// Classifies one product (Figure 2 left-to-right).
     pub fn classify(&self, product: &Product) -> Decision {
-        self.stages(&self.compiled()).classify(product).0
+        self.current().classify(product).decision
     }
 
     /// Classifies a slice of products on up to `cfg.threads` scoped threads
     /// ([`map_chunks`]), in input order.
     pub fn classify_batch(&self, products: &[Product]) -> Vec<Decision> {
-        let compiled = self.compiled();
-        let stages = self.stages(&compiled);
+        let snapshot = self.current();
         map_chunks(products, self.cfg.threads, |chunk| {
-            chunk.iter().map(|p| stages.classify(p).0).collect()
+            chunk.iter().map(|p| snapshot.classify(p).decision).collect()
         })
     }
 
@@ -529,6 +530,40 @@ mod tests {
         assert_eq!(chimera.suppressed_types(), vec![rings]);
         chimera.restore(rings);
         assert_eq!(chimera.classify(&item.product).type_id(), Some(rings));
+    }
+
+    #[test]
+    fn learned_side_edits_reach_the_next_classify_without_a_rule_edit() {
+        let tax = Taxonomy::builtin();
+        let rings = tax.id_of("rings").unwrap();
+        let mut g = CatalogGenerator::with_seed(tax.clone(), 61);
+        let mut chimera = Chimera::new(tax, ChimeraConfig { threads: 2, ..Default::default() });
+        let products: Vec<Product> = (0..8).map(|_| g.generate_for_type(rings).product).collect();
+        // Rings answered by the live pipeline, its batch path and a snapshot.
+        let answered = |chimera: &Chimera| {
+            let is_ring = |d: &Decision| d.type_id() == Some(rings);
+            let snapshot = chimera.snapshot();
+            [
+                products.iter().filter(|p| is_ring(&chimera.classify(p))).count(),
+                chimera.classify_batch(&products).iter().filter(|d| is_ring(d)).count(),
+                products.iter().filter(|p| is_ring(&snapshot.classify(p).decision)).count(),
+            ]
+        };
+        assert!(chimera.classify(&products[0]).is_declined(), "no rules and no ensemble");
+        assert_eq!(answered(&chimera), [0; 3]);
+
+        chimera.train(LabeledCorpus::generate(&mut g, 3000).items());
+        let trained = answered(&chimera);
+        assert!(trained[0] > 0 && trained.iter().all(|&n| n == trained[0]), "{trained:?}");
+
+        // No ring rule to disable: the suppression set alone changes.
+        let changes = chimera.rules.changes();
+        chimera.scale_down(rings, "test");
+        assert_eq!(chimera.rules.changes(), changes);
+        assert_eq!(answered(&chimera), [0; 3]);
+
+        chimera.restore(rings);
+        assert_eq!(answered(&chimera), trained);
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! An immutable, thread-shareable view of the pipeline's classification
-//! state. `Chimera::snapshot()` compiles the current rule revisions into a
-//! [`PipelineSnapshot`] that serving workers can hold across requests: the
-//! snapshot never blocks on repository locks, never observes later edits,
-//! and can be swapped wholesale when a newer revision is published.
+//! Figure 2's classify path, written once: fact inference → prepare → Gate
+//! Keeper short-circuit → rules → learning ensemble → Voting Master.
+//!
+//! A [`PipelineSnapshot`] is the pipeline's classification state compiled at
+//! one pair of rule revisions. [`Chimera`](crate::Chimera) caches one and
+//! classifies through it, and `Chimera::snapshot()` hands serving workers a
+//! copy to hold across requests: the snapshot never blocks on repository
+//! locks, never observes later edits, and can be swapped wholesale when a
+//! newer revision is published.
 
 use crate::obs::PipelineMetrics;
-use crate::stages::{CompiledRules, Stages};
-use crate::voting::Decision;
-use rulekit_core::{AggregateStore, RuleTable};
+use crate::voting::{vote, Decision, VotingConfig};
+use rulekit_core::{AggregateStore, InferenceEngine, PreparedProduct, RuleClassifier, RuleTable};
 use rulekit_data::{Product, TypeId};
-use rulekit_learn::{Ensemble, Featurizer};
+use rulekit_ie::IePipeline;
+use rulekit_learn::{Classifier, Ensemble, Featurizer, Prediction};
+use rulekit_obs::SpanTimer;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -37,42 +42,55 @@ pub struct SnapshotDecision {
 /// hot-swap by replacing the `Arc<PipelineSnapshot>` it reads.
 #[derive(Clone)]
 pub struct PipelineSnapshot {
-    pub(crate) compiled: CompiledRules,
-    /// Live handle to the pipeline's streaming aggregates — snapshots see
-    /// rates/quantiles as they move, matching the live pipeline. `None`
+    /// The gate and main stores' change signals, read before their entries.
+    pub(crate) changes: [u64; 2],
+    pub(crate) gate_rev: u64,
+    pub(crate) rule_rev: u64,
+    pub(crate) gate: Arc<RuleClassifier>,
+    pub(crate) rules: Arc<RuleClassifier>,
+    /// Forward-chaining engine over the `infer:` rules of both stores.
+    pub(crate) infer: Arc<InferenceEngine>,
+    /// The `ie` extractors that seed inference working memory with
+    /// `ie_<field>` facts. `Some` exactly when the inference tier is enabled
+    /// and `infer` is non-empty; `None` skips the tier.
+    pub(crate) ie: Option<Arc<IePipeline>>,
+    /// Live handle to the pipeline's streaming aggregates that `agg("...")`
+    /// expressions read — snapshots see rates/quantiles as they move. `None`
     /// when the tier is disabled (then `agg(...)` evaluates to Missing).
     pub(crate) aggregates: Option<Arc<AggregateStore>>,
+    /// `None` for an untrained pipeline: the Voting Master then sees rules
+    /// alone, as on the rules-only degraded path.
     pub(crate) ensemble: Option<Arc<Ensemble>>,
     pub(crate) featurizer: Featurizer,
     pub(crate) suppressed: Arc<HashSet<TypeId>>,
-    /// The pipeline's metric handles: served traffic records into the same
-    /// stage histograms and decision counters as the live pipeline.
+    /// The pipeline's metric handles: live and served traffic record into
+    /// the same stage histograms and decision counters.
     pub(crate) obs: Arc<PipelineMetrics>,
 }
 
 impl PipelineSnapshot {
     /// Repository revisions this snapshot was compiled from: `(gate, main)`.
     pub fn revisions(&self) -> (u64, u64) {
-        (self.compiled.gate_rev, self.compiled.rule_rev)
+        (self.gate_rev, self.rule_rev)
     }
 
     /// A single monotone version combining both repositories, usable as a
     /// staleness check (a snapshot built from later revisions compares
     /// greater as long as each repository's revision is monotone).
     pub fn version(&self) -> u64 {
-        self.compiled.gate_rev + self.compiled.rule_rev
+        self.gate_rev + self.rule_rev
     }
 
     /// Number of enabled rules compiled in (main store).
     pub fn rule_count(&self) -> usize {
-        self.compiled.rules.rule_count()
+        self.rules.rule_count()
     }
 
     /// The main store's compiled rule table, for tests that check what a
     /// rebuild shares with the build before it.
     #[doc(hidden)]
     pub fn rule_table(&self) -> &RuleTable {
-        self.compiled.rules.table()
+        self.rules.table()
     }
 
     /// Whether the learning ensemble is present (false → `classify` and
@@ -94,16 +112,82 @@ impl PipelineSnapshot {
         self.run(product, true)
     }
 
+    /// Classifies one product (Figure 2 left to right), reporting the rule
+    /// candidates surfaced for it — gate finals plus main-store whitelist
+    /// assignments — the serving tier's cost signal.
     fn run(&self, product: &Product, rules_only: bool) -> SnapshotDecision {
-        let stages = Stages {
-            compiled: &self.compiled,
-            aggregates: self.aggregates.as_ref(),
-            ensemble: if rules_only { None } else { self.ensemble.as_deref() },
-            featurizer: &self.featurizer,
-            suppressed: &self.suppressed,
-            obs: &self.obs,
+        let obs = &self.obs;
+        let aggregates = self.aggregates.as_ref();
+
+        // Fact-inference tier: chain to fixpoint, then classify the
+        // augmented product. Derived facts are input to the rule layer, so
+        // the rules-only path runs this too.
+        let augmented;
+        let product = match &self.ie {
+            Some(ie) => {
+                let span = SpanTimer::start(&obs.infer.nanos);
+                let seeds: Vec<(String, String)> = ie
+                    .extract(&product.title)
+                    .into_iter()
+                    .map(|ex| (format!("ie_{}", ex.field), ex.value))
+                    .collect();
+                let outcome = self.infer.infer(product, &seeds, aggregates.cloned());
+                span.finish();
+                obs.infer.record(&outcome);
+                match outcome.augmented(product) {
+                    Some(p) => {
+                        augmented = p;
+                        &augmented
+                    }
+                    None => product,
+                }
+            }
+            None => product,
         };
-        let (decision, candidates) = stages.classify(product);
+        // Prepare once; the gate and the main rule layer share the view
+        // (and any attached aggregate store).
+        let prepared = PreparedProduct::with_aggregates(product, aggregates.cloned());
+
+        // Gate Keeper: an unambiguous gate hit classifies immediately.
+        let span = SpanTimer::start(&obs.stage_gate);
+        let gate_verdict = self.gate.classify_prepared(&prepared);
+        span.finish();
+        let finals = gate_verdict.final_candidates();
+        if finals.len() == 1 && !self.suppressed.contains(&finals[0].0) {
+            obs.gate_shortcircuits.inc();
+            obs.decisions.inc();
+            let decision = Decision::Classified {
+                ty: finals[0].0,
+                confidence: 1.0,
+                explanation: vec!["gate keeper short-circuit".to_string()],
+            };
+            return SnapshotDecision { decision, candidates: finals.len(), degraded: rules_only };
+        }
+
+        // Rule-based + attribute/value classifiers.
+        let span = SpanTimer::start(&obs.stage_rules);
+        let verdict = self.rules.classify_prepared(&prepared);
+        span.finish();
+        // Learning ensemble. A request that runs none (untrained pipeline,
+        // rules-only degraded path) records no learn-stage sample, so the
+        // histogram describes the requests that paid for the stage.
+        let learned = match self.ensemble.as_deref().filter(|_| !rules_only) {
+            Some(e) => {
+                let span = SpanTimer::start(&obs.stage_learn);
+                let learned = e.predict(&self.featurizer.features(product));
+                span.finish();
+                learned
+            }
+            None => Prediction::empty(),
+        };
+        let span = SpanTimer::start(&obs.stage_vote);
+        let decision = vote(&verdict, &learned, &self.suppressed, VotingConfig::default());
+        span.finish();
+        obs.decisions.inc();
+        if decision.is_declined() {
+            obs.declined.inc();
+        }
+        let candidates = finals.len() + verdict.assigned.len();
         SnapshotDecision { decision, candidates, degraded: rules_only }
     }
 }

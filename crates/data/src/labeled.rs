@@ -17,11 +17,6 @@ pub struct LabeledCorpus {
 }
 
 impl LabeledCorpus {
-    /// Wraps existing items.
-    pub fn from_items(items: Vec<GeneratedItem>) -> Self {
-        LabeledCorpus { items }
-    }
-
     /// Generates a corpus of `n` items.
     pub fn generate(generator: &mut CatalogGenerator, n: usize) -> Self {
         LabeledCorpus { items: generator.generate(n) }

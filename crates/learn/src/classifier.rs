@@ -3,10 +3,8 @@
 //! Voting Master consumes ("each prediction is a list of product types
 //! together with weights", §3.3).
 
-use rulekit_data::{LabeledCorpus, TypeId};
+use rulekit_data::TypeId;
 use rulekit_text::{FrozenTfIdf, TfIdf};
-
-use crate::features::Featurizer;
 
 /// A ranked prediction.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,16 +90,6 @@ pub struct TrainingSet {
 }
 
 impl TrainingSet {
-    /// Builds a training set by featurizing a labeled corpus.
-    pub fn from_corpus(corpus: &LabeledCorpus, featurizer: &Featurizer) -> Self {
-        let docs = corpus
-            .items()
-            .iter()
-            .map(|item| (featurizer.features(&item.product), item.truth))
-            .collect();
-        TrainingSet { docs }
-    }
-
     /// Builds from raw pairs.
     pub fn from_pairs(docs: Vec<(Vec<String>, TypeId)>) -> Self {
         TrainingSet { docs }

@@ -97,7 +97,7 @@ pub struct Request {
 impl Request {
     /// First header with this (lowercase) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// Serializes the request to raw HTTP/1.1 bytes (client side + codec
@@ -247,6 +247,68 @@ fn trim_crlf(mut line: Vec<u8>) -> Vec<u8> {
     line
 }
 
+/// Header fields in arrival order, names lowercased.
+type Headers = Vec<(String, String)>;
+
+/// First header named `name` (lowercase).
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+}
+
+/// Reads a message's header block and its `Content-Length` body, the part
+/// requests and responses share: at most `max_headers` fields, each a
+/// well-formed `name: value`, no transfer coding, a body within `max_body`.
+/// The body is `None` when there is no `Content-Length`.
+fn read_head(
+    reader: &mut dyn BufRead,
+    limits: &HttpLimits,
+) -> Result<(Headers, Option<Vec<u8>>), HttpError> {
+    let mut headers = Headers::new();
+    loop {
+        let line =
+            read_line_limited(reader, limits.max_header_line, || HttpError::HeadersTooLarge)?
+                .ok_or_else(|| HttpError::BadRequest("eof in headers".to_string()))?;
+        let line = trim_crlf(line);
+        if line.is_empty() {
+            break;
+        }
+        if headers.len() >= limits.max_headers {
+            return Err(HttpError::HeadersTooLarge);
+        }
+        let line = String::from_utf8(line)
+            .map_err(|_| HttpError::BadRequest("header is not utf-8".to_string()))?;
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| HttpError::BadRequest(format!("header without colon: {line:?}")))?;
+        if name.is_empty() || name.contains(' ') || name.contains('\t') {
+            return Err(HttpError::BadRequest(format!("invalid header name {name:?}")));
+        }
+        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
+    }
+
+    if header(&headers, "transfer-encoding").is_some() {
+        return Err(HttpError::NotImplemented("transfer-encoding".to_string()));
+    }
+
+    let Some(v) = header(&headers, "content-length") else {
+        return Ok((headers, None));
+    };
+    let len: usize =
+        v.trim().parse().map_err(|_| HttpError::BadRequest(format!("bad content-length {v:?}")))?;
+    if len > limits.max_body {
+        return Err(HttpError::BodyTooLarge);
+    }
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            HttpError::BadRequest("body shorter than content-length".to_string())
+        } else {
+            HttpError::Io(e)
+        }
+    })?;
+    Ok((headers, Some(body)))
+}
+
 /// Parses exactly one request from `reader`, enforcing `limits`. Consumes
 /// no bytes beyond the request's body, so pipelined requests parse one
 /// after another off the same reader.
@@ -281,61 +343,14 @@ pub fn parse_request(
         return Err(HttpError::BadRequest(format!("target {path:?} is not absolute")));
     }
 
-    // --- headers ---
-    let mut headers: Vec<(String, String)> = Vec::new();
-    loop {
-        let line =
-            read_line_limited(reader, limits.max_header_line, || HttpError::HeadersTooLarge)?
-                .ok_or_else(|| HttpError::BadRequest("eof in headers".to_string()))?;
-        let line = trim_crlf(line);
-        if line.is_empty() {
-            break;
-        }
-        if headers.len() >= limits.max_headers {
-            return Err(HttpError::HeadersTooLarge);
-        }
-        let line = String::from_utf8(line)
-            .map_err(|_| HttpError::BadRequest("header is not utf-8".to_string()))?;
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| HttpError::BadRequest(format!("header without colon: {line:?}")))?;
-        if name.is_empty() || name.contains(' ') || name.contains('\t') {
-            return Err(HttpError::BadRequest(format!("invalid header name {name:?}")));
-        }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-    }
-
-    let find = |name: &str| headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
-
-    if find("transfer-encoding").is_some() {
-        return Err(HttpError::NotImplemented("transfer-encoding".to_string()));
-    }
-
-    // --- body ---
-    let body = match find("content-length") {
-        Some(v) => {
-            let len: usize = v
-                .trim()
-                .parse()
-                .map_err(|_| HttpError::BadRequest(format!("bad content-length {v:?}")))?;
-            if len > limits.max_body {
-                return Err(HttpError::BodyTooLarge);
-            }
-            let mut body = vec![0u8; len];
-            reader.read_exact(&mut body).map_err(|e| {
-                if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                    HttpError::BadRequest("body shorter than content-length".to_string())
-                } else {
-                    HttpError::Io(e)
-                }
-            })?;
-            body
-        }
+    let (headers, body) = read_head(reader, limits)?;
+    let body = match body {
+        Some(body) => body,
         None if method == Method::Post => return Err(HttpError::LengthRequired),
         None => Vec::new(),
     };
 
-    let keep_alive = match find("connection").map(str::to_ascii_lowercase) {
+    let keep_alive = match header(&headers, "connection").map(str::to_ascii_lowercase) {
         Some(c) if c == "close" => false,
         Some(c) if c == "keep-alive" => true,
         _ => http11,
@@ -414,8 +429,9 @@ pub fn reason_phrase(status: u16) -> &'static str {
 /// A parsed response: status, headers, body.
 pub type RawResponse = (u16, Vec<(String, String)>, Vec<u8>);
 
-/// Parses one response off a reader (client side; used by the load driver
-/// and the integration tests).
+/// Parses one response off a reader (client side: every `HttpClient` read)
+/// under a request's header and body rules. A response without
+/// `Content-Length` has an empty body.
 pub fn parse_response(
     reader: &mut dyn BufRead,
     limits: &HttpLimits,
@@ -430,31 +446,8 @@ pub fn parse_response(
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| HttpError::BadRequest(format!("bad status line {line:?}")))?;
-    let mut headers = Vec::new();
-    loop {
-        let line =
-            read_line_limited(reader, limits.max_header_line, || HttpError::HeadersTooLarge)?
-                .ok_or_else(|| HttpError::BadRequest("eof in response headers".to_string()))?;
-        let line = trim_crlf(line);
-        if line.is_empty() {
-            break;
-        }
-        let line = String::from_utf8(line)
-            .map_err(|_| HttpError::BadRequest("header is not utf-8".to_string()))?;
-        if let Some((k, v)) = line.split_once(':') {
-            headers.push((k.to_ascii_lowercase(), v.trim().to_string()));
-        }
-    }
-    let len: usize = headers
-        .iter()
-        .find(|(k, _)| k == "content-length")
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or(0);
-    if len > limits.max_body {
-        return Err(HttpError::BodyTooLarge);
-    }
-    let mut body = vec![0u8; len];
-    reader.read_exact(&mut body)?;
+    let (headers, body) = read_head(reader, limits)?;
+    let body = body.unwrap_or_default();
     Ok((status, headers, body))
 }
 
@@ -559,5 +552,40 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(body, b"hello metrics\n");
         assert!(headers.iter().any(|(k, _)| k == "content-type"));
+    }
+
+    fn parse_response_bytes(bytes: &[u8]) -> Result<RawResponse, HttpError> {
+        parse_response(&mut BufReader::new(bytes), &HttpLimits::default())
+    }
+
+    #[test]
+    fn response_headers_are_bounded_and_well_formed() {
+        let limits = HttpLimits::default();
+        let head = |n: usize| {
+            let mut bytes = b"HTTP/1.1 200 OK\r\n".to_vec();
+            for i in 0..n {
+                bytes.extend_from_slice(format!("x-filler-{i}: {i}\r\n").as_bytes());
+            }
+            bytes.extend_from_slice(b"content-length: 2\r\n\r\nok");
+            bytes
+        };
+        let (_, headers, body) = parse_response_bytes(&head(limits.max_headers - 1)).unwrap();
+        assert_eq!((headers.len(), body.as_slice()), (limits.max_headers, &b"ok"[..]));
+        let err = parse_response_bytes(&head(limits.max_headers)).unwrap_err();
+        assert_eq!(err.status(), Some(431), "{err}");
+
+        let err = parse_response_bytes(b"HTTP/1.1 200 OK\r\nno colon\r\n\r\n").unwrap_err();
+        assert_eq!(err.status(), Some(400), "{err}");
+    }
+
+    #[test]
+    fn chunked_response_is_501_not_an_empty_body() {
+        let bytes = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n2\r\nok\r\n0\r\n\r\n";
+        let err = parse_response_bytes(bytes).unwrap_err();
+        assert_eq!(err.status(), Some(501), "{err}");
+
+        // No `Content-Length` and no transfer coding: an empty body.
+        let (status, _, body) = parse_response_bytes(b"HTTP/1.1 204 No Content\r\n\r\n").unwrap();
+        assert_eq!((status, body.len()), (204, 0));
     }
 }

@@ -386,6 +386,24 @@ fn shared_dfa_agrees_across_threads() {
                         assert_eq!(dfa, thrasher.find(&text).is_some(), "budget 8, text={text:?}");
                     }
                 }
+                // Whether the token texts thrash depends on the cache state
+                // the other threads leave behind; 256 aperiodic `a`/`b`
+                // characters overflow a budget-8 cache from any state.
+                let text: String = (0..256)
+                    .map(|_| {
+                        state = state
+                            .wrapping_mul(6364136223846793005)
+                            .wrapping_add(1442695040888963407);
+                        if state >> 63 == 0 {
+                            'a'
+                        } else {
+                            'b'
+                        }
+                    })
+                    .collect();
+                if let Some(dfa) = tiny.is_match(&text) {
+                    assert_eq!(dfa, thrasher.find(&text).is_some(), "budget 8, text={text:?}");
+                }
             });
         }
     });

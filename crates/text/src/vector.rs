@@ -87,11 +87,6 @@ impl SparseVector {
         &self.entries
     }
 
-    /// Number of non-zero entries.
-    pub fn nnz(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether this is the zero vector.
     pub fn is_zero(&self) -> bool {
         self.entries.is_empty()
