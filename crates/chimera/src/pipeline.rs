@@ -275,11 +275,12 @@ impl Chimera {
         Arc::new(RuleClassifier::over(Arc::new(engine)))
     }
 
-    /// The pipeline compiled at the repositories' current state, rebuilt
-    /// only when either store's change signal moved. A rebuild copies entry
-    /// pointers — each rule's compiled form is shared with every earlier
-    /// build — and builds the literal indexes.
-    fn current(&self) -> Arc<PipelineSnapshot> {
+    /// The cached pipeline, compiled at the repositories' current state
+    /// and rebuilt only when either store's change signal moved: two calls
+    /// with no edit between them return the same allocation. A rebuild
+    /// copies entry pointers — each rule's compiled form is shared with
+    /// every earlier build — and builds the literal indexes.
+    pub fn cached_snapshot(&self) -> Arc<PipelineSnapshot> {
         let mut cache = self.cache.lock();
         // Read before the entries: a change in between leaves the build
         // keyed to the older count, so the next call rebuilds.
@@ -329,21 +330,21 @@ impl Chimera {
 
     /// A copy of the pipeline every classification runs — compiled gate +
     /// rule classifiers, ensemble, suppression set, metric handles — that
-    /// is `Send + Sync` and never blocks, for lock-free serving. See
-    /// [`PipelineSnapshot`].
+    /// is `Send + Sync` and never blocks. See [`PipelineSnapshot`]; to
+    /// share the cached one instead, see [`Chimera::cached_snapshot`].
     pub fn snapshot(&self) -> PipelineSnapshot {
-        PipelineSnapshot::clone(&self.current())
+        PipelineSnapshot::clone(&self.cached_snapshot())
     }
 
     /// Classifies one product (Figure 2 left-to-right).
     pub fn classify(&self, product: &Product) -> Decision {
-        self.current().classify(product).decision
+        self.cached_snapshot().classify(product).decision
     }
 
     /// Classifies a slice of products on up to `cfg.threads` scoped threads
     /// ([`map_chunks`]), in input order.
     pub fn classify_batch(&self, products: &[Product]) -> Vec<Decision> {
-        let snapshot = self.current();
+        let snapshot = self.cached_snapshot();
         map_chunks(products, self.cfg.threads, |chunk| {
             chunk.iter().map(|p| snapshot.classify(p).decision).collect()
         })

@@ -60,8 +60,8 @@ impl TitleIndex {
     /// the pattern has no indexable literal.
     pub fn candidates(&self, regex: &Regex) -> Vec<u32> {
         let cnf = regex.required_literals();
-        // Same indexability predicate as the trigram rule index (shared
-        // helper — the two admission paths cannot drift apart).
+        // Only disjunctions whose every literal is an ASCII string of at
+        // least one trigram can key the postings.
         let Some(best) = best_indexable_disjunction(&cnf, 3) else {
             return (0..self.titles.len() as u32).collect();
         };

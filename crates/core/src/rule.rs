@@ -181,8 +181,8 @@ impl Condition {
     /// product this condition matches, each inner clause has at least one
     /// literal occurring as a substring of the folded title. An empty outer
     /// vector means "no requirement" (the condition may match titles
-    /// containing none of our literals). This is the single admission
-    /// interface the literal-scan and trigram executors use, across every
+    /// containing none of our literals). This is the admission interface
+    /// the literal-scan executor (`core::engine`) uses, across every
     /// condition species:
     ///
     /// * `TitleMatches` — the regex's own required-literal analysis;

@@ -47,8 +47,8 @@ pub fn best_disjunction(cnf: &[Disjunction]) -> Option<&Disjunction> {
 /// [`best_disjunction`] restricted to disjunctions an n-gram index can key
 /// on: every literal ASCII and at least `min_len` bytes long. Returns `None`
 /// when no disjunction qualifies (the rule must then be admitted another
-/// way). Shared by the trigram rule index and the data-side title index so
-/// their admission predicates can never drift apart.
+/// way). The data-side title index (`rulekit_core::TitleIndex`) keys its
+/// trigram postings on it.
 pub fn best_indexable_disjunction(cnf: &[Disjunction], min_len: usize) -> Option<&Disjunction> {
     let indexable: Vec<&Disjunction> =
         cnf.iter().filter(|d| d.iter().all(|lit| lit.len() >= min_len && lit.is_ascii())).collect();

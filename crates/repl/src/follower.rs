@@ -24,10 +24,11 @@
 //!
 //! ## Failure handling
 //!
-//! Reconnects use deterministic jittered exponential backoff. A revision
-//! *gap* or id mismatch from [`DurableRepository::apply_replicated`] means
-//! this follower's log diverged from what the leader ships (e.g. the
-//! leader lost an unsynced tail in a crash); the follower reconnects with
+//! Reconnects use deterministic jittered exponential backoff. A record
+//! [`DurableRepository::apply_replicated`] refuses — a revision *gap*, a
+//! no-op, an `Add` with the wrong id — is never logged; it means this
+//! follower's state diverged from what the leader ships (e.g. the leader
+//! lost an unsynced tail in a crash), so the follower reconnects with
 //! `force_snapshot` and rebuilds from the leader's image — it never
 //! guesses. Duplicate records after a resume are skipped by revision, so
 //! replay is idempotent across any partition pattern.

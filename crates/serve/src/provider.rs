@@ -53,8 +53,10 @@ impl ChimeraProvider {
 }
 
 impl SnapshotProvider for ChimeraProvider {
+    /// Publishes the pipeline's cached snapshot itself: with no edit since
+    /// the last build, the same allocation.
     fn build(&self) -> Arc<dyn RequestClassifier> {
-        Arc::new(self.chimera.snapshot())
+        self.chimera.cached_snapshot()
     }
 
     /// The sum of both stores' change signals: it moves on every edit and

@@ -102,6 +102,21 @@ fn serves_real_pipeline_end_to_end() {
     assert!(m.latency.quantile(0.5) > 0);
 }
 
+#[test]
+fn chimera_provider_publishes_the_cached_snapshot() {
+    let chimera = ruled_chimera();
+    let provider = ChimeraProvider::new(chimera.clone());
+    let same = |a: &Arc<dyn RequestClassifier>, b: &Arc<dyn RequestClassifier>| {
+        std::ptr::addr_eq(Arc::as_ptr(a), Arc::as_ptr(b))
+    };
+    let first = provider.build();
+    assert!(same(&first, &provider.build()), "no edit: the same allocation");
+    chimera.add_rules("sofas? -> sofas\n").unwrap();
+    let edited = provider.build();
+    assert!(!same(&first, &edited), "an edit publishes a new snapshot");
+    assert!(same(&edited, &provider.build()));
+}
+
 /// The tentpole guarantee: a rule added while the service is running under
 /// load becomes visible to responses without stopping or pausing serving.
 #[test]

@@ -5,11 +5,14 @@
 //! The ordering contract is log-then-apply under one mutation lock: a
 //! mutation is *acknowledged* (returned `Ok`) only after its WAL record is
 //! durable to the extent the [`FsyncPolicy`] promises; only then does it
-//! touch the in-memory repository. Recovery ([`DurableRepository::open`])
-//! loads the newest valid checkpoint, replays the WAL tail through the
-//! normal repository API (ids and revisions re-derive deterministically
-//! because writers are serialized), truncates any torn tail, and returns a
-//! [`RecoveryReport`] describing what it found.
+//! touch the in-memory repository. First-hand, replicated and replayed
+//! edits share one write path: a record from elsewhere (a leader's, or the
+//! WAL's at open) passes one admission check — next revision, changes the
+//! repository, an `Add`'s source parses — before anything is logged or
+//! applied, and one apply maps every [`WalOp`] onto the repository.
+//! Recovery ([`DurableRepository::open`]) loads the newest valid
+//! checkpoint, replays the WAL tail through that path, truncates any torn
+//! tail, and returns a [`RecoveryReport`] describing what it found.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -251,34 +254,24 @@ impl DurableRepository {
             storage.truncate(WAL_NAME, wal_scan.valid_len)?;
         }
 
-        // 3. Replay the tail through the normal mutation API. Records at or
-        //    below the checkpoint revision are already folded in (crash
-        //    between checkpoint publish and WAL reset) and are skipped. A
-        //    suffix that cannot apply — a revision gap, an id mismatch, a
-        //    no-op replay — is the residue of an interrupted snapshot
-        //    install (divergent pre-snapshot history alongside a newer
-        //    checkpoint) and is discarded: truncated from disk and reported,
-        //    rather than failing the open and stranding the node.
-        //    Contiguity is checked *before* applying, so a discarded record
-        //    never half-mutates the repository.
+        // 3. Replay the tail through the admission check and the apply a
+        //    replicated record takes. Records at or below the checkpoint
+        //    revision are already folded in (crash between checkpoint
+        //    publish and WAL reset) and are skipped. A suffix that is
+        //    refused is the residue of an interrupted snapshot install
+        //    (divergent pre-snapshot history alongside a newer checkpoint)
+        //    and is discarded: truncated from disk and reported, rather
+        //    than failing the open and stranding the node. Admission runs
+        //    *before* applying, so a discarded record never half-mutates
+        //    the repository.
         let mut wal_len = wal_scan.valid_len;
         let mut wal_records = wal_scan.records.len() as u64;
         for (i, record) in wal_scan.records.iter().enumerate() {
-            if record.revision <= repo.revision() {
-                report.skipped += 1;
-                continue;
-            }
-            let applied = if record.revision == repo.revision() + 1 {
-                apply_record(&repo, &parser, record)
-            } else {
-                Err(StoreError::Corrupt(format!(
-                    "revision gap: record {} after repository revision {}",
-                    record.revision,
-                    repo.revision()
-                )))
-            };
-            match applied {
-                Ok(()) => report.replayed += 1,
+            let replayed = admit(&repo, &parser, record)
+                .and_then(|edit| edit.map(|edit| edit.apply(&repo)).transpose());
+            match replayed {
+                Ok(Some(())) => report.replayed += 1,
+                Ok(None) => report.skipped += 1,
                 Err(e) => {
                     let cut = wal_scan.record_starts[i];
                     storage.truncate(WAL_NAME, cut)?;
@@ -390,19 +383,15 @@ impl DurableRepository {
     /// Durably adds a parsed rule. On `Ok` the rule is logged (and applied);
     /// on `Err` neither happened.
     pub fn add_rule(&self, spec: RuleSpec, mut meta: RuleMeta) -> Result<RuleId, StoreError> {
-        let mut st = self.lock_state();
+        let st = self.lock_state();
         let id = self.repo.next_rule_id();
-        let revision = self.repo.revision() + 1;
         meta.added_at = self.repo.revision();
-        let record =
-            WalRecord { revision, op: WalOp::Add(PersistedRule::new(id, &spec.source, &meta)) };
-        st.wal.append(&record)?;
-        let assigned = self.repo.add(spec, meta);
-        debug_assert_eq!(assigned, RuleId(id));
-        self.note_persisted_levels();
-        self.emit(&record);
-        self.maybe_compact(st);
-        Ok(assigned)
+        let record = WalRecord {
+            revision: meta.added_at + 1,
+            op: WalOp::Add(PersistedRule::new(id, &spec.source, &meta)),
+        };
+        self.log_and_apply(st, Admitted { record: &record, add: Some((spec, meta)) })?;
+        Ok(RuleId(id))
     }
 
     /// Durably parses and adds every rule line in `text`.
@@ -414,37 +403,29 @@ impl DurableRepository {
     /// Durably disables a rule. `Ok(false)` = no-op (absent or already
     /// disabled), nothing logged.
     pub fn disable(&self, id: RuleId, reason: impl Into<String>) -> Result<bool, StoreError> {
-        let reason = reason.into();
-        let st = self.lock_state();
-        match self.repo.get(id) {
-            Some(rule) if rule.is_enabled() => {}
-            _ => return Ok(false),
-        }
-        self.log_and_apply(st, WalOp::Disable { id: id.0, reason: reason.clone() }, |repo| {
-            repo.disable(id, reason)
-        })
+        self.edit(WalOp::Disable { id: id.0, reason: reason.into() })
     }
 
     /// Durably re-enables a rule. `Ok(false)` = no-op, nothing logged.
     pub fn enable(&self, id: RuleId) -> Result<bool, StoreError> {
-        let st = self.lock_state();
-        match self.repo.get(id) {
-            Some(rule) if !rule.is_enabled() => {}
-            _ => return Ok(false),
-        }
-        self.log_and_apply(st, WalOp::Enable { id: id.0 }, |repo| repo.enable(id))
+        self.edit(WalOp::Enable { id: id.0 })
     }
 
     /// Durably removes a rule. `Ok(false)` = absent, nothing logged.
     pub fn remove(&self, id: RuleId, reason: impl Into<String>) -> Result<bool, StoreError> {
-        let reason = reason.into();
+        self.edit(WalOp::Remove { id: id.0, reason: reason.into() })
+    }
+
+    /// A first-hand disable, enable or remove: `Ok(false)`, with nothing
+    /// logged, when the op would change nothing.
+    fn edit(&self, op: WalOp) -> Result<bool, StoreError> {
         let st = self.lock_state();
-        if self.repo.get(id).is_none() {
+        if !changes(&self.repo, &op) {
             return Ok(false);
         }
-        self.log_and_apply(st, WalOp::Remove { id: id.0, reason: reason.clone() }, |repo| {
-            repo.remove(id, reason)
-        })
+        let record = WalRecord { revision: self.repo.revision() + 1, op };
+        self.log_and_apply(st, Admitted { record: &record, add: None })?;
+        Ok(true)
     }
 
     /// Durably disables every enabled rule targeting `ty` (the per-type
@@ -479,20 +460,22 @@ impl DurableRepository {
         Ok(affected)
     }
 
+    /// The log-then-apply step of first-hand and replicated edits: appends
+    /// the admitted record (an append error leaves the repository
+    /// untouched), applies it, then refreshes the levels, shows the record
+    /// to the sink and compacts when due.
     fn log_and_apply(
         &self,
         mut st: MutexGuard<'_, WriterState>,
-        op: WalOp,
-        apply: impl FnOnce(&RuleRepository) -> bool,
-    ) -> Result<bool, StoreError> {
-        let record = WalRecord { revision: self.repo.revision() + 1, op };
-        st.wal.append(&record)?;
-        let applied = apply(&self.repo);
-        debug_assert!(applied, "precondition checked under the mutation lock");
+        edit: Admitted<'_>,
+    ) -> Result<(), StoreError> {
+        let record = edit.record;
+        st.wal.append(record)?;
+        edit.apply(&self.repo)?;
         self.note_persisted_levels();
-        self.emit(&record);
+        self.emit(record);
         self.maybe_compact(st);
-        Ok(true)
+        Ok(())
     }
 
     /// Consistent full-catalog image (rules + next id + revision) under the
@@ -549,42 +532,30 @@ impl DurableRepository {
     pub fn install_snapshot(&self, data: &CheckpointData) -> Result<(), StoreError> {
         let mut st = self.lock_state();
         let rules = rebuild_rules(&self.parser, &data.rules)?;
+        let span = SpanTimer::start(&self.metrics.checkpoint_nanos);
         checkpoint::remove_above(&*self.storage, data.revision)?;
         st.wal.reset()?;
         let stats = checkpoint::write(&*self.storage, data)?;
         self.repo.restore(rules, data.next_id, data.revision);
-        checkpoint::housekeep(&*self.storage, &[], self.config.keep_checkpoints);
-        st.checkpoints_written += 1;
-        st.last_checkpoint = stats;
         self.note_persisted_levels();
-        self.metrics.checkpoints.inc();
+        self.note_checkpoint(&mut st, stats, span);
         Ok(())
     }
 
-    /// Applies one leader-shipped record: duplicates (revision already
-    /// folded in) are skipped, the next revision is WAL-logged locally then
-    /// applied, and anything else — a gap, an id mismatch, a no-op replay —
-    /// is [`StoreError::Corrupt`], the follower's signal to resync from a
-    /// snapshot. Same log-then-apply contract as first-hand mutations, so a
-    /// follower restart recovers replicated edits from its *own* WAL.
+    /// Applies one leader-shipped record through the admission check and
+    /// the log-then-apply step of first-hand edits, so a follower restart
+    /// recovers replicated edits from its *own* WAL. Duplicates (revision
+    /// already folded in) are skipped; a refused record — a gap, a no-op,
+    /// an `Add` with the wrong id — is [`StoreError::Corrupt`] (an `Add`
+    /// whose source does not parse is [`StoreError::Parse`]), the
+    /// follower's signal to resync from a snapshot. A refused record is
+    /// never logged.
     pub fn apply_replicated(&self, record: &WalRecord) -> Result<ReplayOutcome, StoreError> {
-        let mut st = self.lock_state();
-        let current = self.repo.revision();
-        if record.revision <= current {
-            return Ok(ReplayOutcome::Skipped);
+        let st = self.lock_state();
+        match admit(&self.repo, &self.parser, record)? {
+            Some(edit) => self.log_and_apply(st, edit).map(|()| ReplayOutcome::Applied),
+            None => Ok(ReplayOutcome::Skipped),
         }
-        if record.revision != current + 1 {
-            return Err(StoreError::Corrupt(format!(
-                "replication gap: local revision {current}, shipped record {}",
-                record.revision
-            )));
-        }
-        st.wal.append(record)?;
-        apply_record(&self.repo, &self.parser, record)?;
-        self.note_persisted_levels();
-        self.emit(record);
-        self.maybe_compact(st);
-        Ok(ReplayOutcome::Applied)
     }
 
     fn maybe_compact(&self, st: MutexGuard<'_, WriterState>) {
@@ -612,12 +583,19 @@ impl DurableRepository {
         // (replay would skip them by revision), so a reset failure is
         // harmless beyond log length.
         let _ = st.wal.reset();
+        self.note_checkpoint(&mut st, stats, span);
+        Ok(stats)
+    }
+
+    /// The bookkeeping after a checkpoint write, shared by compaction and
+    /// snapshot install (whose crash-safe write orders differ):
+    /// housekeeping, the counters and the timing span.
+    fn note_checkpoint(&self, st: &mut WriterState, stats: CheckpointStats, span: SpanTimer<'_>) {
         checkpoint::housekeep(&*self.storage, &[], self.config.keep_checkpoints);
         st.checkpoints_written += 1;
         st.last_checkpoint = stats;
         self.metrics.checkpoints.inc();
         span.finish();
-        Ok(stats)
     }
 
     /// Consistent catalog image. Callers must hold the mutation lock (or
@@ -641,55 +619,93 @@ fn rebuild_rules(parser: &RuleParser, entries: &[PersistedRule]) -> Result<Vec<R
     Ok(rules)
 }
 
-/// Applies one replayed WAL record through the repository's public API and
-/// verifies the result matches what the record claims (id and revision),
-/// surfacing divergence as corruption instead of silently drifting.
-fn apply_record(
-    repo: &Arc<RuleRepository>,
-    parser: &RuleParser,
-    record: &WalRecord,
-) -> Result<(), StoreError> {
-    match &record.op {
-        WalOp::Add(rule) => {
-            if repo.next_rule_id() != rule.id {
-                return Err(StoreError::Corrupt(format!(
-                    "replay id mismatch: log says {}, repository would assign {}",
-                    rule.id,
-                    repo.next_rule_id()
-                )));
+/// A record the admission check let through (or a first-hand edit that
+/// passed [`changes`]): the next revision, an op that changes the
+/// repository, and for an `Add` its source parsed once, with its metadata.
+struct Admitted<'r> {
+    record: &'r WalRecord,
+    add: Option<(RuleSpec, RuleMeta)>,
+}
+
+impl Admitted<'_> {
+    /// Applies the op to `repo`. Admission makes it move the revision by
+    /// exactly one; the check after it catches a repository mutated behind
+    /// the store's back.
+    fn apply(self, repo: &RuleRepository) -> Result<(), StoreError> {
+        match &self.record.op {
+            WalOp::Add(_) => {
+                // Admission fills `add` for every `Add`; without it nothing
+                // moves and the revision check refuses the record.
+                if let Some((spec, meta)) = self.add {
+                    repo.add(spec, meta);
+                }
             }
-            repo.add(rule.parse(parser)?, rule.meta());
-        }
-        WalOp::Disable { id, reason } => {
-            if !repo.disable(RuleId(*id), reason.clone()) {
-                return Err(StoreError::Corrupt(format!(
-                    "replayed disable of rule {id} was a no-op"
-                )));
+            WalOp::Disable { id, reason } => {
+                repo.disable(RuleId(*id), reason.as_str());
             }
-        }
-        WalOp::Enable { id } => {
-            if !repo.enable(RuleId(*id)) {
-                return Err(StoreError::Corrupt(format!(
-                    "replayed enable of rule {id} was a no-op"
-                )));
+            WalOp::Enable { id } => {
+                repo.enable(RuleId(*id));
+            }
+            WalOp::Remove { id, reason } => {
+                repo.remove(RuleId(*id), reason.as_str());
             }
         }
-        WalOp::Remove { id, reason } => {
-            if !repo.remove(RuleId(*id), reason.clone()) {
-                return Err(StoreError::Corrupt(format!(
-                    "replayed remove of rule {id} was a no-op"
-                )));
-            }
+        if repo.revision() != self.record.revision {
+            return Err(StoreError::Corrupt(format!(
+                "revision mismatch: record {}, repository at {}",
+                self.record.revision,
+                repo.revision()
+            )));
         }
+        Ok(())
     }
-    if repo.revision() != record.revision {
+}
+
+/// Whether `op` changes `repo`: an `Add` names the next id, a `Disable` or
+/// `Enable` a rule in the other state, a `Remove` a present rule.
+fn changes(repo: &RuleRepository, op: &WalOp) -> bool {
+    match op {
+        WalOp::Add(rule) => rule.id == repo.next_rule_id(),
+        WalOp::Disable { id, .. } => repo.get(RuleId(*id)).is_some_and(|r| r.is_enabled()),
+        WalOp::Enable { id } => repo.get(RuleId(*id)).is_some_and(|r| !r.is_enabled()),
+        WalOp::Remove { id, .. } => repo.get(RuleId(*id)).is_some(),
+    }
+}
+
+/// The admission check for a record from elsewhere: shipped by a leader,
+/// or read back from the WAL at open. `Ok(None)`: its revision is already
+/// folded in. A revision gap or an op that changes nothing (an `Add` with
+/// the wrong id included) is [`StoreError::Corrupt`]; an `Add` whose
+/// source does not parse is
+/// [`StoreError::Parse`].
+fn admit<'r>(
+    repo: &RuleRepository,
+    parser: &RuleParser,
+    record: &'r WalRecord,
+) -> Result<Option<Admitted<'r>>, StoreError> {
+    let current = repo.revision();
+    if record.revision <= current {
+        return Ok(None);
+    }
+    if record.revision != current + 1 {
         return Err(StoreError::Corrupt(format!(
-            "replay revision mismatch: log says {}, repository is at {}",
-            record.revision,
-            repo.revision()
+            "revision gap: record {} after revision {current}",
+            record.revision
         )));
     }
-    Ok(())
+    if !changes(repo, &record.op) {
+        return Err(StoreError::Corrupt(format!(
+            "record {} does not apply (next id {}): {:?}",
+            record.revision,
+            repo.next_rule_id(),
+            record.op
+        )));
+    }
+    let add = match &record.op {
+        WalOp::Add(rule) => Some((rule.parse(parser)?, rule.meta())),
+        _ => None,
+    };
+    Ok(Some(Admitted { record, add }))
 }
 
 #[cfg(test)]
@@ -926,6 +942,48 @@ mod tests {
         let reopened = open(&follower_storage, config);
         assert_eq!(catalog_hash(leader.repository()), catalog_hash(reopened.repository()));
         assert_eq!(reopened.recovery().replayed, 3);
+    }
+
+    #[test]
+    fn refused_replicated_records_are_not_logged() {
+        let config = DurableConfig { checkpoint_every: 0, ..DurableConfig::default() };
+        let storage = Arc::new(MemStorage::new());
+        let follower = open(&storage, config);
+        let add = |revision, id, source: &str| WalRecord {
+            revision,
+            op: WalOp::Add(PersistedRule::new(id, source, &RuleMeta::default())),
+        };
+        let first = add(1, 0, "rings? -> rings");
+        assert_eq!(follower.apply_replicated(&first).unwrap(), ReplayOutcome::Applied);
+        assert!(parser().parse_rule("not a rule").is_err());
+
+        // Each refused record and its error, then the correct record at the
+        // same revision.
+        let cases = [
+            (
+                WalRecord { revision: 2, op: WalOp::Enable { id: 0 } }, // already enabled
+                "corrupt",
+                WalRecord { revision: 2, op: WalOp::Disable { id: 0, reason: "drift".into() } },
+            ),
+            (add(3, 7, "rugs? -> area rugs"), "corrupt", add(3, 1, "rugs? -> area rugs")),
+            (add(4, 2, "not a rule"), "parse", add(4, 2, "sofas? -> sofas")),
+        ];
+        for (refused, kind, correct) in &cases {
+            let logged = follower.stats().wal_records;
+            match follower.apply_replicated(refused) {
+                Err(StoreError::Corrupt(_)) => assert_eq!(*kind, "corrupt"),
+                Err(StoreError::Parse(_)) => assert_eq!(*kind, "parse"),
+                other => panic!("{refused:?}: {other:?}"),
+            }
+            assert_eq!(follower.stats().wal_records, logged, "{refused:?} was logged");
+            let reopened = open(&storage, config);
+            assert_eq!(reopened.recovery().discarded_records, 0, "{refused:?}");
+            assert_eq!(reopened.recovery().replayed, logged);
+            drop(reopened);
+            assert_eq!(follower.apply_replicated(correct).unwrap(), ReplayOutcome::Applied);
+        }
+        assert!(matches!(follower.apply_replicated(&cases[2].0), Ok(ReplayOutcome::Skipped)));
+        assert_eq!(follower.stats().wal_records, 4);
     }
 
     #[test]

@@ -24,6 +24,11 @@
 //!   write-temp → fsync → atomic-rename, then resets the WAL; recovery
 //!   replays only records newer than the checkpoint, so a crash between
 //!   rename and reset cannot double-apply.
+//! - **One write path** — first-hand, replicated
+//!   ([`DurableRepository::apply_replicated`]) and replayed edits share one
+//!   admission check (next revision, changes the repository, an `Add`'s
+//!   source parses), one apply and one log-then-apply step: a refused
+//!   record is never logged.
 //! - **Recovery** — [`DurableRepository::open`] loads the newest *valid*
 //!   checkpoint (corrupt candidates are skipped), replays the WAL tail,
 //!   and truncates at the first torn or checksum-corrupt record instead of

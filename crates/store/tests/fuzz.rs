@@ -11,6 +11,12 @@
 //! - Weaker policies (`EveryN`, `Never`): the recovered repository equals
 //!   the state after some *prefix* of the acknowledged mutations (bounded
 //!   loss window, never reordering or corruption).
+//! - The replicated path: a follower applies every record a fault-free
+//!   leader ships, with seeded bad records (duplicate, gap, no-op toggle,
+//!   `Add` with the wrong id) sent between them. Each bad record is
+//!   skipped or refused without being logged, the follower mirrors the
+//!   leader after every step, and its reopen replays exactly the applied
+//!   records.
 //!
 //! Seeds and cycle counts are overridable for CI sweeps:
 //! `RULEKIT_FUZZ_SEEDS="1,2,3" RULEKIT_FUZZ_CYCLES=500 cargo test -p
@@ -18,13 +24,14 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rulekit_core::{RuleId, RuleMeta, RuleParser, RuleRepository};
 use rulekit_data::Taxonomy;
 use rulekit_store::{
-    DurableConfig, DurableRepository, FaultConfig, FaultyStorage, FsyncPolicy, MemStorage, Storage,
+    DurableConfig, DurableRepository, FaultConfig, FaultyStorage, FsyncPolicy, MemStorage,
+    PersistedRule, ReplayOutcome, Storage, WalOp, WalRecord,
 };
 
 const SOURCES: &[&str] = &[
@@ -267,6 +274,109 @@ fn run_bounded_loss(seed: u64, cycles: u64, policy: FsyncPolicy) {
     }
 }
 
+/// A record the follower must not log: a gap, a no-op `Disable` /
+/// `Enable` / `Remove` at the next revision, or an `Add` with the wrong id.
+fn bad_record(rng: &mut StdRng, follower: &RuleRepository, next: &WalRecord) -> WalRecord {
+    let revision = follower.revision() + 1;
+    let rules = follower.full_snapshot();
+    let absent = follower.next_rule_id() + rng.gen_range(0u64..3);
+    let pick = |rng: &mut StdRng, enabled: bool| {
+        let ids: Vec<u64> =
+            rules.iter().filter(|r| r.is_enabled() == enabled).map(|r| r.id.0).collect();
+        if ids.is_empty() || rng.gen_bool(0.3) {
+            absent
+        } else {
+            ids[rng.gen_range(0..ids.len())]
+        }
+    };
+    let op = match rng.gen_range(0u32..5) {
+        0 => return WalRecord { revision: revision + rng.gen_range(1u64..4), ..next.clone() },
+        1 => WalOp::Disable { id: pick(rng, false), reason: "no-op".into() },
+        2 => WalOp::Enable { id: pick(rng, true) },
+        3 => WalOp::Remove { id: absent, reason: "no-op".into() },
+        _ => {
+            let next_id = follower.next_rule_id();
+            let id = if next_id > 0 && rng.gen_bool(0.5) {
+                rng.gen_range(0..next_id)
+            } else {
+                next_id + rng.gen_range(1u64..4)
+            };
+            WalOp::Add(PersistedRule::new(id, SOURCES[0], &RuleMeta::default()))
+        }
+    };
+    WalRecord { revision, op }
+}
+
+/// One seeded run of the replicated path over `steps` leader mutations.
+fn run_replicated(seed: u64, steps: u64) {
+    let parser = parser();
+    let open = |mem: &Arc<MemStorage>, checkpoint_every| {
+        let config = DurableConfig { checkpoint_every, ..DurableConfig::default() };
+        DurableRepository::open(Arc::clone(mem) as Arc<dyn Storage>, parser.clone(), config)
+            .expect("open")
+    };
+    let leader = open(&Arc::new(MemStorage::new()), 5);
+    let shipped: Arc<Mutex<Vec<WalRecord>>> = Arc::default();
+    let sink = Arc::clone(&shipped);
+    leader
+        .set_record_sink(Some(Arc::new(move |r: &WalRecord| sink.lock().unwrap().push(r.clone()))));
+    // No compaction on the follower: its reopen replays every applied record.
+    let follower_mem = Arc::new(MemStorage::new());
+    let follower = open(&follower_mem, 0);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut applied: Vec<WalRecord> = Vec::new();
+    let mut refused = 0u64;
+
+    for step in 0..steps {
+        let op = gen_op(&mut rng, leader.repository());
+        apply_durable(&leader, &op).expect("fault-free leader");
+        let records = std::mem::take(&mut *shipped.lock().unwrap());
+        for record in &records {
+            let logged = follower.stats().wal_records;
+            if !applied.is_empty() && rng.gen_bool(0.3) {
+                let dup = &applied[rng.gen_range(0..applied.len())];
+                assert_eq!(
+                    follower.apply_replicated(dup).unwrap(),
+                    ReplayOutcome::Skipped,
+                    "seed {seed} step {step}: duplicate {dup:?}"
+                );
+            }
+            if rng.gen_bool(0.5) {
+                let bad = bad_record(&mut rng, follower.repository(), record);
+                assert!(
+                    follower.apply_replicated(&bad).is_err(),
+                    "seed {seed} step {step}: bad record {bad:?} accepted"
+                );
+                refused += 1;
+            }
+            assert_eq!(
+                follower.stats().wal_records,
+                logged,
+                "seed {seed} step {step}: a skipped or refused record was logged"
+            );
+            assert_eq!(
+                follower.apply_replicated(record).unwrap(),
+                ReplayOutcome::Applied,
+                "seed {seed} step {step}: {record:?}"
+            );
+            applied.push(record.clone());
+        }
+        assert_eq!(
+            fingerprint(follower.repository()),
+            fingerprint(leader.repository()),
+            "seed {seed} step {step}: follower diverged from leader"
+        );
+    }
+    assert!(refused > 0, "seed {seed}: no bad record was sent");
+
+    drop(follower);
+    let reopened = open(&follower_mem, 0);
+    let report = reopened.recovery();
+    assert_eq!(report.replayed, applied.len() as u64, "seed {seed}: replayed records");
+    assert_eq!(report.discarded_records, 0, "seed {seed}: {:?}", report.wal_stop_reason);
+    assert_eq!(fingerprint(reopened.repository()), fingerprint(leader.repository()));
+}
+
 #[test]
 fn fuzz_always_policy_loses_nothing_across_1000_cycles() {
     let seeds = env_u64_list("RULEKIT_FUZZ_SEEDS", &[11, 42, 777, 31337]);
@@ -301,5 +411,14 @@ fn fuzz_never_policy_loses_at_most_a_suffix() {
     let cycles = env_u64("RULEKIT_FUZZ_CYCLES", 100);
     for &seed in &seeds {
         run_bounded_loss(seed, cycles, FsyncPolicy::Never);
+    }
+}
+
+#[test]
+fn fuzz_replicated_follower_logs_only_applying_records() {
+    let seeds = env_u64_list("RULEKIT_FUZZ_SEEDS", &[13, 2024]);
+    let steps = env_u64("RULEKIT_FUZZ_CYCLES", 250);
+    for &seed in &seeds {
+        run_replicated(seed, steps);
     }
 }
