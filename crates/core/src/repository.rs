@@ -198,6 +198,11 @@ impl RuleRepository {
         self.inner.read().rules.get(&id).map(|e| e.rule.clone())
     }
 
+    /// A rule's status, read without copying the rule.
+    pub fn status(&self, id: RuleId) -> Option<RuleStatus> {
+        self.inner.read().rules.get(&id).map(|e| e.rule.meta.status)
+    }
+
     /// Sets one rule's status, advancing the revision when it changed.
     /// Entries are immutable once shared, so the rule gets a new entry that
     /// keeps the old one's compiled form: the condition did not change.
@@ -304,6 +309,12 @@ impl RuleRepository {
     pub fn versioned_snapshot(&self) -> (u64, Vec<Rule>) {
         let (revision, entries) = self.versioned_entries();
         (revision, entries.iter().map(|e| e.rule.clone()).collect())
+    }
+
+    /// Every rule regardless of status, in insertion order, as shared
+    /// entries: no rule is copied.
+    pub fn entries(&self) -> Vec<Arc<RuleEntry>> {
+        self.inner.read().order.clone()
     }
 
     /// Owned copies of all rules regardless of status.
@@ -446,6 +457,21 @@ mod tests {
             repo.enable(ids[0]);
         }
         assert_eq!(repo.revision(), 13, "1 add + 12 toggles; the no-op disable is not one");
+    }
+
+    #[test]
+    fn status_and_entries_follow_toggles_and_removal() {
+        let (repo, ids, _) = repo_with(&["rings? -> rings", "rugs? -> area rugs"]);
+        assert_eq!(repo.status(ids[0]), Some(RuleStatus::Enabled));
+        assert!(repo.disable(ids[0], "test"));
+        assert_eq!(repo.status(ids[0]), Some(RuleStatus::Disabled));
+        let entries = repo.entries();
+        assert_eq!(entries.iter().map(|e| e.rule().id).collect::<Vec<_>>(), ids);
+        assert!(!entries[0].rule().is_enabled(), "a disabled rule is still listed");
+        assert!(repo.remove(ids[0], "subsumed"));
+        assert_eq!(repo.status(ids[0]), None);
+        assert_eq!(repo.status(RuleId(99)), None);
+        assert_eq!(repo.entries().len(), 1);
     }
 
     #[test]

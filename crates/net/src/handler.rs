@@ -118,15 +118,15 @@ fn classify_batch(state: &ServerState, items: &[Json]) -> Response {
         results.push(match admission {
             Admission::Overloaded => {
                 state.metrics.overload_shed.inc();
-                obj(vec![("error", Json::from("overloaded"))])
+                obj([("error", Json::from("overloaded"))])
             }
             Admission::Enqueued(handle) => match handle.wait() {
                 Ok(outcome) => outcome_to_json(&outcome, &state.app.taxonomy),
-                Err(e) => obj(vec![("error", Json::from(e.to_string()))]),
+                Err(e) => obj([("error", Json::from(e.to_string()))]),
             },
         });
     }
-    Response::json(200, obj(vec![("results", Json::Arr(results))]).render())
+    Response::json(200, obj([("results", Json::Arr(results))]).render())
 }
 
 /// `POST /rulesets` — body `{"rules"?: "<dsl text>", "expr"?: "<expression
@@ -182,7 +182,7 @@ fn create_rules(state: &ServerState, req: &Request) -> Response {
     match state.app.add_rules(&text, &meta) {
         Ok(ids) => {
             let ids: Vec<Json> = ids.iter().map(|id| Json::from(id.0)).collect();
-            let body = obj(vec![
+            let body = obj([
                 ("ids", Json::Arr(ids)),
                 ("revision", Json::from(state.app.rules.revision())),
             ]);
@@ -204,7 +204,7 @@ fn store_error_response(e: &StoreError) -> Response {
 /// `GET /rulesets` — every rule, any status.
 fn list_rules(state: &ServerState) -> Response {
     let rules = state.app.rules.full_snapshot();
-    let body = obj(vec![
+    let body = obj([
         ("count", Json::from(rules.len() as u64)),
         ("revision", Json::from(state.app.rules.revision())),
         ("rules", Json::Arr(rules.iter().map(rule_to_json).collect())),
@@ -243,7 +243,7 @@ fn delete_rule(state: &ServerState, id: u64) -> Response {
     }
     match state.app.remove_rule(RuleId(id), "removed via api") {
         Ok(true) => {
-            let body = obj(vec![("removed", Json::from(true)), ("id", Json::from(id))]);
+            let body = obj([("removed", Json::from(true)), ("id", Json::from(id))]);
             Response::json(200, body.render())
         }
         Ok(false) => Response::json(404, error_json(&format!("no rule {id}"))),
@@ -282,7 +282,7 @@ fn health(state: &ServerState) -> Response {
         let (last_applied, leader_seq) = (repl.last_applied(), repl.leader_seq());
         fields.push((
             "replication",
-            obj(vec![
+            obj([
                 ("role", Json::from(repl.role())),
                 ("state", Json::from(repl.state())),
                 ("last_applied_seq", Json::from(last_applied)),

@@ -105,17 +105,17 @@ impl Request {
     /// their own.
     pub fn serialize(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(128 + self.body.len());
-        let target = if self.query.is_empty() {
-            self.path.clone()
-        } else {
-            format!("{}?{}", self.path, self.query)
-        };
-        out.extend_from_slice(format!("{} {} HTTP/1.1\r\n", self.method, target).as_bytes());
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(out, "{} {}", self.method, self.path);
+        if !self.query.is_empty() {
+            let _ = write!(out, "?{}", self.query);
+        }
+        out.extend_from_slice(b" HTTP/1.1\r\n");
         for (k, v) in &self.headers {
-            out.extend_from_slice(format!("{k}: {v}\r\n").as_bytes());
+            let _ = write!(out, "{k}: {v}\r\n");
         }
         if !self.body.is_empty() || self.method == Method::Post {
-            out.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
+            let _ = write!(out, "content-length: {}\r\n", self.body.len());
         }
         if !self.keep_alive {
             out.extend_from_slice(b"connection: close\r\n");
@@ -385,17 +385,29 @@ impl Response {
 
     /// Serializes status line, headers, and body.
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(128 + self.body.len());
-        let reason = reason_phrase(self.status);
-        out.extend_from_slice(format!("HTTP/1.1 {} {}\r\n", self.status, reason).as_bytes());
-        out.extend_from_slice(format!("content-type: {}\r\n", self.content_type).as_bytes());
-        out.extend_from_slice(format!("content-length: {}\r\n", self.body.len()).as_bytes());
+        let mut out = Vec::new();
+        self.serialize_into(&mut out);
+        out
+    }
+
+    /// [`Response::serialize`], appended to `out` (a connection reuses one
+    /// buffer for every response of its session).
+    pub fn serialize_into(&self, out: &mut Vec<u8>) {
+        out.reserve(128 + self.body.len());
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            out,
+            "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
+            self.status,
+            reason_phrase(self.status),
+            self.content_type,
+            self.body.len()
+        );
         if self.close {
             out.extend_from_slice(b"connection: close\r\n");
         }
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(&self.body);
-        out
     }
 
     /// Serializes and writes the response.

@@ -38,6 +38,9 @@ pub const MAX_BATCH: usize = 256;
 const READ_TIMEOUT: Duration = Duration::from_secs(5);
 /// Per-connection write timeout.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// A session's response buffer is dropped after a response that grew it
+/// past this, so an idle keep-alive connection does not pin a large body.
+const KEPT_RESPONSE_BUFFER: usize = 64 * 1024;
 
 /// Front-end tuning knobs. Every other limit is a constant: the HTTP
 /// parser's [`HttpLimits::default`], [`PENDING_CONNECTIONS`],
@@ -194,7 +197,7 @@ fn handler_loop(state: &Arc<ServerState>) {
 
 /// Serves one keep-alive session: parse a request, dispatch, respond,
 /// repeat until the peer closes, an error ends the session, or drain
-/// begins.
+/// begins. Every response is serialized into one buffer the session keeps.
 fn handle_connection(state: &ServerState, stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
@@ -206,6 +209,7 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
     let mut reader = BufReader::new(read_half);
     let mut stream = stream;
     let limits = HttpLimits::default();
+    let mut out = Vec::new();
 
     loop {
         match parse_request(&mut reader, &limits) {
@@ -222,12 +226,13 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
                 if req.method == Method::Head {
                     resp.body.clear();
                 }
-                let close = resp.close;
-                if resp.write_to(&mut stream).is_err() {
+                out.clear();
+                resp.serialize_into(&mut out);
+                if stream.write_all(&out).and_then(|()| stream.flush()).is_err() || resp.close {
                     return;
                 }
-                if close {
-                    return;
+                if out.capacity() > KEPT_RESPONSE_BUFFER {
+                    out = Vec::new();
                 }
             }
             Err(err) => {

@@ -63,7 +63,7 @@ pub fn product_from_json(v: &Json) -> Result<Product, String> {
 /// "explanation": […]}` or `{"declined": "reason"}`.
 pub fn decision_to_json(decision: &Decision, taxonomy: &Taxonomy) -> Json {
     match decision {
-        Decision::Classified { ty, confidence, explanation } => obj(vec![
+        Decision::Classified { ty, confidence, explanation } => obj([
             ("type", Json::from(taxonomy.name(*ty))),
             ("confidence", Json::from(*confidence)),
             (
@@ -71,13 +71,13 @@ pub fn decision_to_json(decision: &Decision, taxonomy: &Taxonomy) -> Json {
                 Json::Arr(explanation.iter().map(|e| Json::from(e.as_str())).collect()),
             ),
         ]),
-        Decision::Declined { reason } => obj(vec![("declined", Json::from(reason.as_str()))]),
+        Decision::Declined { reason } => obj([("declined", Json::from(reason.as_str()))]),
     }
 }
 
 /// Encodes a served classification with its serving metadata.
 pub fn outcome_to_json(outcome: &ClassifyOutcome, taxonomy: &Taxonomy) -> Json {
-    obj(vec![
+    obj([
         ("decision", decision_to_json(&outcome.decision, taxonomy)),
         ("candidates", Json::from(outcome.candidates as u64)),
         ("degraded", Json::from(outcome.degraded)),
@@ -99,7 +99,7 @@ fn provenance_str(p: Provenance) -> &'static str {
 /// Encodes a rule for the CRUD surface: id, DSL source, status, and the
 /// metadata analysts filter on.
 pub fn rule_to_json(rule: &Rule) -> Json {
-    obj(vec![
+    obj([
         ("id", Json::from(rule.id.0)),
         ("source", Json::from(rule.source.as_str())),
         ("enabled", Json::from(rule.is_enabled())),
@@ -112,7 +112,7 @@ pub fn rule_to_json(rule: &Rule) -> Json {
 
 /// The uniform error body: `{"error": "…"}`.
 pub fn error_json(message: &str) -> String {
-    obj(vec![("error", Json::from(message))]).render()
+    obj([("error", Json::from(message))]).render()
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use rulekit_core::{Rule, RuleId, RuleMeta, RuleParser, RuleRepository, RuleSpec};
+use rulekit_core::{Rule, RuleId, RuleMeta, RuleParser, RuleRepository, RuleSpec, RuleStatus};
 use rulekit_data::TypeId;
 
 use crate::checkpoint::{self, CheckpointData, CheckpointStats};
@@ -438,12 +438,10 @@ impl DurableRepository {
     ) -> Result<Vec<RuleId>, StoreError> {
         let reason = reason.into();
         let mut affected = Vec::new();
-        for rule in self.repo.full_snapshot() {
-            if rule.is_enabled()
-                && rule.target_type() == Some(ty)
-                && self.disable(rule.id, reason.clone())?
-            {
-                affected.push(rule.id);
+        for entry in self.repo.versioned_entries().1 {
+            let id = entry.rule().id;
+            if entry.rule().target_type() == Some(ty) && self.disable(id, reason.clone())? {
+                affected.push(id);
             }
         }
         Ok(affected)
@@ -452,7 +450,8 @@ impl DurableRepository {
     /// Durably re-enables every disabled rule targeting `ty`.
     pub fn enable_type(&self, ty: TypeId) -> Result<Vec<RuleId>, StoreError> {
         let mut affected = Vec::new();
-        for rule in self.repo.full_snapshot() {
+        for entry in self.repo.entries() {
+            let rule = entry.rule();
             if !rule.is_enabled() && rule.target_type() == Some(ty) && self.enable(rule.id)? {
                 affected.push(rule.id);
             }
@@ -666,9 +665,9 @@ impl Admitted<'_> {
 fn changes(repo: &RuleRepository, op: &WalOp) -> bool {
     match op {
         WalOp::Add(rule) => rule.id == repo.next_rule_id(),
-        WalOp::Disable { id, .. } => repo.get(RuleId(*id)).is_some_and(|r| r.is_enabled()),
-        WalOp::Enable { id } => repo.get(RuleId(*id)).is_some_and(|r| !r.is_enabled()),
-        WalOp::Remove { id, .. } => repo.get(RuleId(*id)).is_some(),
+        WalOp::Disable { id, .. } => repo.status(RuleId(*id)) == Some(RuleStatus::Enabled),
+        WalOp::Enable { id } => repo.status(RuleId(*id)).is_some_and(|s| s != RuleStatus::Enabled),
+        WalOp::Remove { id, .. } => repo.status(RuleId(*id)).is_some(),
     }
 }
 
