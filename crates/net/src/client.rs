@@ -1,58 +1,19 @@
 //! A tiny blocking HTTP/1.1 client over one keep-alive connection — just
-//! enough for the load driver in `rulekit-bench`, the replication front
-//! tier, and the integration tests. Not a general-purpose client: no
-//! redirects, no TLS, no chunked bodies (the server never sends any).
-//!
-//! Retry is opt-in via [`RetryPolicy`]: connect failures and 503s back off
-//! with deterministic jittered exponential delays (see
-//! [`Backoff`](crate::backoff::Backoff)) under a capped attempt budget.
-//! Anything else — 4xx, 5xx other than 503, a parse error — returns
-//! immediately; retrying those wastes the budget on non-transient failures.
+//! enough for the benchmark's load driver, the examples and the integration
+//! tests. Not a general-purpose client: no redirects, no TLS, no chunked
+//! bodies (the server never sends any), and no retry — a transport error or
+//! a 503 goes back to the caller as is.
 
-use crate::backoff::Backoff;
 use crate::http::{parse_response, HttpError, HttpLimits, Method, Request};
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
-
-/// Opt-in retry schedule for [`HttpClient::connect_with_retry`] and
-/// [`HttpClient::request_with_retry`].
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempt budget, including the first try (minimum 1).
-    pub max_attempts: u32,
-    /// First backoff rung.
-    pub base: Duration,
-    /// Backoff ceiling.
-    pub cap: Duration,
-    /// Jitter seed (deterministic schedules for tests).
-    pub seed: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(25),
-            cap: Duration::from_secs(1),
-            seed: 0x5eed,
-        }
-    }
-}
-
-impl RetryPolicy {
-    fn backoff(&self) -> Backoff {
-        Backoff::new(self.base, self.cap, self.seed)
-    }
-}
 
 /// One keep-alive client connection.
 pub struct HttpClient {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
     limits: HttpLimits,
-    addr: SocketAddr,
-    timeout: Duration,
 }
 
 /// A received response.
@@ -78,85 +39,7 @@ impl HttpClient {
         stream.set_write_timeout(Some(timeout))?;
         stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
-        Ok(HttpClient { writer: stream, reader, limits: HttpLimits::default(), addr, timeout })
-    }
-
-    /// [`HttpClient::connect`] with up to `policy.max_attempts` tries,
-    /// sleeping a jittered exponential delay between refused connects.
-    pub fn connect_with_retry(
-        addr: SocketAddr,
-        timeout: Duration,
-        policy: &RetryPolicy,
-    ) -> std::io::Result<HttpClient> {
-        let mut backoff = policy.backoff();
-        loop {
-            match HttpClient::connect(addr, timeout) {
-                Ok(client) => return Ok(client),
-                Err(e) if backoff.attempts() + 1 >= policy.max_attempts.max(1) => return Err(e),
-                Err(_) => std::thread::sleep(backoff.next_delay()),
-            }
-        }
-    }
-
-    /// Tears down the connection and dials the same address again (the
-    /// retry path after a transport error mid-request).
-    pub fn reconnect(&mut self) -> std::io::Result<()> {
-        *self = HttpClient::connect(self.addr, self.timeout)?;
-        Ok(())
-    }
-
-    /// The address this client dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Sends one request, retrying on transport errors (with a reconnect —
-    /// the old connection is torn) and on 503, under `policy`'s attempt
-    /// budget. Only safe for idempotent requests, which every rulekit route
-    /// is: classify is read-only, rule creates re-sent after an ambiguous
-    /// failure re-add under new ids, so callers retrying `POST /rulesets`
-    /// must tolerate duplicates (the integration suite's edit loops do).
-    pub fn request_with_retry(
-        &mut self,
-        method: Method,
-        path: &str,
-        body: &[u8],
-        policy: &RetryPolicy,
-    ) -> Result<ClientResponse, HttpError> {
-        let budget = policy.max_attempts.max(1);
-        let mut backoff = policy.backoff();
-        loop {
-            let need_reconnect = match self.request(method, path, body) {
-                Ok(resp) if resp.status != 503 => return Ok(resp),
-                Ok(resp) => {
-                    if backoff.attempts() + 1 >= budget {
-                        return Ok(resp);
-                    }
-                    // Overload 503s often close the connection under them;
-                    // honor the header instead of failing the next attempt.
-                    resp.headers.iter().any(|(k, v)| {
-                        k.eq_ignore_ascii_case("connection") && v.eq_ignore_ascii_case("close")
-                    })
-                }
-                Err(HttpError::Io(e)) => {
-                    if backoff.attempts() + 1 >= budget {
-                        return Err(HttpError::Io(e));
-                    }
-                    true
-                }
-                Err(other) => return Err(other),
-            };
-            std::thread::sleep(backoff.next_delay());
-            if need_reconnect {
-                // A refused re-dial burns attempts from the same budget.
-                while let Err(e) = self.reconnect() {
-                    if backoff.attempts() + 1 >= budget {
-                        return Err(HttpError::Io(e));
-                    }
-                    std::thread::sleep(backoff.next_delay());
-                }
-            }
-        }
+        Ok(HttpClient { writer: stream, reader, limits: HttpLimits::default() })
     }
 
     /// Sends one request and reads its response. The connection stays open

@@ -394,8 +394,13 @@ impl<'a> Parser<'a> {
         if self.input.len() < self.pos + 4 {
             return Err(self.err("truncated \\u escape"));
         }
-        let text = self.utf8(self.pos, self.pos + 4).map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(text, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Exactly four hex digits: no sign, no space (`from_str_radix`
+        // would take a leading `+`).
+        let mut v = 0;
+        for &b in &self.input[self.pos..self.pos + 4] {
+            let digit = (b as char).to_digit(16).ok_or_else(|| self.err("invalid \\u escape"))?;
+            v = v * 16 + digit;
+        }
         self.pos += 4;
         Ok(v)
     }
@@ -505,6 +510,17 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {:?}", String::from_utf8_lossy(bad));
         }
+    }
+
+    /// A `\u` escape is exactly four hex digits: `u32::from_str_radix`
+    /// alone took a leading `+`, so `"\u+041"` decoded as `"A"`.
+    #[test]
+    fn unicode_escape_takes_only_four_hex_digits() {
+        for bad in [r#""\u+041""#, r#""\u+04""#, r#""\u 041""#, r#""\u-041""#] {
+            let err = Json::parse(bad.as_bytes()).expect_err(bad);
+            assert_eq!((err.at, err.message.as_str()), (3, "invalid \\u escape"), "{bad}");
+        }
+        assert_eq!(Json::parse(br#""\u0041\u00e9""#).unwrap().as_str(), Some("Aé"));
     }
 
     #[test]

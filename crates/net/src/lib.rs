@@ -35,14 +35,14 @@
 //!   in-flight requests → shed whatever the serving tier still queues;
 //! * **Observability** ([`metrics`]): acceptor connection gauge, per-route
 //!   request counters and latency histograms in the shared `rulekit-obs`
-//!   registry.
+//!   registry;
+//! * **Client** ([`client`]): one plain blocking keep-alive [`HttpClient`]
+//!   (no retry, no replica routing) for tests, examples and load drivers.
 
 #![forbid(unsafe_code)]
 
 pub mod app;
-pub mod backoff;
 pub mod client;
-pub mod front;
 pub mod handler;
 pub mod http;
 pub mod json;
@@ -52,9 +52,7 @@ pub mod server;
 pub mod wire;
 
 pub use app::{ReplicationInfo, RuleApp};
-pub use backoff::Backoff;
-pub use client::{ClientResponse, HttpClient, RetryPolicy};
-pub use front::{BreakerConfig, FrontConfig, FrontError, FrontTier};
+pub use client::{ClientResponse, HttpClient};
 pub use http::{
     parse_request, parse_response, HttpError, HttpLimits, Method, ParseOutcome, Request, Response,
 };

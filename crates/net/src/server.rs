@@ -67,9 +67,9 @@ pub(crate) struct ServerState {
     threads: ThreadsHandle,
     /// `(changes, hash)` of the last catalog hash computed for `/health`.
     /// The hash walks every rule, so recompute only when the repository's
-    /// change signal moves — health is polled by load balancers and the
-    /// front tier. Not the revision: a restore may install another catalog
-    /// at the revision already cached.
+    /// change signal moves — health is polled by load balancers and
+    /// replica checks. Not the revision: a restore may install another
+    /// catalog at the revision already cached.
     catalog_hash_cache: Mutex<Option<(u64, u64)>>,
     conns: BoundedQueue<TcpStream>,
 }

@@ -706,87 +706,6 @@ fn graceful_drain_stops_accepting_and_flushes() {
     assert!(matches!(outcome, rulekit_serve::Admission::Enqueued(_)));
 }
 
-/// The opt-in retry satellite: a 503 with `Connection: close` is retried
-/// after a jittered backoff on a fresh connection, and a refused connect is
-/// retried until the listener comes up. Raw-socket fakes keep both halves
-/// deterministic.
-#[test]
-fn client_retry_rides_out_503_and_refused_connect() {
-    use rulekit_net::RetryPolicy;
-    use std::io::{Read, Write};
-    use std::net::TcpListener;
-
-    let policy = RetryPolicy {
-        max_attempts: 6,
-        base: Duration::from_millis(5),
-        cap: Duration::from_millis(40),
-        seed: 11,
-    };
-
-    // Half 1: 503 then success. The fake server sheds the first request
-    // with a closing 503, serves the retry on the next connection.
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let fake = std::thread::spawn(move || {
-        let mut buf = [0u8; 4096];
-        let (mut s, _) = listener.accept().unwrap();
-        let _ = s.read(&mut buf);
-        s.write_all(
-            b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-        )
-        .unwrap();
-        drop(s);
-        let (mut s, _) = listener.accept().unwrap();
-        let _ = s.read(&mut buf);
-        s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok").unwrap();
-    });
-    let mut c = HttpClient::connect(addr, Duration::from_secs(5)).unwrap();
-    let resp = c.request_with_retry(Method::Get, "/health", b"", &policy).unwrap();
-    assert_eq!(resp.status, 200, "retry must land on the recovered server");
-    assert_eq!(resp.text(), "ok");
-    fake.join().unwrap();
-
-    // A plain request (no retry) through the non-retry path still sees the
-    // 503 — retry stays opt-in. (Fresh fake: one shedding connection.)
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr2 = listener.local_addr().unwrap();
-    let fake = std::thread::spawn(move || {
-        let mut buf = [0u8; 4096];
-        let (mut s, _) = listener.accept().unwrap();
-        let _ = s.read(&mut buf);
-        s.write_all(
-            b"HTTP/1.1 503 Service Unavailable\r\nContent-Length: 0\r\nConnection: close\r\n\r\n",
-        )
-        .unwrap();
-    });
-    let mut plain = HttpClient::connect(addr2, Duration::from_secs(5)).unwrap();
-    assert_eq!(plain.get("/health").unwrap().status, 503);
-    fake.join().unwrap();
-
-    // Half 2: connect_with_retry against a port that only starts listening
-    // after a delay (SO_REUSEADDR makes the rebind race-free on the same
-    // ephemeral port once the first listener drops).
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr3 = listener.local_addr().unwrap();
-    drop(listener);
-    assert!(
-        HttpClient::connect(addr3, Duration::from_secs(1)).is_err(),
-        "precondition: nobody listening"
-    );
-    let late = std::thread::spawn(move || {
-        std::thread::sleep(Duration::from_millis(60));
-        let listener = TcpListener::bind(addr3).unwrap();
-        let (mut s, _) = listener.accept().unwrap();
-        let mut buf = [0u8; 4096];
-        let _ = s.read(&mut buf);
-        s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n").unwrap();
-    });
-    let generous = RetryPolicy { max_attempts: 40, ..policy };
-    let mut c = HttpClient::connect_with_retry(addr3, Duration::from_secs(1), &generous).unwrap();
-    assert_eq!(c.get("/health").unwrap().status, 200);
-    late.join().unwrap();
-}
-
 /// The inference-tier CRUD path: an `infer:` fact rule and an expression
 /// rule gated on the derived fact post through `/rulesets` in one body,
 /// WAL-log like any other rule, drive classify traffic, and both survive a

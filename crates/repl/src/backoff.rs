@@ -1,11 +1,10 @@
-//! Jittered exponential backoff: the reconnect/retry pacing shared by the
-//! retrying [`HttpClient`](crate::client::HttpClient), the front tier's
-//! circuit breakers, and the replication follower's reconnect loop.
+//! Jittered exponential backoff: the pacing of the follower's reconnect
+//! loop ([`crate::follower`]).
 //!
 //! The schedule is the classic "equal jitter" variant: attempt `n` sleeps
 //! `d/2 + uniform(0, d/2)` where `d = min(cap, base · 2ⁿ)` — the floor
-//! keeps retries from stampeding instantly, the jitter de-synchronizes
-//! herds of clients that failed at the same moment. The jitter source is a
+//! keeps reconnects from stampeding instantly, the jitter de-synchronizes
+//! followers that lost the leader at the same moment. The jitter source is a
 //! seeded xorshift so tests are deterministic; there is no wall-clock or OS
 //! entropy anywhere in the schedule.
 
@@ -41,11 +40,6 @@ impl Backoff {
         half + Duration::from_nanos(jitter_nanos)
     }
 
-    /// How many delays have been handed out since the last reset.
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
     /// Back to the first rung (call after a success).
     pub fn reset(&mut self) {
         self.attempt = 0;
@@ -53,7 +47,7 @@ impl Backoff {
 }
 
 /// One step of xorshift64 — tiny, seedable, good enough for jitter.
-pub(crate) fn xorshift64(state: &mut u64) -> u64 {
+fn xorshift64(state: &mut u64) -> u64 {
     let mut x = *state;
     x ^= x << 13;
     x ^= x >> 7;
@@ -89,7 +83,6 @@ mod tests {
             b.next_delay();
         }
         b.reset();
-        assert_eq!(b.attempts(), 0);
         assert!(b.next_delay() <= Duration::from_millis(8));
     }
 

@@ -33,10 +33,10 @@
 //! guesses. Duplicate records after a resume are skipped by revision, so
 //! replay is idempotent across any partition pattern.
 
+use crate::backoff::Backoff;
 use crate::now_nanos;
 use crate::proto::{self, Frame};
 use rulekit_core::{Threads, ThreadsHandle};
-use rulekit_net::backoff::Backoff;
 use rulekit_net::ReplicationInfo;
 use rulekit_obs::{Counter, Gauge, Histogram, Registry};
 use rulekit_store::{DurableRepository, ReplayOutcome, StoreError};

@@ -24,13 +24,13 @@
 //!   leader's acceptor and sessions, the follower's loop) are one
 //!   [`rulekit_core::Threads`] group, stopped and joined on drop;
 //! * [`node`] — wiring either role together with the HTTP serving tier
-//!   (`rulekit-net`), plus the front tier lives in
-//!   [`rulekit_net::FrontTier`].
+//!   (`rulekit-net`).
 //!
 //! [`DurableRepository`]: rulekit_store::DurableRepository
 
 #![forbid(unsafe_code)]
 
+mod backoff;
 pub mod follower;
 pub mod leader;
 pub mod log;

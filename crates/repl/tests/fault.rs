@@ -8,23 +8,16 @@
 //!   `MemStorage::crash`), *interleaved* with stream truncation — the
 //!   crash/reopen fuzz from `rulekit-store`, extended across the wire;
 //! * a leader restart that lost an unsynced tail (the follower is *ahead*
-//!   and must rebuild from the new leader's snapshot);
-//! * a front tier shedding a dead replica through its circuit breaker and
-//!   recovering it through a half-open probe.
+//!   and must rebuild from the new leader's snapshot).
 //!
 //! The invariant everywhere: no divergence (catalog hashes converge), no
 //! panic, no stuck state — every fault ends in Tailing.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use rulekit_chimera::{Chimera, ChimeraConfig};
 use rulekit_core::{RuleMeta, RuleParser};
 use rulekit_data::Taxonomy;
-use rulekit_net::{
-    BreakerConfig, FrontConfig, FrontTier, NetConfig, NetServer, RetryPolicy, RuleApp,
-};
 use rulekit_obs::Registry;
 use rulekit_repl::{FollowerConfig, FollowerState, LeaderConfig, ReplFollower, ReplLeader};
-use rulekit_serve::ServeConfig;
 use rulekit_store::{catalog_hash, DurableConfig, DurableRepository, MemStorage, Storage};
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -499,81 +492,4 @@ fn fuzz_cycle(seed: u64, cycles: u32) {
         "seed {seed}: follower finished in {:?}, not tailing",
         f.state()
     );
-}
-
-// ---------------------------------------------------------------------------
-// Front tier: breaker shed + half-open recovery against real servers
-// ---------------------------------------------------------------------------
-
-fn replica_server(addr: &str) -> NetServer {
-    let chimera = Chimera::new(Taxonomy::builtin(), ChimeraConfig::default());
-    chimera.add_rules("rings? -> rings\n").unwrap();
-    let serve = ServeConfig {
-        shards: 2,
-        refresh_interval: Duration::from_millis(10),
-        ..Default::default()
-    };
-    let app = RuleApp::in_memory(Arc::new(chimera), serve);
-    let cfg = NetConfig { addr: addr.to_string(), ..Default::default() };
-    NetServer::start(app, cfg).expect("replica server")
-}
-
-#[test]
-fn front_tier_sheds_dead_replica_and_recovers_it_via_half_open_probe() {
-    let r1 = replica_server("127.0.0.1:0");
-    let r2 = replica_server("127.0.0.1:0");
-    let (a1, a2) = (r1.local_addr(), r2.local_addr());
-
-    let registry = Registry::new();
-    let front = FrontTier::with_registry(
-        FrontConfig {
-            leader: a1,
-            replicas: vec![a1, a2],
-            breaker: BreakerConfig {
-                failure_threshold: 2,
-                cooldown: Duration::from_millis(150),
-                timeout: Duration::from_secs(1),
-            },
-            retry: RetryPolicy::default(),
-        },
-        &registry,
-    );
-
-    let body = "{\"title\": \"diamond wedding ring\"}";
-    for _ in 0..4 {
-        let r = front.classify(body).expect("classify with both replicas up");
-        assert_eq!(r.status, 200, "{}", r.text());
-    }
-
-    // Kill replica 2. Every classify must still succeed (failover), and
-    // within a few rounds r2's breaker trips open.
-    drop(r2);
-    for _ in 0..10 {
-        let r = front.classify(body).expect("classify must fail over");
-        assert_eq!(r.status, 200, "{}", r.text());
-    }
-    assert_eq!(front.breaker_states()[1], "open", "states: {:?}", front.breaker_states());
-    assert!(registry.counter("rulekit_front_breaker_trips_total").value() >= 1);
-
-    // While open, traffic is shed away from r2 — requests keep succeeding
-    // without paying r2's connect timeout.
-    let t = Instant::now();
-    for _ in 0..6 {
-        front.classify(body).expect("shed traffic still serves");
-    }
-    assert!(t.elapsed() < Duration::from_secs(1), "open breaker must not stall traffic");
-
-    // Bring r2 back on the same port, wait out the cooldown: the half-open
-    // probe closes the breaker again.
-    let r2 = replica_server(&a2.to_string());
-    std::thread::sleep(Duration::from_millis(200));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while front.breaker_states()[1] != "closed" {
-        front.classify(body).expect("probe traffic");
-        assert!(Instant::now() < deadline, "breaker never recovered: {:?}", front.breaker_states());
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    assert!(registry.counter("rulekit_front_breaker_recoveries_total").value() >= 1);
-    drop(r2);
-    drop(r1);
 }
